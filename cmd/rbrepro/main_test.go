@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -69,6 +70,21 @@ func TestRunEveryExperimentSubcommand(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPlanGolden pins the `plan` report byte for byte: the deadline-miss and
+// quantile columns are exact answers, so any change to the transient solves
+// that moves a printed digit shows here. Refresh it intentionally with
+//
+//	go run ./cmd/rbrepro plan > cmd/rbrepro/testdata/plan.golden
+func TestPlanGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "plan.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runOK(t, "plan"); got != string(want) {
+		t.Errorf("plan report drifted from testdata/plan.golden:\n%s", got)
 	}
 }
 

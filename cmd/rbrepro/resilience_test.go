@@ -11,10 +11,15 @@ import (
 // surfaces as a context.DeadlineExceeded-classified error — the one main
 // maps to exit code 3 — not as a generic failure or a hang.
 func TestTimeoutAbortsAsDeadline(t *testing.T) {
-	var out strings.Builder
-	err := Run([]string{"scenario", "-family", "uniform", "-timeout", "1ns"}, &out)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("timed-out run returned %v, want DeadlineExceeded", err)
+	for _, args := range [][]string{
+		{"scenario", "-family", "uniform", "-timeout", "1ns"},
+		{"plan", "-timeout", "1ns"},
+	} {
+		var out strings.Builder
+		err := Run(args, &out)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("timed-out %s returned %v, want DeadlineExceeded", args[0], err)
+		}
 	}
 }
 

@@ -37,10 +37,11 @@ func Run(args []string, stdout io.Writer) error {
 
 // RunContext is Run under an explicit context: cancellation (Ctrl-C in main,
 // a test deadline) aborts the harness subcommands — xval, scenario, rare,
-// chaos — at the next work-item boundary, surfacing as an ErrBudget-classified
-// error that main maps to exit code 3. The -timeout flag layers a deadline on
-// top; -solver-fault N forces the first N attempts of every recovery block to
-// fail, driving the whole run onto its fallback routes.
+// chaos, plan — at the next work-item boundary, surfacing as an
+// ErrBudget-classified error that main maps to exit code 3. The -timeout
+// flag layers a deadline on top; -solver-fault N forces the first N attempts
+// of every recovery block to fail, driving the whole run onto its fallback
+// routes.
 func RunContext(ctx context.Context, args []string, stdout io.Writer) error {
 	if len(args) < 1 {
 		return fmt.Errorf("%w: missing command", errUsage)
@@ -86,7 +87,7 @@ func RunContext(ctx context.Context, args []string, stdout io.Writer) error {
 	memProfile := fs.String("memprofile", "", "write a heap profile taken after the command to this file")
 	metricsPath := fs.String("metrics", "", `write the structured metrics run report (JSON) to this file; "-" means stderr`)
 	metricsSummary := fs.Bool("metrics-summary", false, "print a human-readable metrics summary to stderr after the command")
-	timeout := fs.Duration("timeout", 0, "wall-clock budget for the command; on expiry the run aborts at the next work-item boundary and exits 3 (xval, scenario, rare, chaos)")
+	timeout := fs.Duration("timeout", 0, "wall-clock budget for the command; on expiry the run aborts at the next work-item boundary and exits 3 (xval, scenario, rare, chaos, plan)")
 	solverFault := fs.Int("solver-fault", 0, "force the first N attempts of every recovery block to fail, driving all numerics onto fallback routes; degraded reports exit 4 (xval, scenario, rare, chaos)")
 	if err := fs.Parse(args[1:]); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -247,11 +248,11 @@ func RunContext(ctx context.Context, args []string, stdout io.Writer) error {
 				if err != nil {
 					return err
 				}
-				p, err := m.DeadlineMissProb(3)
+				p, err := m.DeadlineMissProbCtx(ctx, 3)
 				if err != nil {
 					return err
 				}
-				q, err := m.QuantileX(0.99)
+				q, err := m.QuantileXCtx(ctx, 0.99)
 				if err != nil {
 					return err
 				}

@@ -158,21 +158,18 @@ func (c *CTMC) acceptMoments(idx, order []int) func(momentSolution) error {
 func (c *CTMC) absorptionMomentsUniformized(ctx context.Context, start int) (momentSolution, error) {
 	pi0 := make([]float64, c.n)
 	pi0[start] = 1
-	s := c.newStepper(pi0)
-	if s == nil {
+	q := c.NewAbsorptionSequence(pi0)
+	if q.p == nil {
 		return momentSolution{}, guard.Numericalf("markov: uniformization undefined (no transitions)")
 	}
 	var eN, eNN float64
 	prev := math.Inf(1)
 	m := 0.0
-	k := 0
-	for ; k < maxUnifSteps; k++ {
-		m = 0
-		for u, v := range s.cur {
-			if !c.absorbing[u] {
-				m += v
-			}
+	for k := 0; k < maxUnifSteps; k++ {
+		if err := q.extend(ctx, k); err != nil {
+			return momentSolution{}, err
 		}
+		m = q.s[k]
 		if m > prev*(1+1e-12) || m > 1+1e-9 {
 			return momentSolution{}, guard.Numericalf("markov: uniformization lost probability-mass conservation at step %d (mass %v after %v)", k, m, prev)
 		}
@@ -182,19 +179,11 @@ func (c *CTMC) absorptionMomentsUniformized(ctx context.Context, start int) (mom
 		if m < unifMassTol {
 			break
 		}
-		if k%1024 == 0 {
-			if err := ctx.Err(); err != nil {
-				return momentSolution{}, err
-			}
-		}
-		s.p.MulVecTransInto(s.next, s.cur)
-		s.cur, s.next = s.next, s.cur
-		s.matvecs.Inc()
 	}
 	if m >= unifMassTol {
 		return momentSolution{}, guard.Numericalf("markov: uniformization moments did not converge in %d steps (residual mass %v)", maxUnifSteps, m)
 	}
-	g := s.gamma
+	g := q.gamma
 	return momentSolution{m1: eN / g, m2: 2 * eNN / (g * g)}, nil
 }
 

@@ -413,7 +413,7 @@ func (m *MatrixFree) transientSweep(times []float64, eps float64, eval func(pi [
 // operator. Mass leaking past the truncation or into absorption simply leaves
 // the vector — exactly what the sweep's evaluators expect.
 func (m *MatrixFree) unifAdvance(pi []float64, dt, eps float64) []float64 {
-	w := poissonWeights(m.gamma*dt, eps)
+	w := poissonWeights(nil, m.gamma*dt, eps)
 	cur := linalg.CloneVec(pi)
 	tmp := make([]float64, m.dim)
 	out := make([]float64, m.dim)

@@ -339,13 +339,50 @@ func TestExpectedTransitionCount(t *testing.T) {
 
 func TestPoissonWeightsSumToOne(t *testing.T) {
 	for _, lt := range []float64{0.001, 0.5, 5, 50, 500} {
-		w := poissonWeights(lt, 1e-12)
+		w := poissonWeights(nil, lt, 1e-12)
 		sum := 0.0
 		for _, v := range w {
 			sum += v
 		}
 		if math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("Poisson weights for Λt=%v sum to %v", lt, sum)
+		}
+	}
+}
+
+// TestPoissonWeightsMatchLogSpace checks the recurrence weights against the
+// per-term log-space formula. Both carry the rounding of an exponent of size
+// ~Λt·log Λt, so the relative tolerance scales with Λt (below 1e-300 both
+// underflow and the check is absolute). The same rounding moves 1 − Σw by
+// ~Λt·1e-16, so the two truncation points differ where 1 − Σw crosses eps
+// that closely: on uniform grids of 20 000 horizons at eps = 1e-10, at 6
+// below Λt = 100 and at 1 % below 1000. The test pins them on a fixed set of
+// small horizons.
+func TestPoissonWeightsMatchLogSpace(t *testing.T) {
+	var w []float64
+	for _, lt := range []float64{1e-6, 0.3, 1, 7.5, 64, 99.9, 333.3, 2000} {
+		tol := 1e-14 * (lt + 10)
+		for _, eps := range []float64{1e-10, 1e-12} {
+			w = poissonWeights(w, lt, eps)
+			bound := int(lt + 10*math.Sqrt(lt) + 30)
+			var ref []float64
+			sum := 0.0
+			for k := 0; k <= bound; k++ {
+				lg, _ := math.Lgamma(float64(k + 1))
+				ref = append(ref, math.Exp(-lt+float64(k)*math.Log(lt)-lg))
+				sum += ref[k]
+				if k > int(lt) && 1-sum < eps {
+					break
+				}
+			}
+			if lt < 100 && len(w) != len(ref) {
+				t.Fatalf("Λt=%v eps=%v: truncated at K=%d, log space at %d", lt, eps, len(w)-1, len(ref)-1)
+			}
+			for k := 0; k < len(w) && k < len(ref); k++ {
+				if d := math.Abs(w[k] - ref[k]); d > tol*ref[k] && d > 1e-300 {
+					t.Fatalf("Λt=%v: w_%d = %v, log space %v", lt, k, w[k], ref[k])
+				}
+			}
 		}
 	}
 }

@@ -10,9 +10,10 @@ import (
 // MaxEnumeratedProcesses bounds the enumerated chain backend (2^n + 1 states
 // held as markov.CTMC rows). Small chains solve by dense LU; above
 // markov.SparseCutoff transient states the moment and occupancy solves go
-// through the CSR aggregated Gauss–Seidel route, which keeps n = 16 (65 537
-// states) under a second of solve time where the dense factorization was
-// already intractable at n = 12. The bound is set by build memory — the chain
+// through the CSR aggregated Gauss–Seidel route, which solves n = 16 (65 537
+// states) in 1.5–5.5 s for the moment pair (uniform rates to a distinct-rate
+// ramp at ρ = 1, on a 2-vCPU Xeon) where the dense factorization was already
+// intractable at n = 12. The bound is set by build memory — the chain
 // stores ~n²/2 transitions per state — which is also why the larger regime
 // below never enumerates at all.
 const MaxEnumeratedProcesses = 16
@@ -240,12 +241,12 @@ func (m *AsyncModel) DensityX(times []float64) []float64 {
 func (m *AsyncModel) densityX(times []float64) ([]float64, error) {
 	switch {
 	case m.chain != nil:
-		return m.chain.AbsorptionDensity(m.entryDistribution(), times, 1e-10), nil
+		return m.chain.AbsorptionDensity(m.entryDistribution(), times, transientEps), nil
 	case m.orbit != nil:
 		c := m.orbit
-		return c.Chain().AbsorptionDensity(pointMass(c.NumStates(), c.Entry()), times, 1e-10), nil
+		return c.Chain().AbsorptionDensity(pointMass(c.NumStates(), c.Entry()), times, transientEps), nil
 	default:
-		return m.kron.mf.AbsorptionDensity(times, 1e-10)
+		return m.kron.mf.AbsorptionDensity(times, transientEps)
 	}
 }
 
@@ -262,12 +263,12 @@ func (m *AsyncModel) CDFX(times []float64) []float64 {
 func (m *AsyncModel) cdfX(times []float64) ([]float64, error) {
 	switch {
 	case m.chain != nil:
-		return m.chain.AbsorptionCDF(m.entryDistribution(), times, 1e-10), nil
+		return m.chain.AbsorptionCDF(m.entryDistribution(), times, transientEps), nil
 	case m.orbit != nil:
 		c := m.orbit
-		return c.Chain().AbsorptionCDF(pointMass(c.NumStates(), c.Entry()), times, 1e-10), nil
+		return c.Chain().AbsorptionCDF(pointMass(c.NumStates(), c.Entry()), times, transientEps), nil
 	default:
-		return m.kron.mf.AbsorptionCDF(times, 1e-10)
+		return m.kron.mf.AbsorptionCDF(times, transientEps)
 	}
 }
 

@@ -47,16 +47,6 @@ func (m *AsyncModel) MeanLWaldCtx(ctx context.Context) ([]float64, error) {
 	return out, nil
 }
 
-// DeadlineMissProbCtx is DeadlineMissProb under an explicit context: the
-// uniformization sweep itself is deterministic and cheap, so the context
-// only gates entry (cancellation before the sweep starts).
-func (m *AsyncModel) DeadlineMissProbCtx(ctx context.Context, d float64) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return m.DeadlineMissProb(d)
-}
-
 // MeanXCtx is MeanX under an explicit context.
 func (m *SymmetricModel) MeanXCtx(ctx context.Context) (float64, error) {
 	m1, _, err := m.chain.AbsorptionMomentsCtx(ctx, m.Entry())

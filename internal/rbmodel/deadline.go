@@ -1,10 +1,12 @@
 package rbmodel
 
 import (
+	"context"
 	"errors"
 	"math"
 
 	"recoveryblocks/internal/guard"
+	"recoveryblocks/internal/markov"
 )
 
 // Section 5 of the paper argues that "the asynchronous method or a longer
@@ -15,32 +17,32 @@ import (
 // on the worst-case rollback distance, hence on the recovery delay — exceeds
 // a deadline d.
 
+// transientEps is the Poisson truncation error of every transient evaluation.
+const transientEps = 1e-10
+
 // DeadlineMissProb returns P(X > d): the probability that no recovery line
 // forms within d time units, so a failure at the wrong moment forces a
 // rollback (and re-execution) longer than the deadline.
 func (m *AsyncModel) DeadlineMissProb(d float64) (float64, error) {
-	if err := checkDeadline(d); err != nil {
-		return 0, err
-	}
-	if d < 0 {
-		return 1, nil
-	}
-	if math.IsInf(d, 1) {
-		return 0, nil // X is finite almost surely: absorption is certain
-	}
-	cdf, err := m.cdfX([]float64{d})
-	if err != nil {
-		return 0, err
-	}
-	p := 1 - cdf[0]
-	if p < 0 { // numerical guard
-		p = 0
-	}
-	return p, nil
+	return m.DeadlineMissProbCtx(context.Background(), d)
 }
 
-// DeadlineMissProb for the lumped chain (large n).
-func (m *SymmetricModel) DeadlineMissProb(d float64) (float64, error) {
+// DeadlineMissProbCtx is DeadlineMissProb under an explicit context. On the
+// enumerated and orbit routes the uniformization sweep checks ctx every 1024
+// steps; the kron route's single Krylov sweep checks it on entry only.
+func (m *AsyncModel) DeadlineMissProbCtx(ctx context.Context, d float64) (float64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return missProb(d, func(t float64) (float64, error) {
+		return m.cdfAt(ctx, m.absorptionSequence(), t)
+	})
+}
+
+// missProb returns P(X > d) = 1 − F(d) from the CDF evaluator cdf, under the
+// conventions every model shares: a NaN deadline is an error, a negative one
+// is always missed and an infinite one never (absorption is certain).
+func missProb(d float64, cdf func(t float64) (float64, error)) (float64, error) {
 	if err := checkDeadline(d); err != nil {
 		return 0, err
 	}
@@ -50,12 +52,51 @@ func (m *SymmetricModel) DeadlineMissProb(d float64) (float64, error) {
 	if math.IsInf(d, 1) {
 		return 0, nil
 	}
-	cdf := m.Chain().AbsorptionCDF(pointMass(m.N+2, m.Entry()), []float64{d}, 1e-10)
-	p := 1 - cdf[0]
-	if p < 0 {
-		p = 0
+	f, err := cdf(d)
+	if err != nil {
+		return 0, err
 	}
-	return p, nil
+	return math.Max(0, 1-f), nil // rounding can push F past 1
+}
+
+// absorptionSequence returns the uniformized absorption sequence from the
+// entry state on the enumerated and orbit routes, and nil on the kron route,
+// whose 2^n-long vectors make γt matvecs per answer slower than a Krylov
+// sweep.
+func (m *AsyncModel) absorptionSequence() *markov.AbsorptionSequence {
+	switch {
+	case m.chain != nil:
+		return m.chain.NewAbsorptionSequence(m.entryDistribution())
+	case m.orbit != nil:
+		c := m.orbit
+		return c.Chain().NewAbsorptionSequence(pointMass(c.NumStates(), c.Entry()))
+	default:
+		return nil
+	}
+}
+
+// cdfAt returns P(X ≤ t) from the sequence q, or by one Krylov sweep when q
+// is nil (the kron route).
+func (m *AsyncModel) cdfAt(ctx context.Context, q *markov.AbsorptionSequence, t float64) (float64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	if q != nil {
+		cdf, _, err := q.At(ctx, t, transientEps)
+		return cdf, err
+	}
+	cdf, err := m.kron.mf.AbsorptionCDF([]float64{t}, transientEps)
+	if err != nil {
+		return 0, err
+	}
+	return cdf[0], nil
+}
+
+// DeadlineMissProb for the lumped chain (large n).
+func (m *SymmetricModel) DeadlineMissProb(d float64) (float64, error) {
+	return missProb(d, func(t float64) (float64, error) {
+		return m.chain.AbsorptionCDF(pointMass(m.N+2, m.Entry()), []float64{t}, transientEps)[0], nil
+	})
 }
 
 // checkDeadline rejects the one deadline no convention covers: NaN. Without
@@ -79,36 +120,51 @@ func pointMass(n, at int) []float64 {
 // analytic CDF — e.g. QuantileX(0.99) is the rollback-distance budget a
 // designer must provision to cover 99 % of inter-line intervals.
 func (m *AsyncModel) QuantileX(q float64) (float64, error) {
+	return m.QuantileXCtx(context.Background(), q)
+}
+
+// QuantileXCtx is QuantileX under an explicit context, checked between
+// bisection probes and every 1024 uniformization steps. On the enumerated and
+// orbit routes every probe reads the same absorption sequence, so the whole
+// search costs the matvecs of one CDF evaluation at the bracket's upper end.
+func (m *AsyncModel) QuantileXCtx(ctx context.Context, q float64) (float64, error) {
 	// The NaN case must be explicit: both range comparisons are false for
 	// NaN, and without it the bisection below would run on garbage.
 	if math.IsNaN(q) || q <= 0 || q >= 1 {
 		return 0, errors.New("rbmodel: quantile must be in (0,1)")
 	}
-	mean, err := m.MeanX()
+	if q > 1-transientEps {
+		// The CDF is resolved only to transientEps, so it may never reach q:
+		// the bracket below would double toward mean·1e9 and size its
+		// Poisson weights to match.
+		return 0, guard.Numericalf("rbmodel: quantile %v beyond numerical range", q)
+	}
+	mean, err := m.MeanXCtx(ctx)
 	if err != nil {
 		return 0, err
 	}
+	seq := m.absorptionSequence()
 	lo, hi := 0.0, mean
 	for i := 0; i < 200; i++ {
-		cdf, err := m.cdfX([]float64{hi})
+		cdf, err := m.cdfAt(ctx, seq, hi)
 		if err != nil {
 			return 0, err
 		}
-		if cdf[0] >= q {
+		if cdf >= q {
 			break
 		}
 		hi *= 2
 		if hi > mean*1e9 {
-			return 0, errors.New("rbmodel: quantile beyond numerical range")
+			return 0, guard.Numericalf("rbmodel: quantile beyond numerical range")
 		}
 	}
 	for i := 0; i < 100 && hi-lo > 1e-9*(1+hi); i++ {
 		mid := (lo + hi) / 2
-		cdf, err := m.cdfX([]float64{mid})
+		cdf, err := m.cdfAt(ctx, seq, mid)
 		if err != nil {
 			return 0, err
 		}
-		if cdf[0] < q {
+		if cdf < q {
 			lo = mid
 		} else {
 			hi = mid
@@ -122,8 +178,16 @@ func (m *AsyncModel) QuantileX(q float64) (float64, error) {
 // rate given none has formed yet. For large t it converges to the slowest
 // decay mode of the chain, which is what dominates deadline-miss risk.
 func (m *AsyncModel) HazardX(times []float64) []float64 {
-	f := m.DensityX(times)
-	cdf := m.CDFX(times)
+	var f, cdf []float64
+	if q := m.absorptionSequence(); q != nil {
+		f, cdf = make([]float64, len(times)), make([]float64, len(times))
+		for i, t := range times {
+			// A background context never cancels, so At cannot fail here.
+			cdf[i], f[i], _ = q.At(context.Background(), t, transientEps)
+		}
+	} else {
+		f, cdf = m.DensityX(times), m.CDFX(times)
+	}
 	out := make([]float64, len(times))
 	for i := range times {
 		surv := 1 - cdf[i]

@@ -1,8 +1,11 @@
 package rbmodel
 
 import (
+	"errors"
 	"math"
 	"testing"
+
+	"recoveryblocks/internal/guard"
 )
 
 func TestDeadlineMissProbMonotone(t *testing.T) {
@@ -79,6 +82,11 @@ func TestQuantileXInvertsCDF(t *testing.T) {
 	}
 	if _, err := m.QuantileX(1); err == nil {
 		t.Fatal("accepted q=1")
+	}
+	// Above 1 − transientEps the CDF may never reach q: a typed numerical
+	// failure, not a bracket grown toward mean·1e9.
+	if _, err := m.QuantileX(1 - 1e-12); !errors.Is(err, guard.ErrNumerical) {
+		t.Fatalf("q = 1 − 1e-12: err = %v, want ErrNumerical", err)
 	}
 }
 

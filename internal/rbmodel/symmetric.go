@@ -99,7 +99,7 @@ func (m *SymmetricModel) MomentsX() (float64, float64, error) {
 func (m *SymmetricModel) DensityX(times []float64) []float64 {
 	pi := make([]float64, m.N+2)
 	pi[m.Entry()] = 1
-	return m.chain.AbsorptionDensity(pi, times, 1e-10)
+	return m.chain.AbsorptionDensity(pi, times, transientEps)
 }
 
 // MeanL returns E[L] per process (= μ·E[X]; identical across processes by
