@@ -125,13 +125,13 @@ func BenchmarkHotPaths(b *testing.B) {
 
 	for _, n := range []int{8, 10} {
 		n := n
-		m, err := rbmodel.NewAsync(hotParams(n))
+		c, err := rbmodel.EnumerateAsync(hotParams(n))
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run("solve/dense/"+benchName("n", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := m.Chain().AbsorptionMomentsDense(m.Entry()); err != nil {
+				if _, _, err := c.AbsorptionMomentsDense(0); err != nil { // state 0 = S_r
 					b.Fatal(err)
 				}
 			}
@@ -139,13 +139,13 @@ func BenchmarkHotPaths(b *testing.B) {
 	}
 	for _, n := range []int{8, 10, 12} {
 		n := n
-		m, err := rbmodel.NewAsync(hotParams(n))
+		c, err := rbmodel.EnumerateAsync(hotParams(n))
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run("solve/sparse/"+benchName("n", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := m.Chain().AbsorptionMomentsSparse(m.Entry()); err != nil {
+				if _, _, err := c.AbsorptionMomentsSparse(0); err != nil { // state 0 = S_r
 					b.Fatal(err)
 				}
 			}

@@ -26,7 +26,7 @@ import (
 
 func BenchmarkObsOverhead(b *testing.B) {
 	p := rbmodel.Uniform(8, 1, 2/float64(7))
-	m, err := rbmodel.NewAsync(p)
+	c, err := rbmodel.EnumerateAsync(p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	}
 	solve := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := m.Chain().AbsorptionMomentsDense(m.Entry()); err != nil {
+			if _, _, err := c.AbsorptionMomentsDense(0); err != nil { // state 0 = S_r
 				b.Fatal(err)
 			}
 		}

@@ -300,21 +300,21 @@ func BenchmarkAdvise(b *testing.B) {
 // BenchmarkAbsorptionSolveDirect measures the dense LU absorption solve on
 // the full model at growing n (the 2^n scaling DESIGN.md calls out). Rates
 // follow the Figure 5 convention (μ = 1, λ = ρ/(n−1) at ρ = 2) so the
-// problem difficulty is comparable across n. The dense route is invoked
-// explicitly: since PR 4, MeanX auto-selects the CSR solve above
-// markov.SparseCutoff, and this benchmark exists to keep the dense
-// trajectory visible next to it (see BenchmarkHotPaths for the gated
-// dense-vs-sparse pair).
+// problem difficulty is comparable across n. The chain is built by
+// rbmodel.EnumerateAsync and the dense route invoked explicitly: MeanX
+// answers past rbmodel.MaxEnumeratedProcesses without enumerating, and this
+// benchmark exists to keep the dense trajectory visible (see
+// BenchmarkHotPaths for the gated dense-vs-sparse pair).
 func BenchmarkAbsorptionSolveDirect(b *testing.B) {
 	for _, n := range []int{4, 6, 8, 10} {
 		p := rbmodel.Uniform(n, 1, 2/float64(n-1))
 		b.Run(benchName("n", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m, err := rbmodel.NewAsync(p)
+				c, err := rbmodel.EnumerateAsync(p)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, _, err := m.Chain().AbsorptionMomentsDense(m.Entry()); err != nil {
+				if _, _, err := c.AbsorptionMomentsDense(0); err != nil { // state 0 = S_r
 					b.Fatal(err)
 				}
 			}
@@ -328,13 +328,13 @@ func BenchmarkAbsorptionSolveDirect(b *testing.B) {
 func BenchmarkAbsorptionSolveIterative(b *testing.B) {
 	for _, n := range []int{4, 6, 8, 10} {
 		p := rbmodel.Uniform(n, 1, 2/float64(n-1))
-		m, err := rbmodel.NewAsync(p)
+		c, err := rbmodel.EnumerateAsync(p)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(benchName("n", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := m.Chain().MeanAbsorptionTimeIterative(m.Entry(), 1e-10, 2000000); err != nil {
+				if _, err := c.MeanAbsorptionTimeIterative(0, 1e-10, 2000000); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -84,8 +84,9 @@ func runInfo(stdout io.Writer, jsonOut bool) error {
 
 	fmt.Fprintln(stdout, "\nlimits:")
 	fmt.Fprintf(stdout, "  max exact processes   %d  (exact-solve bound via the matrix-free Kronecker engine; larger n simulates)\n", rep.Limits.MaxExactProcesses)
-	fmt.Fprintf(stdout, "  max enumerated        %d  (2^n+1-state materialized-chain bound; above it: orbit lumping or matrix-free)\n", rep.Limits.MaxEnumeratedProcesses)
-	fmt.Fprintf(stdout, "  kron cutoff           %d  (state count at/above which lumped chains yield to the matrix-free route)\n", rep.Limits.KronCutoff)
+	fmt.Fprintf(stdout, "  max enumerated        %d  (largest n with 2^n < sparse cutoff: async chain enumerated, dense LU; above it: orbit lumping or matrix-free)\n", rep.Limits.MaxEnumeratedProcesses)
+	fmt.Fprintf(stdout, "  max split processes   %d  (split-chain E[L_i] cross-check bound; no matrix-free counterpart)\n", rep.Limits.MaxSplitProcesses)
+	fmt.Fprintf(stdout, "  kron cutoff           %d  (orbit-lumped state count at/above which the async model runs matrix-free)\n", rep.Limits.KronCutoff)
 	fmt.Fprintf(stdout, "  sparse cutoff         %d  (transient states; >= routes solves dense LU -> CSR Gauss-Seidel)\n", rep.Limits.SparseCutoff)
 	fmt.Fprintf(stdout, "  default block size    %d  (Monte Carlo replications per block)\n", rep.Limits.DefaultBlockSize)
 	fmt.Fprintf(stdout, "  max every-k           %d  (sync-every-k block period bound)\n", rep.Limits.MaxEveryK)

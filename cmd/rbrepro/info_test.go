@@ -13,7 +13,7 @@ func TestInfoText(t *testing.T) {
 	out := runOK(t, "info")
 	for _, want := range []string{
 		"build:", "go version", "limits:", "strategies:", "perturbations",
-		"metrics", "max exact processes", "max enumerated", "kron cutoff", "sparse cutoff",
+		"metrics", "max exact processes", "max enumerated", "max split processes", "kron cutoff", "sparse cutoff",
 		"sync-every-k", "mc_runs_total", "[runtime]",
 	} {
 		if !strings.Contains(out, want) {
@@ -34,6 +34,7 @@ func TestInfoJSON(t *testing.T) {
 		Limits    struct {
 			MaxExactProcesses int `json:"max_exact_processes"`
 			MaxEnumerated     int `json:"max_enumerated_processes"`
+			MaxSplit          int `json:"max_split_processes"`
 			KronCutoff        int `json:"kron_cutoff"`
 			SparseCutoff      int `json:"sparse_cutoff"`
 			DefaultBlockSize  int `json:"default_block_size"`
@@ -55,7 +56,7 @@ func TestInfoJSON(t *testing.T) {
 	if rep.GoVersion == "" || rep.NumCPU <= 0 {
 		t.Errorf("build facts missing: go_version=%q num_cpu=%d", rep.GoVersion, rep.NumCPU)
 	}
-	if rep.Limits.MaxExactProcesses != 24 || rep.Limits.MaxEnumerated != 16 ||
+	if rep.Limits.MaxExactProcesses != 24 || rep.Limits.MaxEnumerated != 7 || rep.Limits.MaxSplit != 16 ||
 		rep.Limits.KronCutoff != 1<<17 || rep.Limits.SparseCutoff != 256 ||
 		rep.Limits.DefaultBlockSize != 1024 {
 		t.Errorf("unexpected limits: %+v", rep.Limits)

@@ -60,8 +60,8 @@
 // rare-event overlap grid: variance-reduced deadline-miss estimates judged
 // against the exact solvers in the ≤ 1e−6 regime. -kron swaps in the
 // matrix-free proof grid (n ∈ {18, 20, 24}, async family by default): exact
-// Kronecker–Krylov answers past the enumeration wall judged against the
-// event-driven simulator.
+// Kronecker–Krylov answers at sizes no materialized chain reaches, judged
+// against the event-driven simulator.
 //
 // rare runs the rare-event engine over a scenario batch (default: the
 // deadline-tail family, which walks deadlines into the ≤ 1e−6 regime),

@@ -201,7 +201,7 @@ func (op *KronOp) apply(dst, x []float64, trans bool) {
 	// blocking: bits below blockBits act entirely within a 2^blockBits-state
 	// block, so one pass over the arrays applies ALL low bits block by block
 	// while each block is cache-resident, and only the high bits pay a full
-	// strided pass each. Past the enumeration wall this is the difference
+	// strided pass each. At the largest sizes this is the difference
 	// between n passes over gigabyte vectors and ~(n − blockBits) of them.
 	low := op.bits
 	if low > blockBits {

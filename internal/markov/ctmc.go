@@ -162,6 +162,9 @@ func (c *CTMC) transientIndex() ([]int, []int) {
 // trivially robust, and byte-for-byte reproducible against the historical
 // results; above it the O(nt³) dense cost explodes while the sparse route
 // stays proportional to the transition count (see AbsorptionMomentsSparse).
+// rbmodel enumerates the full model's 2^n-vertex cube only below it; past it
+// the cube runs matrix-free (MatrixFree) and only lumped chains take the CSR
+// route.
 const SparseCutoff = 256
 
 // sparse-solve accuracy knobs: tol is a normwise backward error (the same

@@ -149,12 +149,7 @@ func (c *CTMC) acceptMoments(idx, order []int) func(momentSolution) error {
 }
 
 // absorptionMomentsUniformized is the third rung: exact moments through the
-// uniformized jump chain. With P = I + Q/γ and s_k the transient mass after
-// k DTMC steps, the absorption step count N satisfies E[N] = Σ_k s_k and
-// E[N(N+1)] = 2·Σ_k (k+1)·s_k, and the absorption time T (a random Exp(γ)
-// sum of N terms) has E[T] = E[N]/γ and E[T²] = E[N(N+1)]/γ². The route
-// checks probability-mass conservation as it sums: the transient mass must
-// stay in [0, 1] and never grow.
+// uniformized jump chain, read off the absorption sequence from start.
 func (c *CTMC) absorptionMomentsUniformized(ctx context.Context, start int) (momentSolution, error) {
 	pi0 := make([]float64, c.n)
 	pi0[start] = 1
@@ -162,6 +157,16 @@ func (c *CTMC) absorptionMomentsUniformized(ctx context.Context, start int) (mom
 	if q.p == nil {
 		return momentSolution{}, guard.Numericalf("markov: uniformization undefined (no transitions)")
 	}
+	return uniformizedMoments(ctx, q)
+}
+
+// uniformizedMoments sums the transient masses s_k of q. With P = I + Q/γ,
+// the absorption step count N satisfies E[N] = Σ_k s_k and
+// E[N(N+1)] = 2·Σ_k (k+1)·s_k, and the absorption time T (a random Exp(γ)
+// sum of N terms) has E[T] = E[N]/γ and E[T²] = E[N(N+1)]/γ². The route
+// checks probability-mass conservation as it sums: the transient mass must
+// stay in [0, 1] and never grow.
+func uniformizedMoments(ctx context.Context, q *AbsorptionSequence) (momentSolution, error) {
 	var eN, eNN float64
 	prev := math.Inf(1)
 	m := 0.0

@@ -1,15 +1,14 @@
 package markov
 
-// This file extends the absorbing-chain routing one regime past CSR: the
-// matrix-free Kronecker–Krylov engine. Dense LU handles transient spaces
-// below SparseCutoff, the CSR two-level solver carries the mid range, and at
-// KronCutoff transient states even the CSR rows stop fitting a sane budget —
-// 2^n states × O(n²) entries each — so the generator is never enumerated at
-// all. MatrixFree runs the same absorption solves against a linalg.Operator
-// (in practice a linalg.KronOp built by rbmodel from the per-process factor
-// structure), with restarted GMRES for the moment systems, matrix-free
-// uniformization and a jump-chain estimate as fallback rungs, and Krylov
-// exponentials for the transient distributions.
+// This file hosts the matrix-free Kronecker–Krylov engine. Dense LU handles
+// transient spaces below SparseCutoff and the CSR two-level solver the
+// lumped chains above it, but the 2^n-vertex cube of the full model is never
+// enumerated past that size: 2^n states × O(n²) entries each. MatrixFree runs
+// the same absorption solves against a linalg.Operator (in practice a
+// linalg.KronOp built by rbmodel from the per-process factor structure), with
+// restarted GMRES for the moment systems, matrix-free uniformization and a
+// jump-chain estimate as fallback rungs, and an operator-stepped absorption
+// sequence for the transient questions.
 
 import (
 	"context"
@@ -22,11 +21,10 @@ import (
 	"recoveryblocks/internal/obs"
 )
 
-// KronCutoff is the transient-state count at and above which rbmodel stops
-// enumerating the 2^n+1-state chain into markov.CTMC and builds the
-// matrix-free Kronecker engine instead. 2^16 transient states (n = 16, the
-// historical MaxExactProcesses wall) still enumerate — keeping every
-// pre-existing healthy path byte-identical — while n ≥ 17 routes matrix-free.
+// KronCutoff is the state count at and above which rbmodel gives up on an
+// orbit-lumped chain and runs the matrix-free Kronecker engine on the full
+// cube instead. Lumping a partially-exchangeable rate vector may still leave
+// a chain of this size, whose CSR rows no longer fit a sane budget.
 const KronCutoff = 1 << 17
 
 const (
@@ -74,8 +72,8 @@ type MatrixFreeSpec struct {
 }
 
 // MatrixFree solves an absorbing chain whose transient generator exists only
-// as an operator. It mirrors CTMC's solve surface (moments ladder, expected
-// occupancy, absorption density/CDF) above KronCutoff.
+// as an operator. It mirrors CTMC's solve surface: the moments ladder,
+// expected occupancy and the absorption sequence.
 type MatrixFree struct {
 	spec  MatrixFreeSpec
 	op    *countedOp
@@ -237,45 +235,10 @@ func (m *MatrixFree) acceptMoments(s momentSolution) error {
 	return nil
 }
 
-// momentsUniformized is the second rung: the transient-mass sums of the
-// enumerated ladder, with the uniformized step π ← π + (Q_Tᵀ·π)/γ applied
-// through the operator instead of a CSR scatter. The absorbing state is
-// implicit, so the transient mass is simply Σ_s π_s; the same conservation
-// guard applies (mass must stay in [0, 1] and never grow).
+// momentsUniformized is the second rung: the enumerated ladder's
+// transient-mass sums, read off the operator-stepped absorption sequence.
 func (m *MatrixFree) momentsUniformized(ctx context.Context) (momentSolution, error) {
-	cur := make([]float64, m.dim)
-	cur[m.spec.Start] = 1
-	tmp := make([]float64, m.dim)
-	var eN, eNN float64
-	prev := math.Inf(1)
-	mass := 0.0
-	k := 0
-	for ; k < maxUnifSteps; k++ {
-		mass = linalg.Sum(cur)
-		if mass > prev*(1+1e-12) || mass > 1+1e-9 {
-			return momentSolution{}, guard.Numericalf("markov: kron uniformization lost probability-mass conservation at step %d (mass %v after %v)", k, mass, prev)
-		}
-		prev = mass
-		eN += mass
-		eNN += float64(k+1) * mass
-		if mass < unifMassTol {
-			break
-		}
-		if k%64 == 0 {
-			if err := ctx.Err(); err != nil {
-				return momentSolution{}, err
-			}
-		}
-		m.op.MulVecTransInto(tmp, cur)
-		for i, v := range tmp {
-			cur[i] += v / m.gamma
-		}
-	}
-	if mass >= unifMassTol {
-		return momentSolution{}, guard.Numericalf("markov: kron uniformization moments did not converge in %d steps (residual mass %v)", maxUnifSteps, mass)
-	}
-	g := m.gamma
-	return momentSolution{m1: eN / g, m2: 2 * eNN / (g * g)}, nil
+	return uniformizedMoments(ctx, m.NewAbsorptionSequence())
 }
 
 // momentsMC is the last-resort rung: the deterministic jump-chain estimate
@@ -351,7 +314,9 @@ func (m *MatrixFree) ExpectedOccupancy() ([]float64, error) {
 // AbsorptionCDF evaluates P(absorbed by t) at the given times (nondecreasing,
 // ≥ 0) as 1 minus the surviving transient mass, the transient distribution
 // advanced by Krylov exponentials between consecutive times. eps is the
-// per-evaluation accuracy target.
+// per-evaluation accuracy target. The program's transient questions read the
+// absorption sequence instead; this Krylov sweep stays as the independent
+// reference the tests and the benchmark's own assembly check it against.
 func (m *MatrixFree) AbsorptionCDF(times []float64, eps float64) ([]float64, error) {
 	return m.transientSweep(times, eps, func(pi []float64) float64 {
 		mass := linalg.Sum(pi)
@@ -361,7 +326,9 @@ func (m *MatrixFree) AbsorptionCDF(times []float64, eps float64) ([]float64, err
 }
 
 // AbsorptionDensity evaluates the absorption-time density at the given times:
-// f(t) = Σ_s π_s(t)·a(s) over the sparse absorption-rate vector.
+// f(t) = Σ_s π_s(t)·a(s) over the sparse absorption-rate vector, by the same
+// Krylov sweep as AbsorptionCDF and kept for the same reason: it is the
+// independent reference for the absorption sequence.
 func (m *MatrixFree) AbsorptionDensity(times []float64, eps float64) ([]float64, error) {
 	return m.transientSweep(times, eps, func(pi []float64) float64 {
 		f := 0.0

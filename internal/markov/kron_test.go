@@ -108,6 +108,22 @@ func TestMatrixFreeMatchesEnumerated(t *testing.T) {
 			t.Fatalf("density(%g) = %g, enumerated says %g", times[i], kden[i], den[i])
 		}
 	}
+
+	// The operator-stepped absorption sequence against the CSR-stepped one
+	// and the Krylov sweep.
+	q := mf.NewAbsorptionSequence()
+	for i, tt := range times {
+		qcdf, qden, err := q.At(context.Background(), tt, 1e-12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(qcdf-cdf[i]) > 1e-10 || math.Abs(qden-den[i]) > 1e-10 {
+			t.Fatalf("sequence at t=%g: CDF %g density %g, enumerated says %g %g", tt, qcdf, qden, cdf[i], den[i])
+		}
+		if math.Abs(qcdf-kcdf[i]) > 1e-8 || math.Abs(qden-kden[i]) > 1e-8 {
+			t.Fatalf("sequence at t=%g: CDF %g density %g, Krylov sweep says %g %g", tt, qcdf, qden, kcdf[i], kden[i])
+		}
+	}
 }
 
 // TestMatrixFreeLadderFallbacks forces each rung of the matrix-free moment

@@ -65,13 +65,21 @@ func poissonWeights(w []float64, lambdaT, eps float64) []float64 {
 //
 // so once the sequence reaches the truncation point of the largest horizon
 // asked, CDF and density values at any smaller t cost no further matvecs.
-// The sequence extends lazily, one matvec per step, each counted on
+// Only the step differs by chain: a CTMC scatters π through its uniformized
+// CSR, while a MatrixFree engine applies π ← π + Q_Tᵀ·π/γ through its
+// operator and keeps the absorbed mass implicit, a_{k+1} = a_k + d_k/γ. The
+// sequence extends lazily, one matvec per step, each counted on
 // markov_uniformization_matvecs_total. It is not safe for concurrent use.
 type AbsorptionSequence struct {
-	p          *linalg.CSR // nil when γ = 0: the distribution never moves
-	gamma      float64
-	absorbing  []bool
-	absorbRate []float64
+	gamma float64
+	// Exactly one of p and op steps the distribution; neither does when
+	// γ = 0 and the distribution never moves.
+	p          *linalg.CSR     // CTMC: the uniformized chain, absorbing states included
+	op         linalg.Operator // MatrixFree: Q_T, the absorbing state implicit
+	absorbing  []bool          // CTMC: the states a_k sums
+	absorbIdx  []int           // the states with a direct absorption rate
+	absorbRate []float64       // their rates
+	pollMask   int             // context checks every pollMask+1 steps, a power of two
 	cur, next  []float64
 	a, s, d    []float64
 	w          []float64 // Poisson-weight scratch
@@ -85,12 +93,12 @@ func (c *CTMC) NewAbsorptionSequence(pi0 []float64) *AbsorptionSequence {
 		panic("markov: initial distribution length mismatch")
 	}
 	q := &AbsorptionSequence{
-		gamma:      c.MaxOutRate(),
-		absorbing:  c.absorbing,
-		absorbRate: make([]float64, c.n),
-		cur:        append([]float64(nil), pi0...),
-		next:       make([]float64, c.n),
-		matvecs:    obs.C("markov_uniformization_matvecs_total"),
+		gamma:     c.MaxOutRate(),
+		absorbing: c.absorbing,
+		pollMask:  1023,
+		cur:       append([]float64(nil), pi0...),
+		next:      make([]float64, c.n),
+		matvecs:   obs.C("markov_uniformization_matvecs_total"),
 	}
 	if q.gamma > 0 {
 		nnz := 1 // rows plus room for the self-loop each row may carry
@@ -103,42 +111,74 @@ func (c *CTMC) NewAbsorptionSequence(pi0 []float64) *AbsorptionSequence {
 				b.Add(u, u, 1) // absorbing states hold their mass
 				continue
 			}
-			stay := 1.0
+			stay, absorb := 1.0, 0.0
 			for _, e := range c.rows[u] {
 				b.Add(u, e.To, e.Rate/q.gamma)
 				stay -= e.Rate / q.gamma
 				if c.absorbing[e.To] {
-					q.absorbRate[u] += e.Rate
+					absorb += e.Rate
 				}
 			}
 			if stay > 0 {
 				b.Add(u, u, stay)
 			}
+			if absorb > 0 {
+				q.absorbIdx = append(q.absorbIdx, u)
+				q.absorbRate = append(q.absorbRate, absorb)
+			}
 		}
 		q.p = b.Build()
 	}
-	q.record()
+	q.record(q.masses())
 	return q
 }
 
-// record appends a_k, s_k and d_k of the held distribution.
-func (q *AbsorptionSequence) record() {
-	var a, s, d float64
-	for u, v := range q.cur {
-		if q.absorbing[u] {
-			a += v
-		} else {
-			s += v
-			d += v * q.absorbRate[u]
-		}
+// NewAbsorptionSequence returns the uniformized absorption sequence from
+// Start at the engine's γ. It holds two state-space vectors, against the
+// kronRestart+1 of a Krylov sweep, and polls the context before every step.
+func (m *MatrixFree) NewAbsorptionSequence() *AbsorptionSequence {
+	q := &AbsorptionSequence{
+		gamma:      m.gamma,
+		op:         m.op,
+		absorbIdx:  m.spec.AbsorbIdx,
+		absorbRate: m.spec.AbsorbRate,
+		pollMask:   0, // a step is a full operator application
+		cur:        make([]float64, m.dim),
+		next:       make([]float64, m.dim),
+		matvecs:    obs.C("markov_uniformization_matvecs_total"),
+	}
+	q.cur[m.spec.Start] = 1
+	q.record(0, 1)
+	return q
+}
+
+// record appends a_k, s_k and d_k of the held distribution, given its
+// absorbed mass a and transient mass s.
+func (q *AbsorptionSequence) record(a, s float64) {
+	d := 0.0
+	for i, u := range q.absorbIdx {
+		d += q.cur[u] * q.absorbRate[i]
 	}
 	q.a = append(q.a, a)
 	q.s = append(q.s, s)
 	q.d = append(q.d, d)
 }
 
+// masses returns the absorbed and transient mass of a CTMC's held
+// distribution.
+func (q *AbsorptionSequence) masses() (a, s float64) {
+	for u, v := range q.cur {
+		if q.absorbing[u] {
+			a += v
+		} else {
+			s += v
+		}
+	}
+	return a, s
+}
+
 // extend steps the sequence until it holds index k, checking ctx before
-// steps 1, 1025, 2049, ….
+// step 1 and every pollMask+1 steps after it.
 func (q *AbsorptionSequence) extend(ctx context.Context, k int) error {
 	if grow := k + 1 - len(q.a); grow > 0 {
 		q.a = slices.Grow(q.a, grow)
@@ -146,16 +186,27 @@ func (q *AbsorptionSequence) extend(ctx context.Context, k int) error {
 		q.d = slices.Grow(q.d, grow)
 	}
 	for len(q.a) <= k {
-		if len(q.a)%1024 == 1 {
+		if (len(q.a)-1)&q.pollMask == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		// One uniformized step π ← π·P: a transposed CSR scatter.
-		q.p.MulVecTransInto(q.next, q.cur)
-		q.cur, q.next = q.next, q.cur
 		q.matvecs.Inc()
-		q.record()
+		if q.op != nil {
+			// π ← π + Q_Tᵀ·π/γ: the uniformized step on the transient block;
+			// the step moves d_k/γ of mass into the implicit absorbing state.
+			q.op.MulVecTransInto(q.next, q.cur)
+			for i, v := range q.next {
+				q.cur[i] += v / q.gamma
+			}
+			last := len(q.a) - 1
+			q.record(q.a[last]+q.d[last]/q.gamma, linalg.Sum(q.cur))
+		} else {
+			// π ← π·P: a transposed CSR scatter.
+			q.p.MulVecTransInto(q.next, q.cur)
+			q.cur, q.next = q.next, q.cur
+			q.record(q.masses())
+		}
 	}
 	return nil
 }
@@ -164,7 +215,7 @@ func (q *AbsorptionSequence) extend(ctx context.Context, k int) error {
 // Poisson truncation error below eps. It extends the sequence as far as t
 // needs and fails only when ctx is done.
 func (q *AbsorptionSequence) At(ctx context.Context, t, eps float64) (cdf, density float64, err error) {
-	if q.p == nil || t == 0 {
+	if q.gamma == 0 || t == 0 {
 		return q.a[0], q.d[0], nil
 	}
 	q.w = poissonWeights(q.w, q.gamma*t, eps)

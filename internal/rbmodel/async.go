@@ -1,33 +1,31 @@
 package rbmodel
 
 import (
+	"context"
 	"fmt"
-	"math"
 
 	"recoveryblocks/internal/markov"
 )
 
-// MaxEnumeratedProcesses bounds the enumerated chain backend (2^n + 1 states
-// held as markov.CTMC rows). Small chains solve by dense LU; above
-// markov.SparseCutoff transient states the moment and occupancy solves go
-// through the CSR aggregated Gauss–Seidel route, which solves n = 16 (65 537
-// states) in 1.5–5.5 s for the moment pair (uniform rates to a distinct-rate
-// ramp at ρ = 1, on a 2-vCPU Xeon) where the dense factorization was already
-// intractable at n = 12. The bound is set by build memory — the chain
-// stores ~n²/2 transitions per state — which is also why the larger regime
-// below never enumerates at all.
-const MaxEnumeratedProcesses = 16
+// MaxEnumeratedProcesses is the largest n whose chain NewAsync enumerates
+// into markov.CTMC rows: its 2^n transient states stay below
+// markov.SparseCutoff, so every solve is a dense LU. Above it the model
+// lumps onto orbit counts when the rates allow, or runs the matrix-free
+// Kronecker engine, which already beats the enumerated CSR route from n = 8
+// (moment pair at n = 16 on a distinct-rate ramp: about 1 s against
+// 4.4–4.7 s with the chain's build, on a 2-vCPU Xeon).
+const MaxEnumeratedProcesses = 7
 
-// MaxExactProcesses bounds the exact solvers overall. Beyond
-// MaxEnumeratedProcesses the model switches backends instead of giving up:
-// orbit lumping collapses partially-exchangeable rate vectors onto per-class
-// counts (often a few hundred states), and the general case runs the
-// matrix-free Kronecker engine — the transient generator applied as
-// per-process 2×2 factors in O(n·2^n) flops with O(2^n) vectors, solved by
-// preconditioned restarted GMRES and Krylov exponentials (markov.MatrixFree).
-// The bound is now set by the memory and time of length-2^n vectors: n = 24
-// means 128 MiB per vector and exact moments in minutes on one core. Beyond
-// it, use SymmetricModel (O(n) states) or the discrete-event simulator.
+// MaxExactProcesses bounds the exact solvers overall. Past
+// MaxEnumeratedProcesses, orbit lumping collapses partially-exchangeable
+// rate vectors onto per-class counts (often a few hundred states), and the
+// general case runs the matrix-free Kronecker engine — the transient
+// generator applied as per-process 2×2 factors in O(n·2^n) flops with O(2^n)
+// vectors, solved by preconditioned restarted GMRES and an operator-stepped
+// uniformization (markov.MatrixFree). The bound is set by the memory and
+// time of length-2^n vectors: n = 24 means 128 MiB per vector and exact
+// moments in minutes on one core. Beyond it, use SymmetricModel (O(n)
+// states) or the discrete-event simulator.
 const MaxExactProcesses = 24
 
 // AsyncModel is the paper's full continuous-time Markov model of
@@ -44,10 +42,10 @@ const MaxExactProcesses = 24
 // x_i = 0 means it was an interaction.
 //
 // Three backends share this surface, picked at construction by n and the rate
-// structure (see Route): the enumerated chain (n ≤ MaxEnumeratedProcesses,
-// unchanged solve paths), the orbit-lumped chain (partially-exchangeable
-// rates), and the matrix-free Kronecker engine (everything else up to
-// MaxExactProcesses). Exactly one of chain, orbit, kron is non-nil.
+// structure (see Route): the enumerated chain (n ≤ MaxEnumeratedProcesses),
+// the orbit-lumped chain (partially-exchangeable rates), and the matrix-free
+// Kronecker engine (everything else up to MaxExactProcesses). Exactly one of
+// chain, orbit, kron is non-nil.
 type AsyncModel struct {
 	P     Params
 	chain *markov.CTMC
@@ -56,7 +54,10 @@ type AsyncModel struct {
 	ones  int
 }
 
-// NewAsync validates p and assembles the chain from transition rules R1–R4.
+// NewAsync validates p and picks the backend: the enumerated chain while
+// dense LU answers, then orbit lumping when the rate structure allows and
+// actually shrinks the space, otherwise the matrix-free Kronecker engine on
+// the full cube.
 func NewAsync(p Params) (*AsyncModel, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -66,28 +67,105 @@ func NewAsync(p Params) (*AsyncModel, error) {
 		return nil, fmt.Errorf("rbmodel: n = %d exceeds MaxExactProcesses = %d (use SymmetricModel or the simulator)", n, MaxExactProcesses)
 	}
 	m := &AsyncModel{P: p, ones: (1 << n) - 1}
-	if n > MaxEnumeratedProcesses {
-		// Past the enumeration wall: lump onto per-class counts when the rate
-		// structure allows and actually shrinks the space, otherwise run the
-		// matrix-free Kronecker engine on the full cube.
-		if orb, err := NewOrbit(p); err == nil && orb.NumStates() < markov.KronCutoff {
-			m.orbit = orb
-		} else {
-			m.kron = newKronEngine(p)
-		}
-		return m, nil
+	if n <= MaxEnumeratedProcesses {
+		m.chain = enumerate(p)
+	} else if orb, err := NewOrbit(p); err == nil && orb.NumStates() < markov.KronCutoff {
+		m.orbit = orb
+	} else {
+		m.kron = newKronEngine(p)
 	}
-	m.chain = markov.NewCTMC((1 << n) + 1)
+	return m, nil
+}
+
+// EnumerateAsync builds the full model's 2^n+1-state chain as markov.CTMC
+// rows, in AsyncModel's state indexing: the chain NewAsync answers from for
+// n ≤ MaxEnumeratedProcesses, and the full-cube reference for the other
+// routes at any n up to MaxSplitProcesses, beyond which, like the split
+// chain, it would hold every transition of too large a cube.
+func EnumerateAsync(p Params) (*markov.CTMC, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if n := p.N(); n > MaxSplitProcesses {
+		return nil, fmt.Errorf("rbmodel: n = %d exceeds MaxSplitProcesses = %d", n, MaxSplitProcesses)
+	}
+	return enumerate(p), nil
+}
+
+// enumerate installs every cube vertex's cubeRows transitions on a CTMC.
+func enumerate(p Params) *markov.CTMC {
+	n := p.N()
+	c := markov.NewCTMC((1 << n) + 1)
 	// Every state emits at most n RP transitions and C(n,2) interaction
 	// transitions; pre-sizing the rows keeps the 2^n-state build free of
 	// append-reallocation copying.
-	m.chain.ReserveDegree(n + n*(n-1)/2)
-	m.chain.SetAbsorbing(m.Absorbing())
-	m.buildEntry()
-	for mask := 0; mask < m.ones; mask++ {
-		m.buildIntermediate(mask)
+	c.ReserveDegree(n + n*(n-1)/2)
+	c.SetAbsorbing(1 << n)
+	for u := 0; u < 1<<n; u++ {
+		from := stateOfVertex(u, n)
+		cubeRows(p, u, func(to int, rate float64) { c.AddRate(from, stateOfVertex(to, n), rate) })
 	}
-	return m, nil
+	return c
+}
+
+// stateOfVertex maps cube vertex u to its paper state index: the all-ones
+// vertex is the entry S_r, u = −1 the absorbing S_{r+1}, and every other
+// vertex the intermediate state u+1.
+func stateOfVertex(u, n int) int {
+	switch {
+	case u < 0:
+		return 1 << n
+	case u == 1<<n-1:
+		return 0
+	default:
+		return u + 1
+	}
+}
+
+// cubeRows enumerates cube vertex u's transitions under rules R1–R4, with
+// the all-ones vertex standing for the entry S_r and to < 0 meaning
+// absorption. It is the one place the rules are written down: the
+// enumerated chain, the DOT rendering and the matrix-free jump-chain rung
+// all read them from here.
+func cubeRows(p Params, u int, yield func(to int, rate float64)) {
+	n := p.N()
+	ones := 1<<n - 1
+	// R1: P_i establishes a recovery point (x_i: 0→1). If that completes the
+	// all-ones vector, a recovery line has formed: absorb.
+	for i := 0; i < n; i++ {
+		bit := 1 << i
+		if u&bit != 0 {
+			continue
+		}
+		if next := u | bit; next == ones {
+			yield(-1, p.Mu[i])
+		} else {
+			yield(next, p.Mu[i])
+		}
+	}
+	if u == ones {
+		// R4: a fresh recovery point by any process immediately forms the
+		// next recovery line.
+		yield(-1, p.SumMu())
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			rate := p.Lambda[i][j]
+			if rate == 0 {
+				continue
+			}
+			bi, bj := u&(1<<i) != 0, u&(1<<j) != 0
+			switch {
+			case bi && bj: // R2: both roll to "last action was interaction"
+				yield(u&^(1<<i|1<<j), rate)
+			case bi: // R3: only the RP-fresh side loses its mark
+				yield(u&^(1<<i), rate)
+			case bj:
+				yield(u&^(1<<j), rate)
+				// both zero: the interaction changes nothing (no transition)
+			}
+		}
+	}
 }
 
 // Route reports which backend answers for this model: "enumerated", "orbit",
@@ -131,71 +209,9 @@ func (m *AsyncModel) MaskOf(state int) int {
 
 // Chain exposes the underlying CTMC of the enumerated backend. It returns
 // nil on the orbit and kron routes, which never build one — their state
-// spaces are the lumped cells and the implicit cube.
+// spaces are the lumped cells and the implicit cube. EnumerateAsync builds
+// the chain at any size a caller can afford.
 func (m *AsyncModel) Chain() *markov.CTMC { return m.chain }
-
-// buildEntry installs the transitions out of S_r: rule R4 (a fresh recovery
-// point by any process immediately forms the next recovery line) and rule R2
-// applied to the all-ones state (any interaction breaks the pair out of the
-// line).
-func (m *AsyncModel) buildEntry() {
-	n := m.P.N()
-	for k := 0; k < n; k++ {
-		m.chain.AddRate(m.Entry(), m.Absorbing(), m.P.Mu[k]) // R4
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if rate := m.P.Lambda[i][j]; rate > 0 {
-				to := m.ones &^ (1<<i | 1<<j)
-				m.chain.AddRate(m.Entry(), m.StateOf(to), rate) // R2 at entry
-			}
-		}
-	}
-}
-
-// buildIntermediate installs R1–R3 for one intermediate mask.
-func (m *AsyncModel) buildIntermediate(mask int) {
-	n := m.P.N()
-	u := m.StateOf(mask)
-	// R1: P_i establishes a recovery point (x_i: 0→1). If that completes the
-	// all-ones vector, a recovery line has formed: absorb.
-	for i := 0; i < n; i++ {
-		if mask&(1<<i) != 0 {
-			continue
-		}
-		next := mask | 1<<i
-		if next == m.ones {
-			m.chain.AddRate(u, m.Absorbing(), m.P.Mu[i])
-		} else {
-			m.chain.AddRate(u, m.StateOf(next), m.P.Mu[i])
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			rate := m.P.Lambda[i][j]
-			if rate == 0 {
-				continue
-			}
-			bi, bj := mask&(1<<i) != 0, mask&(1<<j) != 0
-			switch {
-			case bi && bj: // R2: both roll to "last action was interaction"
-				m.chain.AddRate(u, m.StateOf(mask&^(1<<i|1<<j)), rate)
-			case bi && !bj: // R3: only the RP-fresh side loses its mark
-				m.chain.AddRate(u, m.StateOf(mask&^(1<<i)), rate)
-			case !bi && bj:
-				m.chain.AddRate(u, m.StateOf(mask&^(1<<j)), rate)
-				// both zero: the interaction changes nothing (no transition)
-			}
-		}
-	}
-}
-
-// entryDistribution returns the point mass on the entry state.
-func (m *AsyncModel) entryDistribution() []float64 {
-	pi := make([]float64, m.NumStates())
-	pi[m.Entry()] = 1
-	return pi
-}
 
 // MeanX returns E[X], the expected interval between two successive recovery
 // lines, by solving the absorbing chain exactly.
@@ -225,59 +241,37 @@ func (m *AsyncModel) VarX() (float64, error) {
 	return m2 - m1*m1, nil
 }
 
-// DensityX evaluates the paper's f_x(t) (Figure 6) at the given
-// nondecreasing times via uniformization of the Chapman–Kolmogorov equation
-// (a Krylov-exponential sweep with a uniformization fallback on the kron
-// route). On a hard numerical failure of the matrix-free sweep every entry is
-// NaN; error-aware callers use densityX.
+// DensityX evaluates the paper's f_x(t) (Figure 6) at the given times via
+// uniformization of the Chapman–Kolmogorov equation: one absorption sequence
+// answers every time.
 func (m *AsyncModel) DensityX(times []float64) []float64 {
-	out, err := m.densityX(times)
-	if err != nil {
-		return nanVec(len(times))
-	}
-	return out
+	f := make([]float64, len(times))
+	m.transientAt(times, nil, f)
+	return f
 }
 
-func (m *AsyncModel) densityX(times []float64) ([]float64, error) {
-	switch {
-	case m.chain != nil:
-		return m.chain.AbsorptionDensity(m.entryDistribution(), times, transientEps), nil
-	case m.orbit != nil:
-		c := m.orbit
-		return c.Chain().AbsorptionDensity(pointMass(c.NumStates(), c.Entry()), times, transientEps), nil
-	default:
-		return m.kron.mf.AbsorptionDensity(times, transientEps)
-	}
-}
-
-// CDFX evaluates P(X ≤ t) at the given nondecreasing times. The NaN
-// convention matches DensityX.
+// CDFX evaluates P(X ≤ t) at the given times, from one absorption sequence
+// like DensityX.
 func (m *AsyncModel) CDFX(times []float64) []float64 {
-	out, err := m.cdfX(times)
-	if err != nil {
-		return nanVec(len(times))
-	}
-	return out
+	cdf := make([]float64, len(times))
+	m.transientAt(times, cdf, nil)
+	return cdf
 }
 
-func (m *AsyncModel) cdfX(times []float64) ([]float64, error) {
-	switch {
-	case m.chain != nil:
-		return m.chain.AbsorptionCDF(m.entryDistribution(), times, transientEps), nil
-	case m.orbit != nil:
-		c := m.orbit
-		return c.Chain().AbsorptionCDF(pointMass(c.NumStates(), c.Entry()), times, transientEps), nil
-	default:
-		return m.kron.mf.AbsorptionCDF(times, transientEps)
+// transientAt fills cdf and density, either of which may be nil, at every
+// time from one absorption sequence.
+func (m *AsyncModel) transientAt(times, cdf, density []float64) {
+	q := m.absorptionSequence()
+	for i, t := range times {
+		// A background context never cancels, so At cannot fail here.
+		F, f, _ := q.At(context.Background(), t, transientEps)
+		if cdf != nil {
+			cdf[i] = F
+		}
+		if density != nil {
+			density[i] = f
+		}
 	}
-}
-
-func nanVec(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.NaN()
-	}
-	return out
 }
 
 // MeanLWald returns E[L_i] for every process via the optional-stopping

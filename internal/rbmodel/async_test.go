@@ -2,6 +2,7 @@ package rbmodel
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -372,6 +373,33 @@ func TestDOTExportsNonEmpty(t *testing.T) {
 	}
 	if d := sym.DOT(); len(d) < 100 {
 		t.Fatal("symmetric DOT too short")
+	}
+}
+
+// TestDOTRendersEveryRoute: the orbit and kron routes hold no chain, yet
+// render the same Figure 2 graph as the enumerated chain: 2^n+1 states and
+// one edge per merged transition.
+func TestDOTRendersEveryRoute(t *testing.T) {
+	for _, p := range []Params{Uniform(9, 1, 0.5), wallRamp(9, 1)} {
+		m := mustAsync(t, p)
+		dot := m.DOT()
+		if want := forceEnumerated(t, p).DOT(); dot != want {
+			t.Fatalf("%s n=9: DOT differs from the enumerated chain's", m.Route())
+		}
+		c, err := EnumerateAsync(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edges := 0
+		for u := 0; u < c.N(); u++ {
+			edges += len(c.Transitions(u))
+		}
+		if got := strings.Count(dot, " -> "); got != edges {
+			t.Errorf("%s n=9: %d edges, chain has %d", m.Route(), got, edges)
+		}
+		if got := strings.Count(dot, "[label=\"(") + 2; got != m.NumStates() {
+			t.Errorf("%s n=9: %d states, want %d", m.Route(), got, m.NumStates())
+		}
 	}
 }
 

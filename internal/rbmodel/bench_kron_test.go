@@ -2,9 +2,8 @@ package rbmodel
 
 // BenchmarkKron is the matrix-free engine's perf baseline: the raw Kronecker
 // operator application, the preconditioned-GMRES moment solve, and the
-// end-to-end MeanX through NewAsync's router, at n = 16 (the last enumerated
-// size — the e2e row is the CSR route the engine replaces past the wall) and
-// the matrix-free sizes n = 20 and n = 24. CI converts a fresh run to
+// end-to-end MeanX through NewAsync's router, at n = 16, 20 and 24, all on
+// the matrix-free route. CI converts a fresh run to
 // BENCH_kron.new.json and enforces `benchjson -compare` against the
 // committed BENCH_kron.json. The 2^20/2^24-vector sizes cost seconds to
 // minutes per op, so they are opt-in: set RB_BENCH_KRON=1 (the CI kron job
@@ -22,7 +21,7 @@ import (
 )
 
 // benchKronParams pins the proof-grid convention: a distinct-μ arithmetic
-// ramp (never lumpable, so n > 16 always takes the kron route) with the
+// ramp (never lumpable, so it always takes the kron route) with the
 // uniform λ that puts interaction intensity at ρ = 1.
 func benchKronParams(n int) Params {
 	mu := make([]float64, n)
@@ -39,7 +38,7 @@ func benchKronParams(n int) Params {
 func BenchmarkKron(b *testing.B) {
 	heavy := os.Getenv("RB_BENCH_KRON") != ""
 	for _, n := range []int{16, 20, 24} {
-		if n > MaxEnumeratedProcesses && !heavy {
+		if n > 16 && !heavy {
 			continue // 2^n-vector sizes are opt-in: set RB_BENCH_KRON=1
 		}
 		p := benchKronParams(n)
@@ -69,7 +68,7 @@ func BenchmarkKron(b *testing.B) {
 			}
 		})
 
-		if n > MaxEnumeratedProcesses {
+		if n > 16 {
 			// The lumping contrast: two μ-classes at the same n collapse the
 			// 2^n cube to a mixed-radix orbit chain of ~(n/2+1)^2 cells; its
 			// materialized solve prices what exchangeability buys over the
@@ -109,5 +108,77 @@ func BenchmarkKron(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// routeParams is benchKronParams's μ ramp at intensity ρ. With spread set,
+// λ_ij varies over pairs by up to ±50 % around the uniform value, so the
+// Kronecker operator carries one factor per pair instead of the exchange
+// family.
+func routeParams(n int, rho float64, spread bool) Params {
+	p := benchKronParams(n)
+	sum := p.SumMu()
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			v := rho * sum / float64(n*(n-1))
+			if spread {
+				v *= 0.5 + float64((3*i+5*j)%5)/4
+			}
+			p.Lambda[i][j], p.Lambda[j][i] = v, v
+		}
+	}
+	return p
+}
+
+// BenchmarkAsyncRoutes prices the two routes of the full model where both
+// exist: the enumerated chain (EnumerateAsync, then the CSR ladder and a CSR
+// absorption sequence) against the matrix-free engine NewAsync picks past
+// MaxEnumeratedProcesses. Each op builds the model and answers one question:
+// the moment pair at ρ = 1, or the deadline miss at d = 2 plus the 0.99
+// quantile at ρ = 0.25. Not part of any committed baseline; the table in
+// EXPERIMENTS.md comes from
+//
+//	go test -bench BenchmarkAsyncRoutes -benchtime 3x -run '^$' ./internal/rbmodel
+func BenchmarkAsyncRoutes(b *testing.B) {
+	for _, c := range []struct {
+		n      int
+		spread bool
+	}{{8, false}, {12, false}, {12, true}, {16, false}, {16, true}} {
+		lam := "uniform"
+		if c.spread {
+			lam = "per-pair"
+		}
+		for _, route := range []string{"enumerated", "kron"} {
+			build := func(p Params) *AsyncModel {
+				if route == "enumerated" {
+					return forceEnumerated(b, p)
+				}
+				m, err := NewAsync(p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return m
+			}
+			b.Run(fmt.Sprintf("moments/%s/n=%d/%s", route, c.n, lam), func(b *testing.B) {
+				p := routeParams(c.n, 1, c.spread)
+				for i := 0; i < b.N; i++ {
+					if _, _, err := build(p).MomentsX(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("transient/%s/n=%d/%s", route, c.n, lam), func(b *testing.B) {
+				p := routeParams(c.n, 0.25, c.spread)
+				for i := 0; i < b.N; i++ {
+					m := build(p)
+					if _, err := m.DeadlineMissProb(2); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := m.QuantileX(0.99); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

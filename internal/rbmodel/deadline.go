@@ -27,15 +27,16 @@ func (m *AsyncModel) DeadlineMissProb(d float64) (float64, error) {
 	return m.DeadlineMissProbCtx(context.Background(), d)
 }
 
-// DeadlineMissProbCtx is DeadlineMissProb under an explicit context. On the
-// enumerated and orbit routes the uniformization sweep checks ctx every 1024
-// steps; the kron route's single Krylov sweep checks it on entry only.
+// DeadlineMissProbCtx is DeadlineMissProb under an explicit context. The
+// uniformization sweep checks ctx every 1024 steps on the enumerated and
+// orbit routes and before every step on the kron route, where one step is a
+// full operator application.
 func (m *AsyncModel) DeadlineMissProbCtx(ctx context.Context, d float64) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
 	return missProb(d, func(t float64) (float64, error) {
-		return m.cdfAt(ctx, m.absorptionSequence(), t)
+		return cdfAt(ctx, m.absorptionSequence(), t)
 	})
 }
 
@@ -60,36 +61,29 @@ func missProb(d float64, cdf func(t float64) (float64, error)) (float64, error) 
 }
 
 // absorptionSequence returns the uniformized absorption sequence from the
-// entry state on the enumerated and orbit routes, and nil on the kron route,
-// whose 2^n-long vectors make γt matvecs per answer slower than a Krylov
-// sweep.
+// entry state. Every route steps at the same γ, the total event rate, so a
+// transient question takes the same number of steps on each: a CSR scatter
+// on the enumerated and orbit chains, an operator application of 2^n-long
+// vectors on the kron route.
 func (m *AsyncModel) absorptionSequence() *markov.AbsorptionSequence {
 	switch {
 	case m.chain != nil:
-		return m.chain.NewAbsorptionSequence(m.entryDistribution())
+		return m.chain.NewAbsorptionSequence(pointMass(m.NumStates(), m.Entry()))
 	case m.orbit != nil:
 		c := m.orbit
 		return c.Chain().NewAbsorptionSequence(pointMass(c.NumStates(), c.Entry()))
 	default:
-		return nil
+		return m.kron.mf.NewAbsorptionSequence()
 	}
 }
 
-// cdfAt returns P(X ≤ t) from the sequence q, or by one Krylov sweep when q
-// is nil (the kron route).
-func (m *AsyncModel) cdfAt(ctx context.Context, q *markov.AbsorptionSequence, t float64) (float64, error) {
+// cdfAt returns P(X ≤ t) from the sequence q, failing when ctx is done.
+func cdfAt(ctx context.Context, q *markov.AbsorptionSequence, t float64) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	if q != nil {
-		cdf, _, err := q.At(ctx, t, transientEps)
-		return cdf, err
-	}
-	cdf, err := m.kron.mf.AbsorptionCDF([]float64{t}, transientEps)
-	if err != nil {
-		return 0, err
-	}
-	return cdf[0], nil
+	cdf, _, err := q.At(ctx, t, transientEps)
+	return cdf, err
 }
 
 // DeadlineMissProb for the lumped chain (large n).
@@ -124,9 +118,10 @@ func (m *AsyncModel) QuantileX(q float64) (float64, error) {
 }
 
 // QuantileXCtx is QuantileX under an explicit context, checked between
-// bisection probes and every 1024 uniformization steps. On the enumerated and
-// orbit routes every probe reads the same absorption sequence, so the whole
-// search costs the matvecs of one CDF evaluation at the bracket's upper end.
+// bisection probes and inside the uniformization sweep as DeadlineMissProbCtx
+// does. Every probe reads the same absorption sequence, so on every route
+// the whole search costs the matvecs of one CDF evaluation at the bracket's
+// upper end.
 func (m *AsyncModel) QuantileXCtx(ctx context.Context, q float64) (float64, error) {
 	// The NaN case must be explicit: both range comparisons are false for
 	// NaN, and without it the bisection below would run on garbage.
@@ -146,7 +141,7 @@ func (m *AsyncModel) QuantileXCtx(ctx context.Context, q float64) (float64, erro
 	seq := m.absorptionSequence()
 	lo, hi := 0.0, mean
 	for i := 0; i < 200; i++ {
-		cdf, err := m.cdfAt(ctx, seq, hi)
+		cdf, err := cdfAt(ctx, seq, hi)
 		if err != nil {
 			return 0, err
 		}
@@ -160,7 +155,7 @@ func (m *AsyncModel) QuantileXCtx(ctx context.Context, q float64) (float64, erro
 	}
 	for i := 0; i < 100 && hi-lo > 1e-9*(1+hi); i++ {
 		mid := (lo + hi) / 2
-		cdf, err := m.cdfAt(ctx, seq, mid)
+		cdf, err := cdfAt(ctx, seq, mid)
 		if err != nil {
 			return 0, err
 		}
@@ -178,16 +173,8 @@ func (m *AsyncModel) QuantileXCtx(ctx context.Context, q float64) (float64, erro
 // rate given none has formed yet. For large t it converges to the slowest
 // decay mode of the chain, which is what dominates deadline-miss risk.
 func (m *AsyncModel) HazardX(times []float64) []float64 {
-	var f, cdf []float64
-	if q := m.absorptionSequence(); q != nil {
-		f, cdf = make([]float64, len(times)), make([]float64, len(times))
-		for i, t := range times {
-			// A background context never cancels, so At cannot fail here.
-			cdf[i], f[i], _ = q.At(context.Background(), t, transientEps)
-		}
-	} else {
-		f, cdf = m.DensityX(times), m.CDFX(times)
-	}
+	cdf, f := make([]float64, len(times)), make([]float64, len(times))
+	m.transientAt(times, cdf, f)
 	out := make([]float64, len(times))
 	for i := range times {
 		surv := 1 - cdf[i]

@@ -38,8 +38,14 @@ func (m *AsyncModel) DOT() string {
 	for mask := 0; mask < m.ones; mask++ {
 		fmt.Fprintf(&b, "  s%d [label=\"%s\"];\n", m.StateOf(mask), vectorLabel(mask, n))
 	}
+	// The orbit and kron routes hold no chain: enumerate the cube's rows
+	// for the rendering alone.
+	c := m.chain
+	if c == nil {
+		c = enumerate(m.P)
+	}
 	for u := 0; u < m.NumStates(); u++ {
-		for _, e := range m.chain.Transitions(u) {
+		for _, e := range c.Transitions(u) {
 			fmt.Fprintf(&b, "  s%d -> s%d [label=\"%.4g\"];\n", u, e.To, e.Rate)
 		}
 	}

@@ -7,7 +7,7 @@ import (
 	"recoveryblocks/internal/markov"
 )
 
-// The matrix-free backend for n beyond the enumeration wall. The transient
+// The matrix-free backend for n past MaxEnumeratedProcesses. The transient
 // space of the full model is the n-cube with the entry state identified with
 // the all-ones vertex (the paper's S_r behaves exactly like (1,…,1) once the
 // raising transitions into it are redirected to absorption), so the transient
@@ -17,12 +17,8 @@ import (
 // markov.MatrixFree engine runs the moment, occupancy and transient solves
 // against it.
 type kronEngine struct {
-	p     Params
-	n     int
-	ones  int // all-ones vertex = entry state
-	sumMu float64
-	op    *linalg.KronOp
-	mf    *markov.MatrixFree
+	op *linalg.KronOp
+	mf *markov.MatrixFree
 }
 
 // newKronEngine assembles the Kronecker factors directly from validated
@@ -31,7 +27,7 @@ type kronEngine struct {
 // state is implicit (row deficits).
 func newKronEngine(p Params) *kronEngine {
 	n := p.N()
-	e := &kronEngine{p: p, n: n, ones: 1<<n - 1, sumMu: p.SumMu()}
+	ones, sumMu := 1<<n-1, p.SumMu()
 	op := linalg.NewKronOp(n)
 	// R1 per process: x_i 0→1 at μ_i, as the site factor [[−μ_i, μ_i],[0,0]].
 	for i, mu := range p.Mu {
@@ -69,34 +65,32 @@ func newKronEngine(p Params) *kronEngine {
 	// line absorbs instead of re-entering the cube (remove each raising edge
 	// into ones), and the entry pays rule R4's exit rate Σμ on its diagonal.
 	for i, mu := range p.Mu {
-		op.AddFixup(e.ones&^(1<<i), e.ones, -mu)
+		op.AddFixup(ones&^(1<<i), ones, -mu)
 	}
-	op.AddFixup(e.ones, e.ones, -e.sumMu)
+	op.AddFixup(ones, ones, -sumMu)
 
 	// Sparse absorption vector: the n vertices one RP short of a line (rate =
 	// the missing process's μ) and the entry itself (rate Σμ).
 	absIdx := make([]int, 0, n+1)
 	absRate := make([]float64, 0, n+1)
 	for i, mu := range p.Mu {
-		absIdx = append(absIdx, e.ones&^(1<<i))
+		absIdx = append(absIdx, ones&^(1<<i))
 		absRate = append(absRate, mu)
 	}
-	absIdx = append(absIdx, e.ones)
-	absRate = append(absRate, e.sumMu)
+	absIdx = append(absIdx, ones)
+	absRate = append(absRate, sumMu)
 
 	pre := newKronPrecond(op, p)
-	e.op = op
-	e.mf = markov.NewMatrixFree(markov.MatrixFreeSpec{
+	return &kronEngine{op: op, mf: markov.NewMatrixFree(markov.MatrixFreeSpec{
 		Op:         op,
 		Gamma:      p.TotalEventRate(),
-		Start:      e.ones,
+		Start:      ones,
 		AbsorbIdx:  absIdx,
 		AbsorbRate: absRate,
 		Precond:    pre.forward,
 		PrecondT:   pre.transposed,
-		Rows:       e.rows,
-	})
-	return e
+		Rows:       func(u int, yield func(int, float64)) { cubeRows(p, u, yield) },
+	})}
 }
 
 // uniformPairRate reports whether every off-diagonal interaction rate is the
@@ -115,43 +109,6 @@ func uniformPairRate(p Params) (float64, bool) {
 		}
 	}
 	return rate, true
-}
-
-// rows enumerates one cube vertex's transitions for the on-the-fly jump-chain
-// rung — the same R1–R4 rules the enumerated builder installs, with to < 0
-// meaning absorption.
-func (e *kronEngine) rows(u int, yield func(to int, rate float64)) {
-	for i := 0; i < e.n; i++ {
-		bit := 1 << i
-		if u&bit != 0 {
-			continue
-		}
-		if next := u | bit; next == e.ones {
-			yield(-1, e.p.Mu[i]) // R1 completing the recovery line
-		} else {
-			yield(next, e.p.Mu[i]) // R1
-		}
-	}
-	if u == e.ones {
-		yield(-1, e.sumMu) // R4 out of the entry
-	}
-	for i := 0; i < e.n; i++ {
-		for j := i + 1; j < e.n; j++ {
-			rate := e.p.Lambda[i][j]
-			if rate == 0 {
-				continue
-			}
-			bi, bj := u&(1<<i) != 0, u&(1<<j) != 0
-			switch {
-			case bi && bj:
-				yield(u&^(1<<i|1<<j), rate) // R2
-			case bi:
-				yield(u&^(1<<i), rate) // R3
-			case bj:
-				yield(u&^(1<<j), rate) // R3
-			}
-		}
-	}
 }
 
 // kronPrecond is the two-level additive preconditioner for the GMRES rung:

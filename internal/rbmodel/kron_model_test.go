@@ -8,6 +8,7 @@ import (
 
 	"recoveryblocks/internal/core"
 	"recoveryblocks/internal/guard"
+	"recoveryblocks/internal/markov"
 )
 
 // forceKron builds an AsyncModel pinned to the matrix-free backend regardless
@@ -15,6 +16,32 @@ import (
 // sizes where both exist.
 func forceKron(p Params) *AsyncModel {
 	return &AsyncModel{P: p, kron: newKronEngine(p), ones: 1<<p.N() - 1}
+}
+
+// forceEnumerated pins the enumerated backend the same way: the full-cube
+// reference past MaxEnumeratedProcesses.
+func forceEnumerated(t testing.TB, p Params) *AsyncModel {
+	t.Helper()
+	c, err := EnumerateAsync(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &AsyncModel{P: p, chain: c, ones: 1<<p.N() - 1}
+}
+
+// wallRamp is a distinct-μ ramp, μ_i = 0.8 + 0.05·i, with the uniform λ that
+// puts interaction intensity at ρ: never lumpable, so past
+// MaxEnumeratedProcesses it always takes the kron route.
+func wallRamp(n int, rho float64) Params {
+	mu := make([]float64, n)
+	sum := 0.0
+	for i := range mu {
+		mu[i] = 0.8 + 0.05*float64(i)
+		sum += mu[i]
+	}
+	p := Uniform(n, 1, rho*sum/float64(n*(n-1)))
+	p.Mu = mu
+	return p
 }
 
 // forceOrbit pins the orbit-lumped backend the same way.
@@ -79,21 +106,39 @@ func twoClassParams(n1, n2 int, mu1, mu2, l11, l22, l12 float64) Params {
 }
 
 // TestKronBackendMatchesEnumerated judges every matrix-free answer — moments,
-// occupancy profile, CDF/density sweep, deadline and quantile — against the
-// enumerated chain on random general-rate models small enough for both.
+// occupancy profile, CDF/density grid, deadline and quantile — against the
+// enumerated chain on random general-rate models: forced onto the kron route
+// at n = 3..6, and routed there by NewAsync at n = 8..12 with EnumerateAsync
+// as the full-cube reference.
 func TestKronBackendMatchesEnumerated(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
+	var sizes []int
 	for trial := 0; trial < 6; trial++ {
-		n := 3 + rng.Intn(4)
+		sizes = append(sizes, 3+rng.Intn(4))
+	}
+	for n := MaxEnumeratedProcesses + 1; n <= 12; n++ {
+		sizes = append(sizes, n)
+	}
+	for trial, n := range sizes {
 		p := randomParams(rng, n)
-		ref, err := NewAsync(p)
-		if err != nil {
-			t.Fatal(err)
+		if n > MaxEnumeratedProcesses {
+			// Keep the interval short enough for the transient grid: scale
+			// λ to ρ ∈ [0.2, 0.7).
+			scale := (0.2 + 0.5*rng.Float64()) / p.Rho()
+			for i := range p.Lambda {
+				for j := range p.Lambda[i] {
+					p.Lambda[i][j] *= scale
+				}
+			}
 		}
-		if ref.Route() != "enumerated" {
-			t.Fatalf("n = %d should enumerate, got %s", n, ref.Route())
-		}
+		ref := forceEnumerated(t, p)
 		mk := forceKron(p)
+		if n > MaxEnumeratedProcesses {
+			mk = mustAsync(t, p)
+			if mk.Route() != "kron" {
+				t.Fatalf("n = %d general rates route to %s, want kron", n, mk.Route())
+			}
+		}
 
 		em1, em2, err := ref.MomentsX()
 		if err != nil {
@@ -104,7 +149,7 @@ func TestKronBackendMatchesEnumerated(t *testing.T) {
 			t.Fatalf("trial %d: kron moments: %v", trial, err)
 		}
 		if math.Abs(km1-em1) > 1e-8*em1 || math.Abs(km2-em2) > 1e-8*em2 {
-			t.Fatalf("trial %d: kron moments (%g, %g) deviate from enumerated (%g, %g)", trial, km1, km2, em1, em2)
+			t.Fatalf("trial %d n=%d: kron moments (%g, %g) deviate from enumerated (%g, %g)", trial, n, km1, km2, em1, em2)
 		}
 
 		eo, err := ref.OccupancyByOnes()
@@ -117,19 +162,19 @@ func TestKronBackendMatchesEnumerated(t *testing.T) {
 		}
 		for u := range eo {
 			if math.Abs(ko[u]-eo[u]) > 1e-8*(1+eo[u]) {
-				t.Fatalf("trial %d: occupancy[%d] = %g, enumerated says %g", trial, u, ko[u], eo[u])
+				t.Fatalf("trial %d n=%d: occupancy[%d] = %g, enumerated says %g", trial, n, u, ko[u], eo[u])
 			}
 		}
 
-		times := []float64{0, 0.3 * em1, em1, 3 * em1}
+		times := make([]float64, 65)
+		for i := range times {
+			times[i] = 4 * em1 * float64(i) / float64(len(times)-1)
+		}
 		ecdf, kcdf := ref.CDFX(times), mk.CDFX(times)
 		eden, kden := ref.DensityX(times), mk.DensityX(times)
 		for i := range times {
-			if math.Abs(kcdf[i]-ecdf[i]) > 1e-8 {
-				t.Fatalf("trial %d: CDF(%g) = %g, enumerated says %g", trial, times[i], kcdf[i], ecdf[i])
-			}
-			if math.Abs(kden[i]-eden[i]) > 1e-7*(1+eden[i]) {
-				t.Fatalf("trial %d: density(%g) = %g, enumerated says %g", trial, times[i], kden[i], eden[i])
+			if math.Abs(kcdf[i]-ecdf[i]) > 1e-10 || math.Abs(kden[i]-eden[i]) > 1e-10 {
+				t.Fatalf("trial %d n=%d t=%g: CDF %g density %g, enumerated says %g %g", trial, n, times[i], kcdf[i], kden[i], ecdf[i], eden[i])
 			}
 		}
 
@@ -141,8 +186,8 @@ func TestKronBackendMatchesEnumerated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(kp-ep) > 1e-8 {
-			t.Fatalf("trial %d: deadline-miss %g, enumerated says %g", trial, kp, ep)
+		if math.Abs(kp-ep) > 1e-9*ep {
+			t.Fatalf("trial %d n=%d: deadline-miss %g, enumerated says %g", trial, n, kp, ep)
 		}
 		eq, err := ref.QuantileX(0.9)
 		if err != nil {
@@ -152,8 +197,8 @@ func TestKronBackendMatchesEnumerated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(kq-eq) > 1e-6*eq {
-			t.Fatalf("trial %d: quantile %g, enumerated says %g", trial, kq, eq)
+		if math.Abs(kq-eq) > 1e-7*eq {
+			t.Fatalf("trial %d n=%d: quantile %g, enumerated says %g", trial, n, kq, eq)
 		}
 	}
 }
@@ -216,39 +261,38 @@ func TestOrbitMatchesEnumerated(t *testing.T) {
 	}
 }
 
-// TestAsyncRouting pins the backend selection rule: enumeration up to the
-// wall, orbit lumping past it when the rates collapse, matrix-free otherwise.
+// TestAsyncRouting pins the backend selection rule: enumeration while dense
+// LU answers, then orbit lumping when the rates collapse, matrix-free
+// otherwise.
 func TestAsyncRouting(t *testing.T) {
-	small, err := NewAsync(Uniform(6, 1, 0.5))
-	if err != nil {
-		t.Fatal(err)
+	if 1<<MaxEnumeratedProcesses >= markov.SparseCutoff || 1<<(MaxEnumeratedProcesses+1) < markov.SparseCutoff {
+		t.Fatalf("MaxEnumeratedProcesses = %d is not the largest n with 2^n < SparseCutoff = %d", MaxEnumeratedProcesses, markov.SparseCutoff)
 	}
-	if small.Route() != "enumerated" || small.Chain() == nil {
-		t.Fatalf("n=6 route = %s (chain nil: %v)", small.Route(), small.Chain() == nil)
-	}
-
-	lumped, err := NewAsync(twoClassParams(9, 8, 1, 3, 0.2, 0.3, 0.25))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lumped.Route() != "orbit" || lumped.Chain() != nil {
-		t.Fatalf("n=17 two-class route = %s", lumped.Route())
-	}
-
-	hard := randomParams(rand.New(rand.NewSource(77)), 17)
-	mf, err := NewAsync(hard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mf.Route() != "kron" || mf.Chain() != nil {
-		t.Fatalf("n=17 general route = %s", mf.Route())
+	for _, c := range []struct {
+		p     Params
+		route string
+	}{
+		{Uniform(MaxEnumeratedProcesses, 1, 0.5), "enumerated"},
+		{wallRamp(MaxEnumeratedProcesses, 1), "enumerated"},
+		{Uniform(MaxEnumeratedProcesses+1, 1, 0.5), "orbit"},
+		{wallRamp(MaxEnumeratedProcesses+1, 1), "kron"},
+		{twoClassParams(9, 8, 1, 3, 0.2, 0.3, 0.25), "orbit"},
+		{randomParams(rand.New(rand.NewSource(77)), 17), "kron"},
+	} {
+		m := mustAsync(t, c.p)
+		if m.Route() != c.route || (m.Chain() != nil) != (c.route == "enumerated") {
+			t.Errorf("n=%d route = %s (chain nil: %v), want %s", c.p.N(), m.Route(), m.Chain() == nil, c.route)
+		}
 	}
 
 	if _, err := NewAsync(Uniform(MaxExactProcesses+1, 1, 0.5)); err == nil {
 		t.Fatal("n beyond MaxExactProcesses accepted")
 	}
-	if _, err := NewSplitChain(Uniform(MaxEnumeratedProcesses+1, 1, 0.5), 0); err == nil {
-		t.Fatal("split chain beyond MaxEnumeratedProcesses accepted")
+	if _, err := NewSplitChain(Uniform(MaxSplitProcesses+1, 1, 0.5), 0); err == nil {
+		t.Fatal("split chain beyond MaxSplitProcesses accepted")
+	}
+	if _, err := EnumerateAsync(Uniform(MaxSplitProcesses+1, 1, 0.5)); err == nil {
+		t.Fatal("enumeration beyond MaxSplitProcesses accepted")
 	}
 }
 
@@ -364,7 +408,8 @@ func kronDenseColumn(e *kronEngine, dst, basis []float64, t int) {
 // FuzzKronFactorBuilder drives random rate vectors through the checkpoint
 // codec (the canonical byte round-trip) into Params, builds the Kronecker
 // factors, and checks the operator agrees with the enumerated generator
-// row for row, and the jump-chain row enumerator with the chain's rows.
+// (built by cubeRows, the only other place the rules are written down) row
+// for row.
 func FuzzKronFactorBuilder(f *testing.F) {
 	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6}, uint8(3))
 	f.Add([]byte{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, uint8(4)) // uniform → exchange path
@@ -402,10 +447,7 @@ func FuzzKronFactorBuilder(f *testing.F) {
 				k++
 			}
 		}
-		ref, err := NewAsync(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := forceEnumerated(t, p)
 		eng := newKronEngine(p)
 		dim := 1 << n
 		ones := dim - 1
@@ -438,27 +480,6 @@ func FuzzKronFactorBuilder(f *testing.F) {
 			for i := 0; i < dim; i++ {
 				if math.Abs(col[i]-want[i][j]) > 1e-10*(1+math.Abs(want[i][j])) {
 					t.Fatalf("Q[%b][%b] = %g, enumerated says %g", i, j, col[i], want[i][j])
-				}
-			}
-		}
-		// Jump-chain enumerator against the chain's rows (absorption as −1).
-		for state := 0; state < ref.NumStates()-1; state++ {
-			got := map[int]float64{}
-			eng.rows(cubeOf(state), func(to int, rate float64) { got[to] += rate })
-			wantRow := map[int]float64{}
-			for _, e := range c.Transitions(state) {
-				if e.To == ref.Absorbing() {
-					wantRow[-1] += e.Rate
-				} else {
-					wantRow[cubeOf(e.To)] += e.Rate
-				}
-			}
-			if len(got) != len(wantRow) {
-				t.Fatalf("state %b: row enumerator has %d targets, chain %d", state, len(got), len(wantRow))
-			}
-			for to, rate := range wantRow {
-				if math.Abs(got[to]-rate) > 1e-12*(1+rate) {
-					t.Fatalf("state %b → %d: rate %g, chain says %g", state, to, got[to], rate)
 				}
 			}
 		}

@@ -35,6 +35,12 @@ type SplitChain struct {
 	idxDoublePrim map[int]int // mask (x_t = 1) → S''
 }
 
+// MaxSplitProcesses bounds the split chain. It enumerates ~3·2^(n−1)
+// discrete states and every transition out of them, with no matrix-free
+// counterpart, so the bound is set by build memory; past it E[L_t] comes
+// from the Wald identity instead (MeanLWald).
+const MaxSplitProcesses = 16
+
 // NewSplitChain builds Y_d for target process t (0-based).
 func NewSplitChain(p Params, target int) (*SplitChain, error) {
 	if err := p.Validate(); err != nil {
@@ -44,11 +50,8 @@ func NewSplitChain(p Params, target int) (*SplitChain, error) {
 	if target < 0 || target >= n {
 		return nil, fmt.Errorf("rbmodel: target %d out of range", target)
 	}
-	if n > MaxEnumeratedProcesses {
-		// The split chain enumerates ~3·2^(n-1) discrete states with no
-		// matrix-free counterpart; past the enumeration wall E[L_t] comes from
-		// the Wald identity instead (MeanLWald).
-		return nil, fmt.Errorf("rbmodel: n = %d exceeds MaxEnumeratedProcesses = %d", n, MaxEnumeratedProcesses)
+	if n > MaxSplitProcesses {
+		return nil, fmt.Errorf("rbmodel: n = %d exceeds MaxSplitProcesses = %d", n, MaxSplitProcesses)
 	}
 	s := &SplitChain{
 		P:             p,

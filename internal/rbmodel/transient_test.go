@@ -89,6 +89,7 @@ func TestQuantileCostsAboutOneCDF(t *testing.T) {
 		mustAsync(t, Uniform(3, 1, 1)),
 		forceOrbit(t, twoClassParams(3, 2, 1.0, 2.5, 0.3, 0.8, 0.5)),
 		mustAsync(t, Uniform(17, 1, 0.005)),
+		mustAsync(t, wallRamp(12, 0.25)),
 	}
 	for _, m := range models {
 		var x float64
@@ -113,6 +114,9 @@ func TestDeadlineMissMatvecsPinned(t *testing.T) {
 		{Uniform(4, 1, 0.5), "enumerated", 44, 0.31344146097935432},
 		{Uniform(3, 1, 1), "enumerated", 40, 0.34005799247839796},
 		{Uniform(17, 1, 0.005), "orbit", 79, 0.017697252279705533},
+		// The enumerated route's count and answer before n = 12 moved to
+		// the operator-stepped sequence.
+		{wallRamp(12, 0.25), "kron", 69, 0.068640211196998258},
 	} {
 		m := mustAsync(t, c.p)
 		var p float64
@@ -126,16 +130,60 @@ func TestDeadlineMissMatvecsPinned(t *testing.T) {
 	}
 }
 
+// countdownCtx is a context whose Err reports cancellation once it has been
+// asked left times.
+type countdownCtx struct {
+	context.Context
+	left int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left <= 0 {
+		return context.Canceled
+	}
+	c.left--
+	return nil
+}
+
 // TestTransientCtxHonoursCancellation: the context-aware quantile and
-// deadline-miss entry points stop on a dead context.
+// deadline-miss entry points stop on a dead context, and on the kron route,
+// where a step is a full operator application, a context that dies in the
+// middle of the sweep stops it within a step.
 func TestTransientCtxHonoursCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	m := mustAsync(t, Uniform(3, 1, 1))
-	if _, err := m.QuantileXCtx(ctx, 0.99); !errors.Is(err, context.Canceled) {
-		t.Errorf("QuantileXCtx on a cancelled context: err = %v", err)
+	for _, m := range []*AsyncModel{mustAsync(t, Uniform(3, 1, 1)), mustAsync(t, wallRamp(12, 0.25))} {
+		if _, err := m.QuantileXCtx(ctx, 0.99); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: QuantileXCtx on a cancelled context: err = %v", m.Route(), err)
+		}
+		if _, err := m.DeadlineMissProbCtx(ctx, 2); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: DeadlineMissProbCtx on a cancelled context: err = %v", m.Route(), err)
+		}
 	}
-	if _, err := m.DeadlineMissProbCtx(ctx, 2); !errors.Is(err, context.Canceled) {
-		t.Errorf("DeadlineMissProbCtx on a cancelled context: err = %v", err)
+
+	m := mustAsync(t, wallRamp(12, 0.25))
+	const alive = 10 // context checks before it dies, two of them on entry
+	steps := matvecsOf(t, func() error {
+		_, err := m.DeadlineMissProbCtx(&countdownCtx{Context: context.Background(), left: alive}, 2)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("kron DeadlineMissProbCtx on a dying context: err = %v", err)
+		}
+		return nil
+	})
+	if steps != alive-2 {
+		t.Errorf("kron sweep ran %d steps on a context alive for %d checks, want %d", steps, alive, alive-2)
+	}
+	full := matvecsOf(t, func() error { _, err := m.QuantileX(0.99); return err })
+	cut := matvecsOf(t, func() error {
+		// Enough checks for the moment solve and the first bisection probes,
+		// not for the sequence the whole search needs.
+		_, err := m.QuantileXCtx(&countdownCtx{Context: context.Background(), left: 100}, 0.99)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("kron QuantileXCtx on a dying context: err = %v", err)
+		}
+		return nil
+	})
+	if cut >= full {
+		t.Errorf("kron QuantileXCtx ran %d steps on a dying context, the whole search %d", cut, full)
 	}
 }

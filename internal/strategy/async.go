@@ -145,7 +145,7 @@ func (asyncStrategy) XValChecks(w Workload, rec *Recorder) error {
 	}
 	// The Wald identity E[L_i] = μ_i·E[X] prices every process from the one
 	// moment solve already paid above; calling MeanLWaldCtx would repeat the
-	// solve, which past the enumeration wall costs seconds to minutes.
+	// solve, which at the largest sizes costs seconds to minutes.
 	wald := make([]float64, len(p.Mu))
 	for i, mu := range p.Mu {
 		wald[i] = mu * exactX
@@ -166,9 +166,9 @@ func (asyncStrategy) XValChecks(w Workload, rec *Recorder) error {
 	}
 
 	// The split chain enumerates ~3·2^(n−1) states and has no matrix-free
-	// counterpart; past the enumeration wall the Wald identity (already checked
-	// against the simulator above) is the per-process oracle.
-	if w.N() <= rbmodel.MaxEnumeratedProcesses {
+	// counterpart; past its bound the Wald identity (already checked against
+	// the simulator above) is the per-process oracle.
+	if w.N() <= rbmodel.MaxSplitProcesses {
 		for i := range p.Mu {
 			split, err := rbmodel.NewSplitChain(p, i)
 			if err != nil {

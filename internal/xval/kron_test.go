@@ -8,7 +8,7 @@ import (
 )
 
 // TestKronGridCells pins the proof grid's construction invariants without
-// paying any solve: every cell sits past the enumeration wall, routes to the
+// paying any solve: every cell sits past the split chain's bound, routes to the
 // matrix-free Kronecker backend (distinct-μ ramps defeat orbit lumping), and
 // lands at interaction intensity ρ ≈ 1 by the λ sizing rule.
 func TestKronGridCells(t *testing.T) {
@@ -22,9 +22,9 @@ func TestKronGridCells(t *testing.T) {
 		if n != wantN[i] {
 			t.Errorf("cell %s: n = %d, want %d", sc.Name, n, wantN[i])
 		}
-		if n <= rbmodel.MaxEnumeratedProcesses || n > rbmodel.MaxExactProcesses {
-			t.Errorf("cell %s: n = %d is not in the matrix-free band (%d, %d]",
-				sc.Name, n, rbmodel.MaxEnumeratedProcesses, rbmodel.MaxExactProcesses)
+		if n <= rbmodel.MaxSplitProcesses || n > rbmodel.MaxExactProcesses {
+			t.Errorf("cell %s: n = %d is not in the matrix-free-only band (%d, %d]",
+				sc.Name, n, rbmodel.MaxSplitProcesses, rbmodel.MaxExactProcesses)
 		}
 		seen := map[float64]bool{}
 		for _, m := range sc.Mu {
@@ -45,7 +45,7 @@ func TestKronGridCells(t *testing.T) {
 }
 
 // TestKronGridN18 is the harness-level proof that the matrix-free engine's
-// exact answers agree with the event-driven simulator past the n = 16 wall:
+// exact answers agree with the event-driven simulator past the split chain:
 // the n = 18 cell (2^18-vector solves, a few seconds) restricted to the async
 // family. The n = 20 and n = 24 cells run the same route via `rbrepro xval
 // -kron` and the CI smoke job; one cell in-tree keeps `go test` bounded.
@@ -77,11 +77,11 @@ func TestKronGridN18(t *testing.T) {
 		t.Fatalf("%d disagreement(s) on the kron proof cell", rep.Failures)
 	}
 	// meanX + 18 per-process Wald E[L_i] + deadline + self-consistency; the
-	// split-chain family must be absent past the enumeration wall.
+	// split-chain family must be absent past MaxSplitProcesses.
 	async := 0
 	for _, c := range rep.Checks {
 		if strings.HasPrefix(c.Name, "split.") {
-			t.Errorf("unexpected split-chain check %s past the enumeration wall", c.Name)
+			t.Errorf("unexpected split-chain check %s past MaxSplitProcesses", c.Name)
 		}
 		if strings.HasPrefix(c.Name, "async.") || strings.HasPrefix(c.Name, "deadline.") {
 			async++

@@ -569,8 +569,8 @@ func CompareStrategies(ks []int) (*StrategyComparison, error) {
 // `rbrepro xval -strategy sync-every-k` sweeps.
 func XValEveryKGrid() []XValScenario { return xval.EveryKGrid() }
 
-// XValKronGrid returns the matrix-free proof grid: n ∈ {18, 20, 24} cells
-// past the enumeration wall whose distinct-μ ramps force the
+// XValKronGrid returns the matrix-free proof grid: n ∈ {18, 20, 24} cells,
+// past every materialized chain, whose distinct-μ ramps force the
 // Kronecker–Krylov route — `rbrepro xval -kron` sweeps it.
 func XValKronGrid() []XValScenario { return xval.KronGrid() }
 
@@ -668,15 +668,19 @@ func PublishMetricsExpvar() { obs.PublishExpvar() }
 // Limits reports the compiled-in structural bounds of the analysis stack —
 // the numbers that decide which route a given workload takes.
 type Limits struct {
-	// MaxExactProcesses bounds the full model's exact solve: past the
-	// enumeration wall the matrix-free Kronecker–Krylov engine carries the
-	// answer up to this n.
+	// MaxExactProcesses bounds the full model's exact solve: the
+	// matrix-free Kronecker–Krylov engine carries the answer up to this n.
 	MaxExactProcesses int `json:"max_exact_processes"`
-	// MaxEnumeratedProcesses bounds the materialized 2^n+1-state chain; above
-	// it the async model routes to orbit lumping or the matrix-free engine.
+	// MaxEnumeratedProcesses is the largest n whose 2^n+1-state chain the
+	// async model enumerates: 2^n stays below SparseCutoff, so every solve
+	// is dense LU. Above it the model routes to orbit lumping or the
+	// matrix-free engine.
 	MaxEnumeratedProcesses int `json:"max_enumerated_processes"`
-	// KronCutoff is the state count at and above which lumped chains are
-	// abandoned for the matrix-free Kronecker route.
+	// MaxSplitProcesses bounds the split chain behind the per-process E[L_i]
+	// cross-check; it has no matrix-free counterpart.
+	MaxSplitProcesses int `json:"max_split_processes"`
+	// KronCutoff is the orbit-lumped state count at and above which the
+	// async model runs the matrix-free Kronecker route instead.
 	KronCutoff int `json:"kron_cutoff"`
 	// SparseCutoff is the transient-state count at and above which chain
 	// solves switch from dense LU to the CSR two-level Gauss–Seidel route.
@@ -695,6 +699,7 @@ func EngineLimits() Limits {
 	return Limits{
 		MaxExactProcesses:      rbmodel.MaxExactProcesses,
 		MaxEnumeratedProcesses: rbmodel.MaxEnumeratedProcesses,
+		MaxSplitProcesses:      rbmodel.MaxSplitProcesses,
 		KronCutoff:             markov.KronCutoff,
 		SparseCutoff:           markov.SparseCutoff,
 		DefaultBlockSize:       mc.DefaultBlockSize,
