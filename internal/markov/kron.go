@@ -6,9 +6,9 @@ package markov
 // enumerated past that size: 2^n states × O(n²) entries each. MatrixFree runs
 // the same absorption solves against a linalg.Operator (in practice a
 // linalg.KronOp built by rbmodel from the per-process factor structure), with
-// restarted GMRES for the moment systems, matrix-free uniformization and a
-// jump-chain estimate as fallback rungs, and an operator-stepped absorption
-// sequence for the transient questions.
+// BiCGSTAB for the moment systems, restarted GMRES, matrix-free
+// uniformization and a jump-chain estimate as fallback rungs, and an
+// operator-stepped absorption sequence for the transient questions.
 
 import (
 	"context"
@@ -28,10 +28,11 @@ import (
 const KronCutoff = 1 << 17
 
 const (
-	// kronRestart and kronMaxIters parameterize the GMRES rung: Krylov
-	// dimension per restart cycle (memory = kronRestart+1 state-space
-	// vectors) and the total Arnoldi-step budget across both moment systems'
-	// cycles.
+	// kronRestart is the Krylov dimension of the kron-gmres alternate, the
+	// occupancy retry and the Krylov sweep (memory = kronRestart+1
+	// state-space basis vectors); the BiCGSTAB primary ignores it.
+	// kronMaxIters is every Krylov solve's operator-application budget,
+	// shared by the two moment systems.
 	kronRestart  = 40
 	kronMaxIters = 4000
 	// kronMCReps sizes the last-resort jump-chain estimate. Far fewer
@@ -50,7 +51,7 @@ type MatrixFreeSpec struct {
 	Op linalg.Operator
 	// Gamma must dominate every total out-rate (absorption included); it is
 	// the uniformization constant and, via ‖Q_T‖∞ ≤ 2·Gamma, the norm bound
-	// of the acceptance test and the GMRES stopping rule.
+	// of the acceptance test and the Krylov stopping rule.
 	Gamma float64
 	// Start is the initial transient state index.
 	Start int
@@ -60,7 +61,7 @@ type MatrixFreeSpec struct {
 	// n+1 such states out of 2^n).
 	AbsorbIdx  []int
 	AbsorbRate []float64
-	// Precond optionally right-preconditions the forward GMRES solves
+	// Precond optionally right-preconditions the forward Krylov solves
 	// (dst = M⁻¹·src); PrecondT its transposed counterpart for occupancy.
 	// nil runs unpreconditioned.
 	Precond  func(dst, src []float64)
@@ -86,7 +87,7 @@ type MatrixFree struct {
 	solves, kiters *obs.Counter
 }
 
-// countedOp wraps the operator so every application — GMRES, expv,
+// countedOp wraps the operator so every application — Krylov solves, expv,
 // uniformization, acceptance residuals alike — lands in one counter.
 type countedOp struct {
 	inner   linalg.Operator
@@ -139,22 +140,28 @@ func (m *MatrixFree) AbsorptionMoments() (m1, m2 float64, err error) {
 
 // AbsorptionMomentsCtx returns E[T] and E[T²] of the absorption time from
 // Start, run as a recovery block like the enumerated ladder: the rungs are
-// kron-krylov (restarted GMRES on Q_T·h = −1 and Q_T·h2 = −2·h) →
-// kron-uniformization (transient-mass sums on the matrix-free uniformized
-// chain) → kron-mc (on-the-fly jump-chain estimate, Degraded), each candidate
-// vetted by the same NaN/Inf + Jensen + normwise-residual acceptance test —
-// the residuals evaluated with two extra operator applications, since there
-// are no rows to sweep.
+// kron-krylov (BiCGSTAB on Q_T·h = −1 and Q_T·h2 = −2·h, eight state-space
+// vectors) → kron-gmres (restarted GMRES on the same systems, kronRestart+6
+// vectors) → kron-uniformization (transient-mass sums on the matrix-free
+// uniformized chain) → kron-mc (on-the-fly jump-chain estimate, Degraded),
+// each candidate vetted by the same NaN/Inf + Jensen + normwise-residual
+// acceptance test — the residuals evaluated with two extra operator
+// applications, since there are no rows to sweep.
 func (m *MatrixFree) AbsorptionMomentsCtx(ctx context.Context) (m1, m2 float64, err error) {
 	m.solves.Inc()
-	krylov := guard.Attempt[momentSolution]{Name: "kron-krylov", Run: m.momentsKrylov}
+	krylov := guard.Attempt[momentSolution]{Name: "kron-krylov", Run: func(ctx context.Context) (momentSolution, error) {
+		return m.momentsKrylov(ctx, "BiCGSTAB", linalg.SolveBiCGSTAB)
+	}}
+	gmres := guard.Attempt[momentSolution]{Name: "kron-gmres", Run: func(ctx context.Context) (momentSolution, error) {
+		return m.momentsKrylov(ctx, "GMRES", linalg.SolveGMRES)
+	}}
 	unif := guard.Attempt[momentSolution]{Name: "kron-uniformization", Run: m.momentsUniformized}
 	mcEst := guard.Attempt[momentSolution]{Name: "kron-mc", Degraded: true, Run: m.momentsMC}
 	b := guard.Block[momentSolution]{
 		Name:       "markov/absorption-moments",
 		Accept:     m.acceptMoments,
 		Primary:    krylov,
-		Alternates: []guard.Attempt[momentSolution]{unif, mcEst},
+		Alternates: []guard.Attempt[momentSolution]{gmres, unif, mcEst},
 	}
 	res, err := b.Do(ctx)
 	if err != nil {
@@ -163,24 +170,34 @@ func (m *MatrixFree) AbsorptionMomentsCtx(ctx context.Context) (m1, m2 float64, 
 	return res.Value.m1, res.Value.m2, nil
 }
 
-// momentsKrylov is the primary rung: right-preconditioned restarted GMRES on
-// the two moment systems, sharing one iteration budget.
-func (m *MatrixFree) momentsKrylov(ctx context.Context) (momentSolution, error) {
-	rhs := make([]float64, m.dim)
-	for i := range rhs {
-		rhs[i] = -1
-	}
-	opts := linalg.GMRESOpts{
+// krylovSolver is the shape SolveBiCGSTAB and SolveGMRES share.
+type krylovSolver func(op linalg.Operator, trans bool, b []float64, opts linalg.GMRESOpts) ([]float64, int, error)
+
+// krylovOpts are the options of every Krylov solve on Q_T: the moment
+// systems forward under Precond, occupancy transposed under PrecondT.
+func (m *MatrixFree) krylovOpts(precond func(dst, src []float64)) linalg.GMRESOpts {
+	return linalg.GMRESOpts{
 		Restart:  kronRestart,
 		MaxIters: kronMaxIters,
 		Tol:      gsTol,
 		NormA:    2 * m.gamma,
-		Precond:  m.spec.Precond,
+		Precond:  precond,
 	}
-	h, it1, err := linalg.SolveGMRES(m.op, false, rhs, opts)
+}
+
+// momentsKrylov runs the two moment systems on one right-preconditioned
+// Krylov solver, the two solves sharing one iteration budget. It is the
+// kron-krylov rung on BiCGSTAB and the kron-gmres rung on GMRES.
+func (m *MatrixFree) momentsKrylov(ctx context.Context, name string, solve krylovSolver) (momentSolution, error) {
+	rhs := make([]float64, m.dim)
+	for i := range rhs {
+		rhs[i] = -1
+	}
+	opts := m.krylovOpts(m.spec.Precond)
+	h, it1, err := solve(m.op, false, rhs, opts)
 	m.kiters.Add(int64(it1))
 	if err != nil {
-		return momentSolution{}, guard.Numericalf("markov: kron first-moment GMRES: %v", err)
+		return momentSolution{}, guard.Numericalf("markov: kron first-moment %s: %v", name, err)
 	}
 	if err := ctx.Err(); err != nil {
 		return momentSolution{}, err
@@ -189,10 +206,10 @@ func (m *MatrixFree) momentsKrylov(ctx context.Context) (momentSolution, error) 
 		rhs[i] = -2 * h[i]
 	}
 	opts.MaxIters = max(1, kronMaxIters-it1)
-	h2, it2, err := linalg.SolveGMRES(m.op, false, rhs, opts)
+	h2, it2, err := solve(m.op, false, rhs, opts)
 	m.kiters.Add(int64(it2))
 	if err != nil {
-		return momentSolution{}, guard.Numericalf("markov: kron second-moment GMRES: %v", err)
+		return momentSolution{}, guard.Numericalf("markov: kron second-moment %s: %v", name, err)
 	}
 	return momentSolution{m1: h[m.spec.Start], m2: h2[m.spec.Start], h: h, h2: h2}, nil
 }
@@ -291,24 +308,21 @@ func (m *MatrixFree) momentsMC(ctx context.Context) (momentSolution, error) {
 	return momentSolution{m1: sum / kronMCReps, m2: sum2 / kronMCReps}, nil
 }
 
-// ExpectedOccupancy solves oᵀ·Q_T = −e_startᵀ by transposed GMRES: o[s] is
-// the expected time spent in transient state s before absorption.
+// ExpectedOccupancy solves oᵀ·Q_T = −e_startᵀ by transposed BiCGSTAB under
+// PrecondT, retried once with GMRES if it does not converge: o[s] is the
+// expected time spent in transient state s before absorption.
 func (m *MatrixFree) ExpectedOccupancy() ([]float64, error) {
 	m.solves.Inc()
 	rhs := make([]float64, m.dim)
 	rhs[m.spec.Start] = -1
-	o, iters, err := linalg.SolveGMRES(m.op, true, rhs, linalg.GMRESOpts{
-		Restart:  kronRestart,
-		MaxIters: kronMaxIters,
-		Tol:      gsTol,
-		NormA:    2 * m.gamma,
-		Precond:  m.spec.PrecondT,
-	})
+	opts := m.krylovOpts(m.spec.PrecondT)
+	o, iters, err := linalg.SolveBiCGSTAB(m.op, true, rhs, opts)
 	m.kiters.Add(int64(iters))
 	if err != nil {
-		return nil, err
+		o, iters, err = linalg.SolveGMRES(m.op, true, rhs, opts)
+		m.kiters.Add(int64(iters))
 	}
-	return o, nil
+	return o, err
 }
 
 // AbsorptionCDF evaluates P(absorbed by t) at the given times (nondecreasing,

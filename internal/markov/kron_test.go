@@ -127,8 +127,9 @@ func TestMatrixFreeMatchesEnumerated(t *testing.T) {
 }
 
 // TestMatrixFreeLadderFallbacks forces each rung of the matrix-free moment
-// ladder and checks the fallback reproduces the healthy answer: the
-// uniformization rung to solver tolerance, the on-the-fly MC rung to a few
+// ladder and checks the fallback reproduces the healthy answer: depth 1 lands
+// on the GMRES rung and depth 2 on the uniformization rung, both exact to
+// solver tolerance; deeper faults land on the on-the-fly MC rung, within a few
 // standard errors with the Degraded flag set. Saturating depths clamp to the
 // last rung (the recovery-block contract: some alternate always runs).
 func TestMatrixFreeLadderFallbacks(t *testing.T) {
@@ -139,7 +140,8 @@ func TestMatrixFreeLadderFallbacks(t *testing.T) {
 		t.Fatalf("healthy solve: %v", err)
 	}
 
-	for _, depth := range []int{1, 2, 16} {
+	rungs := []string{"kron-krylov", "kron-gmres", "kron-uniformization", "kron-mc"}
+	for _, depth := range []int{1, 2, 3, 9, 16} {
 		ctx := guard.WithFaults(context.Background(), guard.FaultSpec{Depth: depth})
 		rec := &guard.Recorder{}
 		ctx = guard.WithRecorder(ctx, rec)
@@ -148,11 +150,11 @@ func TestMatrixFreeLadderFallbacks(t *testing.T) {
 			t.Fatalf("depth %d: %v", depth, err)
 		}
 		ev := rec.Events()
-		wantRung := min(depth, 2)
-		if len(ev) != 1 || ev[0].Attempt != wantRung {
-			t.Fatalf("depth %d: events = %+v, want one fallback at rung %d", depth, ev, wantRung)
+		wantRung := min(depth, 3)
+		if len(ev) != 1 || ev[0].Attempt != wantRung || ev[0].Route != rungs[wantRung] {
+			t.Fatalf("depth %d: events = %+v, want one fallback at rung %d (%s)", depth, ev, wantRung, rungs[wantRung])
 		}
-		if wantRung < 2 {
+		if wantRung < 3 {
 			if ev[0].Degraded {
 				t.Fatalf("depth %d: exact rung flagged degraded", depth)
 			}

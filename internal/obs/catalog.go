@@ -50,7 +50,7 @@ var Catalog = []Def{
 	{Name: "markov_solve_mc_total", Kind: KindCounter, Help: "absorbing-chain solves that fell back to the last-resort jump-chain Monte Carlo estimate"},
 	{Name: "markov_solve_kron_total", Kind: KindCounter, Help: "moment solves routed to the matrix-free Kronecker engine"},
 	{Name: "markov_kron_matvecs_total", Kind: KindCounter, Help: "matrix-free Kronecker operator applications (forward and transposed)"},
-	{Name: "markov_krylov_iters_total", Kind: KindCounter, Help: "restarted-GMRES inner iterations across all matrix-free moment solves"},
+	{Name: "markov_krylov_iters_total", Kind: KindCounter, Help: "operator applications inside the matrix-free Krylov solves: one per Arnoldi step of GMRES or a Krylov exponential, two per BiCGSTAB iteration; residual checks excluded"},
 	{Name: "linalg_csr_builds_total", Kind: KindCounter, Help: "CSR matrices assembled"},
 	{Name: "linalg_csr_nnz", Kind: KindHistogram, Help: "nonzeros per assembled CSR matrix"},
 	{Name: "linalg_gs_sweeps_total", Kind: KindCounter, Help: "two-level Gauss–Seidel sweeps across all sparse solves"},

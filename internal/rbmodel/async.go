@@ -12,7 +12,7 @@ import (
 // markov.SparseCutoff, so every solve is a dense LU. Above it the model
 // lumps onto orbit counts when the rates allow, or runs the matrix-free
 // Kronecker engine, which already beats the enumerated CSR route from n = 8
-// (moment pair at n = 16 on a distinct-rate ramp: about 1 s against
+// (moment pair at n = 16 on a distinct-rate ramp: about 0.35 s against
 // 4.4–4.7 s with the chain's build, on a 2-vCPU Xeon).
 const MaxEnumeratedProcesses = 7
 
@@ -21,10 +21,11 @@ const MaxEnumeratedProcesses = 7
 // rate vectors onto per-class counts (often a few hundred states), and the
 // general case runs the matrix-free Kronecker engine — the transient
 // generator applied as per-process 2×2 factors in O(n·2^n) flops with O(2^n)
-// vectors, solved by preconditioned restarted GMRES and an operator-stepped
-// uniformization (markov.MatrixFree). The bound is set by the memory and
-// time of length-2^n vectors: n = 24 means 128 MiB per vector and exact
-// moments in minutes on one core. Beyond it, use SymmetricModel (O(n)
+// vectors, solved by preconditioned BiCGSTAB (eight such vectors, with
+// restarted GMRES as its fallback) and an operator-stepped uniformization
+// (markov.MatrixFree). The bound is set by the memory and time of length-2^n
+// vectors: n = 24 means 128 MiB per vector and exact moments in minutes on
+// one core. Beyond it, use SymmetricModel (O(n)
 // states) or the discrete-event simulator.
 const MaxExactProcesses = 24
 

@@ -1,11 +1,12 @@
 package rbmodel
 
 // BenchmarkKron is the matrix-free engine's perf baseline: the raw Kronecker
-// operator application, the preconditioned-GMRES moment solve, and the
-// end-to-end MeanX through NewAsync's router, at n = 16, 20 and 24, all on
-// the matrix-free route. CI converts a fresh run to
-// BENCH_kron.new.json and enforces `benchjson -compare` against the
-// committed BENCH_kron.json. The 2^20/2^24-vector sizes cost seconds to
+// operator application, the moment solve on the ladder's primary rung, and
+// the end-to-end MeanX through NewAsync's router, at n = 16, 20 and 24, all
+// on the matrix-free route. The moment rows keep the name gmres/n=*, which
+// the committed baseline keys on, though the primary rung is BiCGSTAB. CI
+// converts a fresh run to BENCH_kron.new.json and enforces
+// `benchjson -compare` against the committed BENCH_kron.json. The 2^20/2^24-vector sizes cost seconds to
 // minutes per op, so they are opt-in: set RB_BENCH_KRON=1 (the CI kron job
 // does; a default `go test -bench .` sweep only pays n = 16).
 //
@@ -15,9 +16,13 @@ package rbmodel
 //	    ./internal/rbmodel | go run ./cmd/benchjson > BENCH_kron.json
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"testing"
+
+	"recoveryblocks/internal/guard"
+	"recoveryblocks/internal/obs"
 )
 
 // benchKronParams pins the proof-grid convention: a distinct-μ arithmetic
@@ -179,6 +184,47 @@ func BenchmarkAsyncRoutes(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkMomentRungs prices the two Krylov rungs of the matrix-free moment
+// ladder on the exact-wall ramp (wallRamp): kron-krylov (BiCGSTAB, eight
+// state-space vectors) and kron-gmres (GMRES(40), 46 vectors), the latter
+// reached by forcing the primary off with fault depth 1. Each op is one
+// moment pair through AbsorptionMomentsCtx, acceptance residuals included;
+// matvecs/op counts every operator application. n = 17 and 20 are opt-in
+// via RB_BENCH_KRON=1. Not part of any committed baseline; the table in
+// EXPERIMENTS.md comes from
+//
+//	RB_BENCH_KRON=1 go test -bench BenchmarkMomentRungs -benchtime 1x -benchmem -run '^$' ./internal/rbmodel
+func BenchmarkMomentRungs(b *testing.B) {
+	sizes := []int{12, 14, 16}
+	if os.Getenv("RB_BENCH_KRON") != "" {
+		sizes = append(sizes, 17, 20)
+	}
+	for _, n := range sizes {
+		for _, rho := range []float64{0.25, 1, 4} {
+			for _, rung := range []struct {
+				name  string
+				depth int
+			}{{"bicgstab", 0}, {"gmres", 1}} {
+				b.Run(fmt.Sprintf("%s/n=%d/rho=%g", rung.name, n, rho), func(b *testing.B) {
+					// The engine resolves its counters at construction.
+					reg := obs.Enable()
+					defer obs.Disable()
+					e := newKronEngine(wallRamp(n, rho))
+					ctx := guard.WithFaults(context.Background(), guard.FaultSpec{Depth: rung.depth})
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, _, err := e.mf.AbsorptionMomentsCtx(ctx); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(reg.Counter("markov_kron_matvecs_total").Value())/float64(b.N), "matvecs/op")
+				})
+			}
 		}
 	}
 }

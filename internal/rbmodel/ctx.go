@@ -22,7 +22,7 @@ func (m *AsyncModel) MeanXCtx(ctx context.Context) (float64, error) {
 // MomentsXCtx is MomentsX under an explicit context. Every backend runs its
 // moment ladder under the same guard contract: the enumerated and orbit
 // chains through the dense/CSR rungs, the kron engine through the
-// kron-krylov/kron-uniformization/kron-mc rungs.
+// kron-krylov/kron-gmres/kron-uniformization/kron-mc rungs.
 func (m *AsyncModel) MomentsXCtx(ctx context.Context) (m1, m2 float64, err error) {
 	switch {
 	case m.chain != nil:

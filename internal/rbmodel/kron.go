@@ -111,7 +111,7 @@ func uniformPairRate(p Params) (float64, bool) {
 	return rate, true
 }
 
-// kronPrecond is the two-level additive preconditioner for the GMRES rung:
+// kronPrecond is the two-level additive preconditioner of the Krylov rungs:
 // Jacobi (the operator's diagonal, assembled once by DiagInto) plus a coarse
 // correction on the popcount-level aggregation of the cube. The Galerkin
 // coarse operator Ac[u][v] = Σ_{|s|=u} Σ_{|t|=v} Q_T[s][t] never needs the
