@@ -88,23 +88,6 @@ func pack(thresh uint64, alias int) uint64 { return thresh<<16 | uint64(alias) }
 // 16 index bits). The input slice is not retained.
 func NewAlias(weights []float64) *Alias {
 	k := len(weights)
-	if k == 0 {
-		panic("dist: NewAlias with no categories")
-	}
-	if k > MaxAliasCategories {
-		panic("dist: NewAlias supports at most 2^15 categories")
-	}
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			panic("dist: NewAlias weight must be finite and nonnegative")
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("dist: NewAlias needs positive total weight")
-	}
-
 	// Pad to the next power of two with zero-weight columns.
 	k2 := 1
 	for k2 < k {
@@ -113,13 +96,61 @@ func NewAlias(weights []float64) *Alias {
 	a := &Alias{
 		packed: make([]uint64, k2),
 		shift:  uint(64 - bits.TrailingZeros(uint(k2))),
-		total:  total,
 		k:      k,
 	}
+	var b AliasBuilder
+	a.total = b.Build(a.packed, weights)
+	return a
+}
+
+// AliasBuilder builds alias tables into caller-owned memory, reusing its
+// Vose scratch from one build to the next. The simulators use it to build
+// one table per state of an event process — thousands of rows — as a single
+// flat allocation; after the first build of a given width it allocates
+// nothing. The zero value is ready to use; a builder is not safe for
+// concurrent use.
+type AliasBuilder struct {
+	scaled       []float64
+	small, large []int
+}
+
+// Build fills packed with the alias table of weights in Alias's column
+// layout (decode a column with AliasColumn) and returns Σ weights. Each of
+// the len(packed) ≥ len(weights) columns carries mass 1/len(packed);
+// columns past the weights are padding that is never sampled. Build panics
+// on the inputs NewAlias rejects. The construction is a pure function of
+// the weights, so equal weights yield equal columns.
+func (b *AliasBuilder) Build(packed []uint64, weights []float64) float64 {
+	k, k2 := len(weights), len(packed)
+	if k == 0 {
+		panic("dist: alias table with no categories")
+	}
+	if k > MaxAliasCategories {
+		panic("dist: alias tables support at most 2^15 categories")
+	}
+	if k2 < k {
+		panic("dist: alias table narrower than its weights")
+	}
+	total := 0.0
+	for _, w := range weights {
+		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			panic("dist: alias weight must be finite and nonnegative")
+		}
+		total += w
+	}
+	if total <= 0 {
+		panic("dist: alias table needs positive total weight")
+	}
+
 	// Vose's method: scale weights to mean 1, then repeatedly pair an
 	// under-full column with an over-full one. Stacks are filled in index
 	// order, so the construction is deterministic.
-	scaled := make([]float64, k2)
+	if cap(b.scaled) < k2 {
+		b.scaled = make([]float64, k2)
+		b.small = make([]int, 0, k2)
+		b.large = make([]int, 0, k2)
+	}
+	scaled := b.scaled[:k2]
 	fallback := 0 // heaviest category: a safe redirect for zero-weight columns
 	for i, w := range weights {
 		scaled[i] = w * float64(k2) / total
@@ -127,8 +158,8 @@ func NewAlias(weights []float64) *Alias {
 			fallback = i
 		}
 	}
-	small := make([]int, 0, k2)
-	large := make([]int, 0, k2)
+	clear(scaled[k:])
+	small, large := b.small[:0], b.large[:0]
 	for i, s := range scaled {
 		if s < 1 {
 			small = append(small, i)
@@ -140,7 +171,7 @@ func NewAlias(weights []float64) *Alias {
 		s := small[len(small)-1]
 		small = small[:len(small)-1]
 		l := large[len(large)-1]
-		a.packed[s] = pack(threshScale(scaled[s]), l)
+		packed[s] = pack(threshScale(scaled[s]), l)
 		scaled[l] -= 1 - scaled[s]
 		if scaled[l] < 1 {
 			large = large[:len(large)-1]
@@ -151,16 +182,30 @@ func NewAlias(weights []float64) *Alias {
 	// accept unconditionally. A zero-weight or padding column can only
 	// linger here through float pathology; keep it unsampleable by
 	// redirecting it to the heaviest category instead of granting it mass.
-	for _, stack := range [][]int{large, small} {
+	for _, stack := range [2][]int{large, small} {
 		for _, i := range stack {
 			if i >= k || weights[i] == 0 {
-				a.packed[i] = pack(0, fallback)
+				packed[i] = pack(0, fallback)
 				continue
 			}
-			a.packed[i] = pack(threshScale(1), i)
+			packed[i] = pack(threshScale(1), i)
 		}
 	}
-	return a
+	return total
+}
+
+// AliasColumn decodes one column of a table built by AliasBuilder.Build:
+// its 48-bit acceptance threshold and the category it redirects to. A draw
+// landing on column i yields i when AliasAccept(u, thresh) is 1 and target
+// otherwise.
+func AliasColumn(e uint64) (thresh uint64, target int) { return e >> 16, int(e & 0xFFFF) }
+
+// AliasAccept runs a column's acceptance test on the low 48 bits of the
+// uniform word u, branch-free: it returns 1 when they fall below thresh
+// and 0 otherwise.
+func AliasAccept(u, thresh uint64) uint64 {
+	_, borrow := bits.Sub64(u&mask48, thresh, 0)
+	return borrow
 }
 
 // K returns the number of categories (excluding internal padding).
@@ -183,12 +228,11 @@ func (a *Alias) Total() float64 { return a.total }
 func (a *Alias) Pick(u uint64) int {
 	i := u >> a.shift
 	e := a.packed[i]
-	// borrow = 1 exactly when the 48 fraction bits fall below the column
-	// threshold (accept); the mask arithmetic then selects the column index
-	// itself, and the redirect target otherwise.
-	_, borrow := bits.Sub64(u&mask48, e>>16, 0)
+	// accept = 1 exactly when the 48 fraction bits fall below the column
+	// threshold; the mask arithmetic then selects the column index itself,
+	// and the redirect target otherwise.
 	ai := e & 0xFFFF
-	return int(ai ^ ((ai ^ i) & -borrow))
+	return int(ai ^ ((ai ^ i) & -AliasAccept(u, e>>16)))
 }
 
 // Sample draws a category index with probability weights[i] / Σ weights,

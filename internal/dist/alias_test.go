@@ -174,3 +174,49 @@ func itoa(v int) string {
 	}
 	return string(buf[i:])
 }
+
+// TestAliasBuilderMatchesNewAlias pins the builder to the constructor:
+// building into caller memory — also over a buffer a wider build left
+// behind — yields NewAlias's exact columns, and a warmed builder allocates
+// nothing.
+func TestAliasBuilderMatchesNewAlias(t *testing.T) {
+	var b AliasBuilder
+	wide := make([]uint64, 64)
+	b.Build(wide, []float64{5, 1, 0, 2, 7, 3, 3, 1, 0.5, 9})
+	for _, weights := range [][]float64{
+		{3, 0, 1, 0.5, 2.5, 0.001},
+		{1},
+		{0, 0, 4},
+		{1, 2, 3, 4, 5, 6, 7, 8},
+	} {
+		a := NewAlias(weights)
+		packed := wide[:len(a.packed)]
+		if total := b.Build(packed, weights); total != a.Total() {
+			t.Fatalf("%v: Build total %v, NewAlias %v", weights, total, a.Total())
+		}
+		for i := range packed {
+			if packed[i] != a.packed[i] {
+				t.Fatalf("%v: column %d is %#x, NewAlias has %#x", weights, i, packed[i], a.packed[i])
+			}
+		}
+	}
+	weights := []float64{1, 2, 0, 4, 5}
+	packed := make([]uint64, 8)
+	if allocs := testing.AllocsPerRun(100, func() { b.Build(packed, weights) }); allocs != 0 {
+		t.Fatalf("warmed AliasBuilder.Build allocates %v per build, want 0", allocs)
+	}
+}
+
+func TestAliasBuilderRejectsBadWidth(t *testing.T) {
+	for _, width := range []int{0, 2} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Build into %d columns for 3 weights did not panic", width)
+				}
+			}()
+			var b AliasBuilder
+			b.Build(make([]uint64, width), []float64{1, 2, 3})
+		}()
+	}
+}

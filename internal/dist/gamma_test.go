@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -118,4 +119,59 @@ func TestGammaZeroAlloc(t *testing.T) {
 		t.Fatalf("Gamma allocates %v per draw, want 0", allocs)
 	}
 	_ = sink
+}
+
+// TestErlangSumDistribution checks ErlangSum against the Erlang CDF
+// 1 − Σ_{i<k} e^{−rx}(rx)^i/i! by a Kolmogorov–Smirnov test, on both sides
+// of the ziggurat sum's shape limit. Shape 1 is the ziggurat exponential
+// alone, and its draw count puts a few hundred samples in the tail layer.
+func TestErlangSumDistribution(t *testing.T) {
+	const draws = 1 << 20
+	const rate = 1.7
+	shapes := []int{1, 2, 3, erlangSumMax, erlangSumMax + 1, 40}
+	// 1% family-wise over the shapes.
+	crit := math.Sqrt(-math.Log(0.01/float64(len(shapes))/2)/2) / math.Sqrt(draws)
+	for _, k := range shapes {
+		s := NewStream(int64(900 + k))
+		xs := make([]float64, draws)
+		for i := range xs {
+			xs[i] = s.ErlangSum(k, rate)
+		}
+		slices.Sort(xs)
+		d := 0.0
+		for i, x := range xs {
+			term, sum := 1.0, 1.0
+			for j := 1; j < k; j++ {
+				term *= rate * x / float64(j)
+				sum += term
+			}
+			f := 1 - math.Exp(-rate*x)*sum
+			d = max(d, math.Abs(f-float64(i)/draws), math.Abs(f-float64(i+1)/draws))
+		}
+		if d > crit {
+			t.Errorf("ErlangSum(%d): KS distance %.4f exceeds %.4f", k, d, crit)
+		}
+	}
+}
+
+// TestStdExpTail checks the ziggurat's tail, which a KS test barely sees:
+// the share of Exp(1) draws beyond the base layer's edge zigR is e^{−zigR},
+// and their excess over zigR is again Exp(1) with mean 1.
+func TestStdExpTail(t *testing.T) {
+	const draws = 1 << 22
+	s := NewStream(77)
+	tail, excess := 0, 0.0
+	for i := 0; i < draws; i++ {
+		if x := s.stdExp(); x > zigR {
+			tail++
+			excess += x - zigR
+		}
+	}
+	p := math.Exp(-zigR)
+	if z := (float64(tail) - draws*p) / math.Sqrt(draws*p*(1-p)); math.Abs(z) > 4 {
+		t.Errorf("%d draws beyond %v, want %.0f (z = %.2f)", tail, zigR, draws*p, z)
+	}
+	if m := excess / float64(tail); math.Abs(m-1) > 4/math.Sqrt(float64(tail)) {
+		t.Errorf("tail excess mean %v, want 1", m)
+	}
 }

@@ -39,7 +39,7 @@ var Catalog = []Def{
 
 	// Simulators (internal/sim).
 	{Name: "sim_async_intervals_total", Kind: KindCounter, Help: "recovery-line intervals observed by the asynchronous simulator"},
-	{Name: "sim_async_events_total", Kind: KindCounter, Help: "events simulated by the asynchronous simulator's jump chain"},
+	{Name: "sim_async_events_total", Kind: KindCounter, Help: "events drawn by the asynchronous simulator; below the per-state table budget, interactions between two unmarked processes are thinned out and never drawn"},
 	{Name: "sim_sync_cycles_total", Kind: KindCounter, Help: "synchronization cycles simulated by the synchronous simulator"},
 	{Name: "sim_prp_probes_total", Kind: KindCounter, Help: "error probes simulated by the pseudo-recovery-point simulator"},
 

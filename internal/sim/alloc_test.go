@@ -20,13 +20,53 @@ func TestAsyncBlockZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := AsyncOptions{Intervals: 1}
-	blk := newAsyncBlock(&cats, 64, opt)
 	rng := dist.NewStream(1983)
+	blk := newAsyncBlock(&cats, nil, 64, opt)
 	allocs := testing.AllocsPerRun(200, func() {
-		blk.run(&cats, 8, rng, opt)
+		blk.run(&cats, 8, rng)
 	})
 	if allocs != 0 {
-		t.Fatalf("async block loop allocates %v per run, want 0", allocs)
+		t.Fatalf("single-table block loop allocates %v per run, want 0", allocs)
+	}
+	// The two-lane kernel, odd interval counts (lane B one short) and a
+	// lone lane A included.
+	tab := getJumpTables(&cats)
+	defer putJumpTables(cats.n, tab)
+	blk = newAsyncBlock(&cats, tab, 64, opt)
+	for _, intervals := range []int{8, 7, 1} {
+		allocs = testing.AllocsPerRun(200, func() {
+			blk.runJump(tab, intervals, rng)
+		})
+		if allocs != 0 {
+			t.Fatalf("two-lane block loop allocates %v per %d-interval run, want 0", allocs, intervals)
+		}
+	}
+}
+
+// TestJumpTablesRebuildZeroAlloc pins the table build's allocation
+// contract: rebuilding cached tables for new rates of the same process
+// count reuses every buffer.
+func TestJumpTablesRebuildZeroAlloc(t *testing.T) {
+	a, err := newEventCats(rbmodel.Uniform(8, 1, 2.0/7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := newEventCats(rbmodel.Uniform(8, 1.5, 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := &jumpTables{}
+	tab.build(&a)
+	flip := false
+	allocs := testing.AllocsPerRun(20, func() {
+		if flip = !flip; flip {
+			tab.build(&b)
+		} else {
+			tab.build(&a)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("rebuilding n = 8 tables allocates %v per build, want 0", allocs)
 	}
 }
 

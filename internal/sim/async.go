@@ -57,6 +57,7 @@ type AsyncOptions struct {
 type eventCats struct {
 	pairs []pairIdx
 	upd   []maskUpd
+	rates []float64 // category rates, in category order
 	alias *dist.Alias
 	g     float64
 	n     int
@@ -104,6 +105,7 @@ func newEventCats(p rbmodel.Params, extra ...float64) (eventCats, error) {
 	if c.g > 0 {
 		c.alias = dist.NewAlias(weights)
 	}
+	c.rates = weights
 	return c, nil
 }
 
@@ -111,17 +113,19 @@ func newEventCats(p rbmodel.Params, extra ...float64) (eventCats, error) {
 // past the RP and pair categories).
 func (c *eventCats) probeIdx() int { return c.n + len(c.pairs) }
 
-// asyncBlock is the per-block accumulator of SimulateAsync. The counts
-// scratch buffer is allocated once per block and reused across every
-// interval, keeping the steady-state event loop allocation-free (pinned by
+// asyncBlock is the per-block accumulator of SimulateAsync. Its scratch is
+// allocated once per block and reused across every interval, keeping the
+// steady-state event loops allocation-free (pinned by
 // TestAsyncBlockZeroAlloc).
 type asyncBlock struct {
 	x       stats.Welford
 	l       []stats.Welford
 	hist    *stats.Histogram
 	samples []float64
-	counts  []int // scratch: RP counts of the interval in progress
-	events  int64 // jump-chain events consumed, folded into obs at run end
+	// scratch holds run's event counts per category for the interval in
+	// progress, or runJump's per-lane visits and touched lists.
+	scratch []int
+	events  int64 // events drawn, folded into obs at run end
 }
 
 // histBins resolves the histogram bin count (0 means the 50-bin default).
@@ -134,14 +138,17 @@ func (opt AsyncOptions) histBins() int {
 	return 50
 }
 
-// newAsyncBlock allocates a block accumulator with every buffer the run
-// loop needs, sized up front so the loop itself never allocates. counts is
-// sized to the full category table — interaction tallies are never read, but
-// counting unconditionally keeps the event loop branchless.
-func newAsyncBlock(cats *eventCats, intervals int, opt AsyncOptions) *asyncBlock {
-	blk := &asyncBlock{
-		l:      make([]stats.Welford, cats.n),
-		counts: make([]int, len(cats.upd)),
+// newAsyncBlock allocates a block accumulator with every buffer the event
+// loop needs — runJump's on tab when tab is non-nil, run's otherwise —
+// sized up front so the loop itself never allocates. run's counts span the
+// full category table: interaction tallies are never read, but counting
+// unconditionally keeps the loop branchless.
+func newAsyncBlock(cats *eventCats, tab *jumpTables, intervals int, opt AsyncOptions) *asyncBlock {
+	blk := &asyncBlock{l: make([]stats.Welford, cats.n)}
+	if tab != nil {
+		blk.scratch = make([]int, laneScratch(len(tab.rate)))
+	} else {
+		blk.scratch = make([]int, len(cats.upd))
 	}
 	if opt.HistMax > 0 {
 		blk.hist = stats.NewHistogram(0, opt.HistMax, opt.histBins())
@@ -153,7 +160,9 @@ func newAsyncBlock(cats *eventCats, intervals int, opt AsyncOptions) *asyncBlock
 }
 
 // run observes `intervals` consecutive recovery-line intervals with the
-// given stream. Consecutive intervals are iid (the event process restarts
+// given stream on the one shared category table — the kernel for process
+// counts whose per-state tables exceed jumpTableBudget (runJump covers the
+// rest). Consecutive intervals are iid (the event process restarts
 // statistically at every line — memorylessness), so blocks simulated from
 // independent substreams are distributed identically to one long run.
 //
@@ -165,7 +174,7 @@ func newAsyncBlock(cats *eventCats, intervals int, opt AsyncOptions) *asyncBlock
 // exactly the same joint distribution as with per-event clock draws; the
 // xval and scenario gates cross-check that equivalence against the exact
 // chain on every run.
-func (blk *asyncBlock) run(cats *eventCats, intervals int, rng *dist.Stream, opt AsyncOptions) {
+func (blk *asyncBlock) run(cats *eventCats, intervals int, rng *dist.Stream) {
 	n := cats.n
 	alias := cats.alias
 	upd := cats.upd
@@ -173,7 +182,7 @@ func (blk *asyncBlock) run(cats *eventCats, intervals int, rng *dist.Stream, opt
 	mask := ones // a recovery line has just formed
 	atLine := true
 	events := 0
-	counts := blk.counts
+	counts := blk.scratch
 	for i := range counts {
 		counts[i] = 0
 	}
@@ -195,18 +204,7 @@ func (blk *asyncBlock) run(cats *eventCats, intervals int, rng *dist.Stream, opt
 		if (atLine || mask == ones) && k < n {
 			// Entry rule R4, or rule R1 completing the vector: the
 			// (r+1)-th recovery line forms now.
-			x := rng.Erlang(events, cats.g)
-			blk.x.Add(x)
-			if blk.hist != nil {
-				blk.hist.Add(x)
-			}
-			if opt.KeepSamples {
-				blk.samples = append(blk.samples, x)
-			}
-			for i := 0; i < n; i++ {
-				blk.l[i].Add(float64(counts[i]))
-				counts[i] = 0
-			}
+			blk.addInterval(rng.Erlang(events, cats.g), counts)
 			done++
 			blk.events += int64(events)
 			events = 0
@@ -215,6 +213,22 @@ func (blk *asyncBlock) run(cats *eventCats, intervals int, rng *dist.Stream, opt
 			continue
 		}
 		atLine = false
+	}
+}
+
+// addInterval records one completed interval of length x whose recovery
+// points per process are counts[:n], and zeroes those counts.
+func (blk *asyncBlock) addInterval(x float64, counts []int) {
+	blk.x.Add(x)
+	if blk.hist != nil {
+		blk.hist.Add(x)
+	}
+	if blk.samples != nil {
+		blk.samples = append(blk.samples, x)
+	}
+	for i := range blk.l {
+		blk.l[i].Add(float64(counts[i]))
+		counts[i] = 0
 	}
 }
 
@@ -227,6 +241,8 @@ func (blk *asyncBlock) run(cats *eventCats, intervals int, rng *dist.Stream, opt
 //
 // Replications are sharded across a worker pool (see AsyncOptions.Workers);
 // for a fixed Seed the result is bit-identical for every worker count.
+// When per-state jump tables fit jumpTableBudget the blocks run on them
+// (runJump); above it they run the single-table loop (run).
 func SimulateAsync(p rbmodel.Params, opt AsyncOptions) (*AsyncResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -243,9 +259,19 @@ func SimulateAsync(p rbmodel.Params, opt AsyncOptions) (*AsyncResult, error) {
 		return nil, errors.New("sim: all event rates are zero")
 	}
 
+	var tab *jumpTables
+	if jumpFits(n, len(cats.upd)) {
+		tab = getJumpTables(&cats)
+		defer putJumpTables(n, tab)
+	}
 	blocks := mc.Run(opt.Intervals, mc.DefaultBlockSize, opt.Workers, func(b mc.Block) *asyncBlock {
-		blk := newAsyncBlock(&cats, b.N(), opt)
-		blk.run(&cats, b.N(), dist.Substream(opt.Seed, b.Index), opt)
+		blk := newAsyncBlock(&cats, tab, b.N(), opt)
+		rng := dist.Substream(opt.Seed, b.Index)
+		if tab != nil {
+			blk.runJump(tab, b.N(), rng)
+		} else {
+			blk.run(&cats, b.N(), rng)
+		}
 		return blk
 	})
 
