@@ -31,7 +31,7 @@ func BenchmarkTable1(b *testing.B) {
 }
 
 // BenchmarkFigure1Domino regenerates the Figure 1 rollback-propagation
-// scenario on the goroutine runtime, including the trace rendering.
+// scenario on the step-loop runtime, including the trace rendering.
 func BenchmarkFigure1Domino(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r, err := Figure1Domino(int64(i))
@@ -367,8 +367,8 @@ func BenchmarkSyncLossClosedForm(b *testing.B) {
 	}
 }
 
-// BenchmarkRuntimeMessageRoundtrip measures the goroutine runtime's cost for
-// a send/receive pair through the logging router.
+// BenchmarkRuntimeMessageRoundtrip measures the step-loop runtime's cost
+// for a send/receive pair through the logging router.
 func BenchmarkRuntimeMessageRoundtrip(b *testing.B) {
 	const k = 200
 	p0 := NewBuilder()

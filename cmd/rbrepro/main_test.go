@@ -78,13 +78,32 @@ func TestRunEveryExperimentSubcommand(t *testing.T) {
 // that moves a printed digit shows here. Refresh it intentionally with
 //
 //	go run ./cmd/rbrepro plan > cmd/rbrepro/testdata/plan.golden
-func TestPlanGolden(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "plan.golden"))
+func TestPlanGolden(t *testing.T) { checkGolden(t, "plan.golden", "plan") }
+
+// TestRuntimeGoldens pins the runtime history diagrams of Figures 1, 7 and
+// 8 byte for byte. The runtime steps its processes in a fixed round-robin
+// order, so every event, rollback and count repeats exactly. Refresh them
+// intentionally with
+//
+//	go run ./cmd/rbrepro domino -quick > cmd/rbrepro/testdata/domino.golden
+//	go run ./cmd/rbrepro trace -scheme sync > cmd/rbrepro/testdata/trace_sync.golden
+//	go run ./cmd/rbrepro trace -scheme prp > cmd/rbrepro/testdata/trace_prp.golden
+func TestRuntimeGoldens(t *testing.T) {
+	checkGolden(t, "domino.golden", "domino", "-quick")
+	checkGolden(t, "trace_sync.golden", "trace", "-scheme", "sync")
+	checkGolden(t, "trace_prp.golden", "trace", "-scheme", "prp")
+}
+
+// checkGolden compares the stdout of `rbrepro args...` with
+// testdata/golden byte for byte.
+func checkGolden(t *testing.T, golden string, args ...string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", golden))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := runOK(t, "plan"); got != string(want) {
-		t.Errorf("plan report drifted from testdata/plan.golden:\n%s", got)
+	if got := runOK(t, args...); got != string(want) {
+		t.Errorf("rbrepro %s drifted from testdata/%s:\n%s", strings.Join(args, " "), golden, got)
 	}
 }
 

@@ -73,9 +73,9 @@ func main() {
 	fmt.Printf("frames flown: %d   recoveries: %d\n", frames, m.Recoveries)
 	for i, ps := range m.Procs {
 		role := []string{"sensor", "guidance", "actuation"}[i]
-		// ConversationWait (wall-clock time parked at test lines) is
-		// deliberately not printed: it varies run to run, and this output is
-		// pinned by a golden-file test.
+		// ConversationWait (steps the other processes ran while this one
+		// waited at test lines) is not printed: it counts scheduler turns,
+		// not frame time, so it would say little about the control loop.
 		fmt.Printf("  %-9s work=%d discarded=%d lines=%d ATfail=%d\n",
 			role, ps.WorkDone, ps.WorkDiscarded, ps.ConversationsSaved,
 			ps.ATFailures)

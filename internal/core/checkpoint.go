@@ -62,8 +62,7 @@ type Checkpoint struct {
 	purged   bool // storage accounting: purged checkpoints stay indexed but drop state
 }
 
-// snapshot builds a checkpoint from the live process (caller holds the
-// system lock and the process is parked).
+// snapshot builds a checkpoint from the live process.
 func (p *Process) snapshot(kind CheckpointKind) *Checkpoint {
 	cp := &Checkpoint{
 		Kind:     kind,

@@ -1,16 +1,14 @@
 package core
 
 import (
+	"errors"
+	"strings"
 	"testing"
-	"time"
 )
 
 // runSys builds and runs a system, failing the test on setup errors.
 func runSys(t *testing.T, cfg Config, progs []Program, states []State) (Metrics, error) {
 	t.Helper()
-	if cfg.Timeout == 0 {
-		cfg.Timeout = 20 * time.Second
-	}
 	sys, err := New(cfg, progs, states)
 	if err != nil {
 		t.Fatal(err)
@@ -669,19 +667,59 @@ func TestRunTwiceRejected(t *testing.T) {
 	}
 }
 
-func TestTimeoutOnStuckRecv(t *testing.T) {
-	// A Recv with no matching sender must trip the watchdog, not hang.
+func TestDeadlockOnStuckRecv(t *testing.T) {
+	// A Recv with no matching sender must end the run with ErrDeadlock, not
+	// hang.
 	prog := NewBuilder().
 		Recv(0+1, "never", func(*Ctx, Value) {}).
 		MustBuild()
 	idle := NewBuilder().Work("w", addWork(1)).MustBuild()
-	sys, err := New(Config{Timeout: 200 * time.Millisecond},
+	sys, err := New(Config{},
 		[]Program{prog, idle}, []State{counterState(0), counterState(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Run(); err != ErrTimeout {
-		t.Fatalf("err = %v, want ErrTimeout", err)
+	_, err = sys.Run()
+	if !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("err = %v, want ErrDeadlock", err)
+	}
+	if want := `process 0 at step 0 (Recv "never" from process 1)`; !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want it to name %s", err, want)
+	}
+}
+
+func TestDeadlockOnMissedConversation(t *testing.T) {
+	// P0 and P1 wait at a test line that P2 never reaches: no process can
+	// run, and the error names the two waiters.
+	line := func() Program {
+		return NewBuilder().
+			Work("pre", addWork(1)).
+			Conversation("line", func(*Ctx) bool { return true }).
+			MustBuild()
+	}
+	skip := NewBuilder().Work("w", addWork(1)).MustBuild()
+	sys, err := New(Config{}, []Program{line(), line(), skip},
+		[]State{counterState(0), counterState(0), counterState(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sys.Run()
+	if !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("err = %v, want ErrDeadlock", err)
+	}
+	for _, want := range []string{
+		`process 0 at step 1 (Conversation "line")`,
+		`process 1 at step 1 (Conversation "line")`,
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("err = %v, want it to name %s", err, want)
+		}
+	}
+	if strings.Contains(err.Error(), "process 2") {
+		t.Errorf("err = %v names the finished process", err)
+	}
+	if m.Procs[0].ConversationsSaved != 0 {
+		t.Fatal("a line committed without every participant")
 	}
 }
 
@@ -696,7 +734,7 @@ func TestRecoveryLimit(t *testing.T) {
 	for v := 1; v <= 100; v++ {
 		faults = append(faults, Fault{Proc: 0, PC: 1, Visit: v, Kind: FaultLocal})
 	}
-	sys, err := New(Config{Faults: NewFaultPlan(faults...), MaxRecoveries: 5, Timeout: 5 * time.Second},
+	sys, err := New(Config{Faults: NewFaultPlan(faults...), MaxRecoveries: 5},
 		[]Program{prog}, []State{counterState(0)})
 	if err != nil {
 		t.Fatal(err)
@@ -730,7 +768,7 @@ func TestManyProcessesStress(t *testing.T) {
 		Fault{Proc: 2, PC: 5, Visit: 1, Kind: FaultLocal},
 		Fault{Proc: 4, PC: 6, Visit: 1, Kind: FaultLocal},
 	)
-	sys, err := New(Config{Faults: faults, Timeout: 20 * time.Second}, progs, states)
+	sys, err := New(Config{Faults: faults}, progs, states)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,9 @@
 package core
 
-import "time"
-
 // ProcStats is the per-process accounting the experiments read out: the
 // saved-state counts are the runtime analogue of the paper's L_i, the
 // discarded work is the rollback distance, and the conversation wait is the
-// computation-power loss CL of Section 3.
+// computation-power loss CL of Section 3 in runtime units.
 type ProcStats struct {
 	WorkDone           int // completed work units (net of rollbacks)
 	WorkDiscarded      int // work units thrown away by rollbacks
@@ -16,9 +14,9 @@ type ProcStats struct {
 	MaxLiveCheckpoints int // storage high-water mark (retained states)
 	MessagesSent       int
 	MessagesReceived   int
-	Rollbacks          int           // times this process was rolled back
-	ATFailures         int           // acceptance-test failures observed
-	ConversationWait   time.Duration // total wall time spent waiting at test lines
+	Rollbacks          int // times this process was rolled back
+	ATFailures         int // acceptance-test failures observed
+	ConversationWait   int // steps other processes ran while this one waited at test lines
 }
 
 // Metrics is the system-wide result of a run.

@@ -1,48 +1,33 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"time"
 
 	"recoveryblocks/internal/dist"
 	"recoveryblocks/internal/trace"
 )
 
-// Sentinel results of step execution. errRolledBack means the process was
-// restored to an earlier checkpoint while it waited: the run loop simply
-// continues from the restored program counter. errShutdown ends the
-// goroutine.
-var (
-	errRolledBack = errors.New("core: rolled back")
-	errShutdown   = errors.New("core: shutdown")
-	// errRetryStep re-executes the current step without advancing the pc —
-	// used when a conversation barrier was reset by an unrelated recovery
-	// and the participant must re-arrive.
-	errRetryStep = errors.New("core: retry step")
-)
-
-// Process is one concurrent process: a goroutine executing a straight-line
-// program of work, message and recovery-block steps against private state.
+// Process is one concurrent process: a straight-line program of work,
+// message and recovery-block steps against private state. System.Run steps
+// it in turn with the others.
 type Process struct {
 	id   int
 	sys  *System
 	prog Program
 
-	// Execution position. Written by the owning goroutine while running and
-	// by the recovery coordinator only while this process is parked.
+	// Execution position, rewritten by every restore.
 	state    State
 	pc       int
-	epoch    int // bumped by every restore
 	sendSeq  []int
 	recvSeq  []int
 	workDone int
-	done     bool
+
+	atLine    bool // ready flag set at the Conversation step at pc
+	lineSince int  // System.steps when the ready flag was set
 
 	checkpoints []*Checkpoint
 	attempts    map[int]int // BeginBlock pc → attempt counter
 	rpCount     int         // running index of proper RPs (anchors PRPs)
-	pendingPRPs []Anchor    // implantation requests to honor at the next boundary
 
 	stats ProcStats
 }
@@ -72,109 +57,34 @@ func (p *Process) ctx() *Ctx {
 	}
 }
 
-// run is the process goroutine body.
-func (p *Process) run() {
-	defer p.sys.wg.Done()
-	for {
-		if !p.gate() {
-			return
-		}
-		switch err := p.exec(); err {
-		case nil, errRolledBack, errRetryStep:
-			// keep going from the (possibly restored) pc
-		case errShutdown:
-			return
-		}
+// runnable reports whether p can take a step: it has not finished, is not
+// waiting at a test line, and is not receiving on an empty edge.
+func (p *Process) runnable() bool {
+	if p.pc >= len(p.prog.steps) || p.atLine {
+		return false
 	}
+	st := &p.prog.steps[p.pc]
+	return st.kind != stepRecv || p.sys.router.available(st.peer, p.id, p.recvSeq[st.peer])
 }
 
-// gate parks the process across freezes, honors pending PRP implantation
-// requests, and handles program completion. It returns false on shutdown
-// and true when a step at p.pc should execute.
-func (p *Process) gate() bool {
+// step runs the step at p.pc. On success it advances the program counter;
+// a failure is recovered before step returns.
+func (p *Process) step() {
 	s := p.sys
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		switch {
-		case len(p.pendingPRPs) > 0 && !s.frozen:
-			// "It records its state as PRP upon the completion of the
-			// current instruction without an acceptance test" (Section 4,
-			// implantation step 2); the commitment C_i' is implicit in the
-			// checkpoint becoming visible under the system lock. This takes
-			// precedence even over shutdown: a finished process woken by the
-			// final broadcast must still honor implantation requests queued
-			// before the system drained, or the requester's pseudo recovery
-			// line would silently miss a member.
-			p.savePRPsLocked()
-		case s.shuttingDown:
-			return false
-		case s.frozen:
-			p.parkLocked()
-		case p.pc >= len(p.prog.steps):
-			if !p.done {
-				p.done = true
-				s.doneCount++
-				if s.doneCount == s.n {
-					s.shuttingDown = true
-					s.cond.Broadcast()
-					return false
-				}
-			}
-			p.parkLocked()
-		default:
-			return true
-		}
-	}
-}
-
-// savePRPsLocked honors queued implantation requests. Requests whose anchor
-// generation has already been superseded (the owner has established two or
-// more newer recovery points, so the pseudo line would be purged on arrival)
-// are skipped — implanting them would only create dead storage.
-func (p *Process) savePRPsLocked() {
-	for _, anchor := range p.pendingPRPs {
-		if anchor.Index < p.sys.procs[anchor.Owner].rpCount-2 {
-			continue
-		}
-		cp := p.snapshot(KindPRP)
-		cp.PC = p.pc
-		cp.Anchor = anchor
-		p.checkpoints = append(p.checkpoints, cp)
-		p.stats.PRPsSaved++
-		p.sys.emitLocked(p.id, trace.EvPRP, anchor.Owner,
-			fmt.Sprintf("RP%d of P%d", anchor.Index+1, anchor.Owner+1))
-	}
-	p.pendingPRPs = p.pendingPRPs[:0]
-	p.sys.notePRPCommitLocked(p)
-	p.updateLiveHighWaterLocked()
-}
-
-func (p *Process) updateLiveHighWaterLocked() {
-	if live := p.liveCheckpoints(); live > p.stats.MaxLiveCheckpoints {
-		p.stats.MaxLiveCheckpoints = live
-	}
-}
-
-// exec runs the step at p.pc. On success it advances the program counter.
-func (p *Process) exec() error {
-	s := p.sys
+	s.steps++
 	st := &p.prog.steps[p.pc]
 
 	// Scheduled fault injection fires before the step body: the error is
 	// detected "during normal execution" (Section 1) and triggers recovery.
-	s.mu.Lock()
 	if kind, ok := s.faults.fire(p.id, p.pc); ok {
 		if kind == FaultPropagated {
-			s.emitLocked(p.id, trace.EvFault, 0, "propagated from another process")
+			s.emit(p.id, trace.EvFault, 0, "propagated from another process")
 		} else {
-			s.emitLocked(p.id, trace.EvFault, 0, "local")
+			s.emit(p.id, trace.EvFault, 0, "local")
 		}
-		err := s.failLocked(p, failure{kind: failInjected, fault: kind})
-		s.mu.Unlock()
-		return err
+		s.fail(failure{kind: failInjected, fault: kind, proc: p})
+		return
 	}
-	s.mu.Unlock()
 
 	switch st.kind {
 	case stepWork:
@@ -187,267 +97,145 @@ func (p *Process) exec() error {
 		c := p.ctx()
 		payload := st.payload(c)
 		p.state = c.State
-		s.mu.Lock()
 		s.router.send(p.id, st.peer, p.sendSeq[st.peer], payload, s.tick())
-		s.emitLocked(p.id, trace.EvSend, st.peer, st.name)
+		s.emit(p.id, trace.EvSend, st.peer, st.name)
 		p.sendSeq[st.peer]++
 		p.stats.MessagesSent++
-		s.cond.Broadcast() // wake a receiver blocked on this edge
-		s.mu.Unlock()
 	case stepRecv:
-		return p.execRecv(st)
+		v := s.router.fetch(st.peer, p.id, p.recvSeq[st.peer])
+		s.emit(p.id, trace.EvRecv, st.peer, st.name)
+		p.recvSeq[st.peer]++
+		p.stats.MessagesReceived++
+		c := p.ctx()
+		st.onRecv(c, v)
+		p.state = c.State
 	case stepBegin:
-		s.mu.Lock()
-		p.saveRPLocked()
-		s.mu.Unlock()
+		p.saveRP()
 	case stepEnd:
-		return p.execEnd(st)
+		if !p.passes(st) {
+			s.fail(failure{kind: failAcceptance, beginPC: st.beginPC, proc: p})
+			return
+		}
 	case stepConversation:
-		return p.execConversation(st)
+		p.arrive(st)
+		return
 	}
 	p.pc++
-	return nil
 }
 
-// execRecv blocks until the next message on the edge is available, then
-// folds it into the state.
-func (p *Process) execRecv(st *step) error {
-	s := p.sys
-	s.mu.Lock()
-	epoch := p.epoch
-	for {
-		if s.shuttingDown {
-			s.mu.Unlock()
-			return errShutdown
-		}
-		if p.epoch != epoch {
-			s.mu.Unlock()
-			return errRolledBack
-		}
-		if !s.frozen && s.router.available(st.peer, p.id, p.recvSeq[st.peer]) {
-			break
-		}
-		p.parkLocked()
-	}
-	v := s.router.fetch(st.peer, p.id, p.recvSeq[st.peer])
-	s.emitLocked(p.id, trace.EvRecv, st.peer, st.name)
-	p.recvSeq[st.peer]++
-	p.stats.MessagesReceived++
-	s.mu.Unlock()
-
+// passes runs the acceptance test of step st against p's state, applies the
+// AT plan, and records a rejection.
+func (p *Process) passes(st *step) bool {
 	c := p.ctx()
-	st.onRecv(c, v)
+	ok := st.accept(c)
 	p.state = c.State
-	p.pc++
-	return nil
+	if p.sys.atplan.forceFail(p.id, p.pc) {
+		ok = false
+	}
+	if !ok {
+		p.stats.ATFailures++
+		p.sys.emit(p.id, trace.EvATFail, 0, st.name)
+	}
+	return ok
 }
 
-// saveRPLocked establishes a proper recovery point at a BeginBlock and, under
-// the PRP strategy, broadcasts the implantation request of Section 4.
-func (p *Process) saveRPLocked() {
+// saveRP establishes a proper recovery point at a BeginBlock and, under the
+// PRP strategy, implants a pseudo recovery point in every other process.
+func (p *Process) saveRP() {
+	s := p.sys
 	cp := p.snapshot(KindRP)
 	cp.PC = p.pc + 1 // restart position: just inside the block
 	cp.RPIndex = p.rpCount
 	p.rpCount++
 	p.checkpoints = append(p.checkpoints, cp)
 	p.stats.RPsSaved++
-	p.sys.emitLocked(p.id, trace.EvRP, 0, p.prog.steps[p.pc].name)
-	if p.sys.opts.Strategy == StrategyPRP {
+	s.emit(p.id, trace.EvRP, 0, p.prog.steps[p.pc].name)
+	if s.opts.Strategy == StrategyPRP {
+		s.purgeForNewRP(p)
+		// Each other process "records its state as PRP upon the completion
+		// of the current instruction without an acceptance test" (Section
+		// 4, implantation step 2). No process is ever mid-instruction, so
+		// that is now.
 		anchor := Anchor{Owner: p.id, Index: cp.RPIndex}
-		for _, q := range p.sys.procs {
-			if q.id != p.id {
-				q.pendingPRPs = append(q.pendingPRPs, anchor)
+		for _, q := range s.procs {
+			if q != p {
+				q.implantPRP(anchor)
 			}
 		}
-		p.sys.purgeForNewRPLocked(p)
-		p.sys.cond.Broadcast() // parked processes should wake to implant
 	}
-	p.updateLiveHighWaterLocked()
+	p.updateLiveHighWater()
 }
 
-// execEnd runs the acceptance test closing a recovery block.
-func (p *Process) execEnd(st *step) error {
-	c := p.ctx()
-	ok := st.accept(c)
-	p.state = c.State
-
-	s := p.sys
-	s.mu.Lock()
-	if s.atplan.forceFail(p.id, p.pc) {
-		ok = false
-	}
-	if ok {
-		s.mu.Unlock()
-		p.pc++
-		return nil
-	}
-	p.stats.ATFailures++
-	s.emitLocked(p.id, trace.EvATFail, 0, st.name)
-	err := s.failLocked(p, failure{kind: failAcceptance, beginPC: st.beginPC})
-	s.mu.Unlock()
-	return err
+// implantPRP records p's current state as the pseudo recovery point
+// PRP^{anchor}.
+func (p *Process) implantPRP(anchor Anchor) {
+	cp := p.snapshot(KindPRP)
+	cp.Anchor = anchor
+	p.checkpoints = append(p.checkpoints, cp)
+	p.stats.PRPsSaved++
+	p.sys.emit(p.id, trace.EvPRP, anchor.Owner,
+		fmt.Sprintf("RP%d of P%d", anchor.Index+1, anchor.Owner+1))
+	p.updateLiveHighWater()
 }
 
-// parkWhileFrozenLocked parks through an active recovery. Caller holds the
-// lock. Returns nil when execution may continue, errRolledBack if the
-// recovery restored this process, errShutdown on shutdown.
-func (p *Process) parkWhileFrozenLocked() error {
-	s := p.sys
-	epoch := p.epoch
-	for s.frozen && !s.shuttingDown {
-		p.parkLocked()
+func (p *Process) updateLiveHighWater() {
+	if live := p.liveCheckpoints(); live > p.stats.MaxLiveCheckpoints {
+		p.stats.MaxLiveCheckpoints = live
 	}
-	if s.shuttingDown {
-		return errShutdown
-	}
-	if p.epoch != epoch {
-		return errRolledBack
-	}
-	return nil
 }
 
-// execConversation implements the Section 3 protocol: broadcast readiness,
-// wait for every process's commitment, run the acceptance test at the test
-// line, and record the state — a recovery line by construction. Conversations
-// span all processes of the system; every program must contain the
-// conversation steps in the same order.
-func (p *Process) execConversation(st *step) error {
+// arrive implements steps 2–3 of the Section 3 protocol: p sets its ready
+// flag at the test line of conversation st and waits for every other
+// process's commitment. Conversations span all processes of the system;
+// every program must contain the conversation steps in the same order. The
+// arrival that completes the line runs step 4 for every participant.
+func (p *Process) arrive(st *step) {
 	s := p.sys
-	s.mu.Lock()
-	if err := p.parkWhileFrozenLocked(); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	c := s.convFor(st.name)
-	epoch := p.epoch
-	reset := c.resetGen
-	arrivedAt := time.Now()
-
-	// Steps 2-3 of the protocol: set our ready flag; wait for all P_ij-ready.
-	c.arrived++
-	if c.arrived == s.n {
-		c.phase1Gen++
-		c.arrived = 0
-		s.cond.Broadcast()
-	} else {
-		gen := c.phase1Gen
-		for c.phase1Gen == gen && c.resetGen == reset && p.epoch == epoch && !s.shuttingDown {
-			p.parkLocked()
-		}
-		if err := p.convWaitOutcome(epoch, reset, c); err != nil {
-			p.stats.ConversationWait += time.Since(arrivedAt)
-			s.mu.Unlock()
-			return err
+	p.atLine = true
+	p.lineSince = s.steps
+	for _, q := range s.procs {
+		if !q.atLine || q.prog.steps[q.pc].name != st.name {
+			return
 		}
 	}
-	p.stats.ConversationWait += time.Since(arrivedAt)
-	s.mu.Unlock()
+	s.closeLine(st.name)
+}
 
-	// Step 4: the acceptance test at the test line.
-	cx := p.ctx()
-	ok := st.accept(cx)
-	p.state = cx.State
-
-	s.mu.Lock()
-	if err := p.parkWhileFrozenLocked(); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	if c.resetGen != reset {
-		s.mu.Unlock()
-		return errRetryStep
-	}
-	if s.atplan.forceFail(p.id, p.pc) {
-		ok = false
+// closeLine runs every participant's acceptance test at the test line
+// `name`, each against its own process's state. If all pass it records the
+// line, a recovery line by construction, and every participant moves past
+// it. Otherwise every participant rolls back to the previous recovery line.
+func (s *System) closeLine(name string) {
+	ok := true
+	for _, q := range s.procs {
+		if !q.passes(&q.prog.steps[q.pc]) {
+			ok = false
+		}
 	}
 	if !ok {
-		p.stats.ATFailures++
-		s.emitLocked(p.id, trace.EvATFail, 0, st.name)
-		c.fails++
+		s.fail(failure{kind: failConversation})
+		return
 	}
-	c.tested++
-	if c.tested == s.n {
-		c.tested = 0
-		fails := c.fails
-		c.fails = 0
-		if fails > 0 {
-			// Some participant's test rejected the test line: every
-			// participant rolls back to the previous recovery line. All
-			// other processes are parked in this conversation, so this
-			// process acts as the recovery coordinator.
-			err := s.failLocked(p, failure{kind: failConversation})
-			s.mu.Unlock()
-			return err
-		}
-		// Commit: record the recovery line for EVERY participant in this
-		// single lock hold. All other participants are parked at their
-		// conversation step, so their states are stable and the saved set
-		// is globally consistent by construction. Committing atomically
-		// closes the window in which a concurrent recovery could observe
-		// half the line saved (and deadlock the stragglers by resetting
-		// the barrier under them).
-		for _, q := range s.procs {
-			cp := q.snapshot(KindConversation)
-			cp.PC = q.pc + 1
-			q.checkpoints = append(q.checkpoints, cp)
-			q.stats.ConversationsSaved++
-			q.updateLiveHighWaterLocked()
-			s.emitLocked(q.id, trace.EvConversation, 0, st.name)
-		}
-		c.phase2Gen++
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		p.pc++
-		return nil
-	}
-	gen := c.phase2Gen
-	for c.phase2Gen == gen && c.resetGen == reset && p.epoch == epoch && !s.shuttingDown {
-		p.parkLocked()
-	}
-	switch {
-	case s.shuttingDown:
-		s.mu.Unlock()
-		return errShutdown
-	case p.epoch != epoch:
-		// Restored by a recovery (possibly onto the committed line itself —
-		// the pc was rewound appropriately either way).
-		s.mu.Unlock()
-		return errRolledBack
-	case c.phase2Gen != gen:
-		// Committed: our checkpoint was saved by the committing process.
-		s.mu.Unlock()
-		p.pc++
-		return nil
-	default:
-		// Reset by an unrelated recovery before the commit: re-arrive.
-		s.mu.Unlock()
-		return errRetryStep
+	s.leaveLines()
+	for _, q := range s.procs {
+		cp := q.snapshot(KindConversation)
+		cp.PC = q.pc + 1
+		q.checkpoints = append(q.checkpoints, cp)
+		q.stats.ConversationsSaved++
+		q.updateLiveHighWater()
+		s.emit(q.id, trace.EvConversation, 0, name)
+		q.pc++
 	}
 }
 
-// convWaitOutcome classifies why a phase-1 conversation wait ended. nil
-// means the phase was released normally.
-func (p *Process) convWaitOutcome(epoch, reset int, c *convState) error {
-	switch {
-	case p.sys.shuttingDown:
-		return errShutdown
-	case p.epoch != epoch:
-		return errRolledBack
-	case c.resetGen != reset:
-		return errRetryStep
-	default:
-		return nil
-	}
-}
-
-// latestIndexWhere returns the index of the newest unpurged checkpoint
-// satisfying pred, or -1.
-func (p *Process) latestIndexWhere(pred func(*Checkpoint) bool) int {
-	for i := len(p.checkpoints) - 1; i >= 0; i-- {
-		cp := p.checkpoints[i]
-		if !cp.purged && pred(cp) {
-			return i
+// leaveLines clears every ready flag, because the line committed or a
+// recovery voided it, and charges each waiter the steps the others ran
+// while it waited.
+func (s *System) leaveLines() {
+	for _, q := range s.procs {
+		if q.atLine {
+			q.stats.ConversationWait += s.steps - q.lineSince
+			q.atLine = false
 		}
 	}
-	return -1
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestAsyncPropagatedRestartsFromLine: under the asynchronous strategy a
 // propagated error must push the whole system back to a recovery line —
@@ -31,7 +28,7 @@ func TestAsyncPropagatedRestartsFromLine(t *testing.T) {
 	// The propagated fault strikes P1 at the tail (pc 15 after 3 rounds of
 	// 5 steps).
 	faults := NewFaultPlan(Fault{Proc: 1, PC: 15, Visit: 1, Kind: FaultPropagated})
-	sys, err := New(Config{Strategy: StrategyAsync, Faults: faults, Timeout: 20 * time.Second},
+	sys, err := New(Config{Strategy: StrategyAsync, Faults: faults},
 		[]Program{mk(0), mk(1)}, []State{counterState(0), counterState(0)})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +71,7 @@ func TestPRPPropagatedBoundedByAnchorGeneration(t *testing.T) {
 		return b.MustBuild()
 	}
 	faults := NewFaultPlan(Fault{Proc: 1, PC: 5 * rounds, Visit: 1, Kind: FaultPropagated})
-	sys, err := New(Config{Strategy: StrategyPRP, Faults: faults, Timeout: 20 * time.Second},
+	sys, err := New(Config{Strategy: StrategyPRP, Faults: faults},
 		[]Program{mk(0), mk(1)}, []State{counterState(0), counterState(0)})
 	if err != nil {
 		t.Fatal(err)

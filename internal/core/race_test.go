@@ -2,16 +2,18 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
-	"time"
 )
 
-// The tests in this file exist to be run under the race detector (the CI
-// race job runs `go test -race ./...`): they drive the router/system
-// concurrency paths — message logging and purging, freeze/park quorums,
-// conversation barriers, PRP implantation, and post-run accessors — with as
-// much genuine goroutine interleaving as the runtime will produce.
+// The tests in this file are run under the race detector too (the CI race
+// job runs `go test -race ./...`). A System runs on one goroutine, so what
+// they check there is that independent systems share no state and that the
+// post-run accessors are safe to call from many goroutines. Everywhere they
+// check that the fault and AT plans still fire: message logging and
+// purging, conversation barriers, PRP implantation and the recovery paths
+// all run.
 
 // stressProgram builds a ring worker: rounds of (recovery block + work +
 // send/recv with both neighbors), with a conversation barrier every convEvery
@@ -41,7 +43,7 @@ func stressProgram(id, n, rounds, convEvery int) Program {
 }
 
 // stressRun assembles and runs one system; fatal on any runtime error.
-func stressRun(t *testing.T, n, rounds, convEvery int, strategy Strategy, faults *FaultPlan, ats *ATPlan, seed int64) Metrics {
+func stressRun(t *testing.T, n, rounds, convEvery int, strategy Strategy, faults *FaultPlan, ats *ATPlan, seed int64) (Metrics, []State) {
 	t.Helper()
 	progs := make([]Program, n)
 	states := make([]State, n)
@@ -54,7 +56,6 @@ func stressRun(t *testing.T, n, rounds, convEvery int, strategy Strategy, faults
 		Seed:     seed,
 		Faults:   faults,
 		ATs:      ats,
-		Timeout:  time.Minute,
 		Trace:    true,
 	}, progs, states)
 	if err != nil {
@@ -76,23 +77,53 @@ func stressRun(t *testing.T, n, rounds, convEvery int, strategy Strategy, faults
 		}()
 	}
 	wg.Wait()
-	return m
+	return m, sys.FinalStates()
+}
+
+// The stress plans. Each call builds a fresh plan: a plan counts visits, so
+// one run spends it.
+
+func asyncStressFaults() *FaultPlan {
+	return NewFaultPlan(
+		Fault{Proc: 0, PC: 7, Visit: 1, Kind: FaultLocal},
+		Fault{Proc: 2, PC: 12, Visit: 1, Kind: FaultPropagated},
+		Fault{Proc: 1, PC: 3, Visit: 2, Kind: FaultLocal},
+	)
+}
+
+func asyncStressATs() *ATPlan {
+	return NewATPlan(
+		ATOverride{Proc: 3, PC: 2, Fails: 1},
+		ATOverride{Proc: 1, PC: 17, Fails: 1},
+	)
+}
+
+func prpStressFaults() *FaultPlan {
+	return NewFaultPlan(
+		Fault{Proc: 1, PC: 12, Visit: 1, Kind: FaultPropagated},
+		Fault{Proc: 4, PC: 22, Visit: 1, Kind: FaultLocal},
+		Fault{Proc: 0, PC: 17, Visit: 2, Kind: FaultPropagated},
+	)
+}
+
+// Each round is 5 steps (+1 conversation every 2 rounds); the conversation
+// of round 1 is at pc 10 for every process.
+
+func convStressATs() *ATPlan { return NewATPlan(ATOverride{Proc: 2, PC: 10, Fails: 1}) }
+
+func convStressFaults() *FaultPlan {
+	return NewFaultPlan(Fault{Proc: 1, PC: 13, Visit: 1, Kind: FaultLocal})
+}
+
+func parallelStressFaults(proc int) *FaultPlan {
+	return NewFaultPlan(Fault{Proc: proc, PC: 7, Visit: 1, Kind: FaultLocal})
 }
 
 // TestRaceStressAsync hammers the asynchronous strategy: local and
 // propagated faults plus acceptance-test failures across many processes.
 func TestRaceStressAsync(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
-		faults := NewFaultPlan(
-			Fault{Proc: 0, PC: 7, Visit: 1, Kind: FaultLocal},
-			Fault{Proc: 2, PC: 12, Visit: 1, Kind: FaultPropagated},
-			Fault{Proc: 1, PC: 3, Visit: 2, Kind: FaultLocal},
-		)
-		ats := NewATPlan(
-			ATOverride{Proc: 3, PC: 2, Fails: 1},
-			ATOverride{Proc: 1, PC: 17, Fails: 1},
-		)
-		m := stressRun(t, 5, 6, 0, StrategyAsync, faults, ats, seed)
+		m, _ := stressRun(t, 5, 6, 0, StrategyAsync, asyncStressFaults(), asyncStressATs(), seed)
 		if m.Recoveries == 0 {
 			t.Fatal("stress run recovered zero times — the plan never fired")
 		}
@@ -100,15 +131,10 @@ func TestRaceStressAsync(t *testing.T) {
 }
 
 // TestRaceStressPRP drives pseudo-recovery-point implantation, purging and
-// the Section 4 rollback algorithm under contention.
+// the Section 4 rollback algorithm.
 func TestRaceStressPRP(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
-		faults := NewFaultPlan(
-			Fault{Proc: 1, PC: 12, Visit: 1, Kind: FaultPropagated},
-			Fault{Proc: 4, PC: 22, Visit: 1, Kind: FaultLocal},
-			Fault{Proc: 0, PC: 17, Visit: 2, Kind: FaultPropagated},
-		)
-		m := stressRun(t, 6, 6, 0, StrategyPRP, faults, nil, seed)
+		m, _ := stressRun(t, 6, 6, 0, StrategyPRP, prpStressFaults(), nil, seed)
 		if m.TotalPRPs() == 0 {
 			t.Fatal("PRP stress run implanted no pseudo recovery points")
 		}
@@ -116,16 +142,12 @@ func TestRaceStressPRP(t *testing.T) {
 }
 
 // TestRaceStressConversations mixes conversation barriers (including a
-// forced test-line failure, which makes a participant the recovery
-// coordinator while everyone else is parked in the barrier) with
-// asynchronous faults between the lines.
+// forced test-line failure, which the arrival completing the line recovers
+// from while everyone else waits at it) with asynchronous faults between
+// the lines.
 func TestRaceStressConversations(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
-		// Each round is 5 steps (+1 conversation every 2 rounds); the
-		// conversation of round 1 is at pc 10 for every process.
-		ats := NewATPlan(ATOverride{Proc: 2, PC: 10, Fails: 1})
-		faults := NewFaultPlan(Fault{Proc: 1, PC: 13, Visit: 1, Kind: FaultLocal})
-		m := stressRun(t, 4, 6, 2, StrategyAsync, faults, ats, seed)
+		m, _ := stressRun(t, 4, 6, 2, StrategyAsync, convStressFaults(), convStressATs(), seed)
 		if m.Recoveries < 2 {
 			t.Fatalf("expected conversation + fault recoveries, got %d", m.Recoveries)
 		}
@@ -141,14 +163,14 @@ func TestRaceManySystemsInParallel(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			faults := NewFaultPlan(Fault{Proc: g % 3, PC: 7, Visit: 1, Kind: FaultLocal})
+			faults := parallelStressFaults(g % 3)
 			progs := make([]Program, 3)
 			states := make([]State, 3)
 			for i := 0; i < 3; i++ {
 				progs[i] = stressProgram(i, 3, 4, 2)
 				states[i] = make(Ints, 2)
 			}
-			sys, err := New(Config{Strategy: StrategyPRP, Seed: int64(g), Faults: faults, Timeout: time.Minute}, progs, states)
+			sys, err := New(Config{Strategy: StrategyPRP, Seed: int64(g), Faults: faults}, progs, states)
 			if err != nil {
 				t.Error(err)
 				return
@@ -159,4 +181,55 @@ func TestRaceManySystemsInParallel(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// stressCase is one stress workload and plan of this file.
+type stressCase struct {
+	name                 string
+	n, rounds, convEvery int
+	strategy             Strategy
+	faults               func() *FaultPlan
+	ats                  func() *ATPlan
+}
+
+// TestRecoveryIsTransparent runs every stress plan above and checks that
+// recovery leaves no trace in the result: each run ends in the final states
+// of the same programs run with no plan at all.
+func TestRecoveryIsTransparent(t *testing.T) {
+	cases := []stressCase{
+		{"async/faults", 5, 6, 0, StrategyAsync, asyncStressFaults, nil},
+		{"async/ATs", 5, 6, 0, StrategyAsync, nil, asyncStressATs},
+		{"async/both", 5, 6, 0, StrategyAsync, asyncStressFaults, asyncStressATs},
+		{"prp/faults", 6, 6, 0, StrategyPRP, prpStressFaults, nil},
+		{"conv/faults", 4, 6, 2, StrategyAsync, convStressFaults, nil},
+		{"conv/ATs", 4, 6, 2, StrategyAsync, nil, convStressATs},
+		{"conv/both", 4, 6, 2, StrategyAsync, convStressFaults, convStressATs},
+	}
+	for proc := 0; proc < 3; proc++ {
+		proc := proc
+		cases = append(cases, stressCase{fmt.Sprintf("parallel/P%d", proc), 3, 4, 2, StrategyPRP,
+			func() *FaultPlan { return parallelStressFaults(proc) }, nil})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for seed := int64(0); seed < 4; seed++ {
+				var faults *FaultPlan
+				var ats *ATPlan
+				if c.faults != nil {
+					faults = c.faults()
+				}
+				if c.ats != nil {
+					ats = c.ats()
+				}
+				_, want := stressRun(t, c.n, c.rounds, c.convEvery, c.strategy, nil, nil, seed)
+				m, got := stressRun(t, c.n, c.rounds, c.convEvery, c.strategy, faults, ats, seed)
+				if m.Recoveries == 0 {
+					t.Fatalf("seed %d: the plan never fired", seed)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d: final states %v, want %v as without the plan", seed, got, want)
+				}
+			}
+		})
+	}
 }

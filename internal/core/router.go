@@ -11,7 +11,7 @@ type message struct {
 }
 
 // router is the interconnect: a fully logged, per-edge FIFO message store.
-// All access happens under the owning System's lock.
+// Only the owning System's step loop touches it.
 type router struct {
 	n    int
 	logs [][][]message // logs[from][to] = ordered messages

@@ -1,7 +1,6 @@
 // Package core is the executable heart of the reproduction: a library for
-// running cooperating concurrent processes — one goroutine per process —
-// under backward error recovery with recovery blocks, in the three styles
-// the paper analyzes:
+// running cooperating concurrent processes under backward error recovery
+// with recovery blocks, in the three styles the paper analyzes:
 //
 //   - asynchronous recovery blocks: every process checkpoints on its own;
 //     when an acceptance test fails, the system rolls back to the most
@@ -17,6 +16,10 @@
 // Processes exchange messages through a router that logs every interaction
 // with sequence numbers, which is what makes consistent rollback decidable
 // (the paper's assumption 4, "consistent communications").
+//
+// The processes are concurrent in the model, not in the Go scheduler:
+// System.Run steps them in a fixed round-robin order, so a run depends only
+// on its programs, fault and AT plans, and seed.
 package core
 
 // Value is a message payload. Payloads must be treated as immutable once

@@ -3,8 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"time"
+	"strings"
 
 	"recoveryblocks/internal/trace"
 )
@@ -38,18 +37,18 @@ func (s Strategy) String() string {
 // ErrUnrecoverable is returned when recovery churned past Config.MaxRecoveries.
 var ErrUnrecoverable = errors.New("core: recovery limit exceeded")
 
-// ErrTimeout is returned when the run exceeded Config.Timeout.
-var ErrTimeout = errors.New("core: run timed out")
+// ErrDeadlock is returned when no process can take a step but not all have
+// finished. The wrapping error names each blocked process and its step.
+var ErrDeadlock = errors.New("core: deadlock")
 
 // Config configures a System.
 type Config struct {
 	Strategy      Strategy
-	Seed          int64         // seeds the deterministic per-step RNG streams
-	Timeout       time.Duration // wall-clock watchdog; default 30s
-	Faults        *FaultPlan    // scheduled error injections (may be nil)
-	ATs           *ATPlan       // scheduled acceptance-test failures (may be nil)
-	MaxRecoveries int           // safety valve; default 1000
-	Trace         bool          // record a history diagram of the run
+	Seed          int64      // seeds the deterministic per-step RNG streams
+	Faults        *FaultPlan // scheduled error injections (may be nil)
+	ATs           *ATPlan    // scheduled acceptance-test failures (may be nil)
+	MaxRecoveries int        // safety valve; default 1000
+	Trace         bool       // record a history diagram of the run
 }
 
 type failKindT int
@@ -67,21 +66,8 @@ type failure struct {
 	proc    *Process
 }
 
-// convState is the shared bookkeeping of one named conversation (test line).
-type convState struct {
-	arrived   int
-	tested    int
-	fails     int
-	phase1Gen int
-	phase2Gen int
-	resetGen  int
-}
-
 // System runs n processes under a recovery strategy and collects metrics.
 type System struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-
 	n         int
 	procs     []*Process
 	router    *router
@@ -90,23 +76,16 @@ type System struct {
 	atplan    *ATPlan
 	enclosing [][]int // per proc, per pc: innermost BeginBlock pc or -1
 
-	clock        int64
-	frozen       bool
-	waiting      int
-	doneCount    int
-	shuttingDown bool
-	pending      []failure
-	convs        map[string]*convState
+	clock int64 // logical time of checkpoints, messages and trace events
+	steps int   // steps run so far, the unit of ProcStats.ConversationWait
 
 	recoveries    int
 	exhaustions   int
 	dominoToStart int
 	deepest       int
-	prpCommits    int
 	runErr        error
 	started       bool
 	events        []trace.Event
-	wg            sync.WaitGroup
 }
 
 // New assembles a system of len(programs) processes; initial[i] seeds the
@@ -118,9 +97,6 @@ func New(cfg Config, programs []Program, initial []State) (*System, error) {
 	if len(initial) != len(programs) {
 		return nil, fmt.Errorf("core: %d programs but %d initial states", len(programs), len(initial))
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 30 * time.Second
-	}
 	if cfg.MaxRecoveries <= 0 {
 		cfg.MaxRecoveries = 1000
 	}
@@ -131,9 +107,7 @@ func New(cfg Config, programs []Program, initial []State) (*System, error) {
 		opts:   cfg,
 		faults: cfg.Faults,
 		atplan: cfg.ATs,
-		convs:  make(map[string]*convState),
 	}
-	s.cond = sync.NewCond(&s.mu)
 	s.enclosing = make([][]int, n)
 	for i, prog := range programs {
 		enc, err := computeEnclosing(prog)
@@ -192,46 +166,14 @@ func computeEnclosing(prog Program) ([]int, error) {
 	return enc, nil
 }
 
-// tick advances the logical clock (callers hold the lock).
+// tick advances the logical clock.
 func (s *System) tick() int64 {
 	s.clock++
 	return s.clock
 }
 
-// parkLocked registers the calling process as waiting and blocks on the
-// condition variable. When the park completes a freeze quorum (every process
-// but the coordinator parked), it wakes the coordinator. A parked process is
-// at a safe boundary, so pending PRP implantation requests are honored
-// before sleeping — a process blocked in a receive must still record pseudo
-// recovery points promptly (Section 4 step 2), otherwise the pseudo
-// recovery line would lag arbitrarily behind its anchor. Callers must
-// re-check their wait condition afterwards, as with any condition variable.
-func (p *Process) parkLocked() {
-	s := p.sys
-	if !s.frozen && len(p.pendingPRPs) > 0 {
-		p.savePRPsLocked()
-	}
-	s.waiting++
-	if s.frozen && s.waiting >= s.n-1 {
-		s.cond.Broadcast()
-	}
-	s.cond.Wait()
-	s.waiting--
-}
-
-func (s *System) convFor(name string) *convState {
-	c, ok := s.convs[name]
-	if !ok {
-		c = &convState{}
-		s.convs[name] = c
-	}
-	return c
-}
-
-func (s *System) notePRPCommitLocked(*Process) { s.prpCommits++ }
-
-// emitLocked appends a history event when tracing is enabled.
-func (s *System) emitLocked(proc int, kind trace.Kind, peer int, label string) {
+// emit appends a history event when tracing is enabled.
+func (s *System) emit(proc int, kind trace.Kind, peer int, label string) {
 	if !s.opts.Trace {
 		return
 	}
@@ -243,17 +185,11 @@ func (s *System) emitLocked(proc int, kind trace.Kind, peer int, label string) {
 // Trace returns the recorded history diagram (empty unless Config.Trace).
 // Call it after Run has returned.
 func (s *System) Trace() *trace.Diagram {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	evs := make([]trace.Event, len(s.events))
-	copy(evs, s.events)
-	return &trace.Diagram{N: s.n, Events: evs}
+	return &trace.Diagram{N: s.n, Events: append([]trace.Event(nil), s.events...)}
 }
 
 // FinalStates returns a deep copy of each process's state. Call after Run.
 func (s *System) FinalStates() []State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]State, s.n)
 	for i, p := range s.procs {
 		out[i] = p.state.Clone()
@@ -261,45 +197,57 @@ func (s *System) FinalStates() []State {
 	return out
 }
 
-// Run executes all processes to completion (or failure of the watchdog /
-// recovery limit) and returns the collected metrics.
+// Run executes all processes to completion and returns the collected
+// metrics. The processes are concurrent in the model, not in the Go
+// runtime: one loop takes turns in round-robin order, running one step of
+// each process, in id order, that can run. A process that has finished,
+// waits on an empty Recv edge or waits at a test line is skipped. The
+// schedule therefore depends only on the programs, the fault and AT plans
+// and Config.Seed, and since no process is ever mid-step, failures, PRP
+// implantation and test-line commits all take effect on the spot.
 func (s *System) Run() (Metrics, error) {
-	s.mu.Lock()
 	if s.started {
-		s.mu.Unlock()
 		return Metrics{}, errors.New("core: system already ran")
 	}
 	s.started = true
-	s.mu.Unlock()
-
-	stopWatchdog := make(chan struct{})
-	go func() {
-		select {
-		case <-stopWatchdog:
-		case <-time.After(s.opts.Timeout):
-			s.mu.Lock()
-			if !s.shuttingDown {
-				s.runErr = ErrTimeout
-				s.shuttingDown = true
-				s.cond.Broadcast()
+	for s.runErr == nil {
+		ran := false
+		for _, p := range s.procs {
+			if s.runErr == nil && p.runnable() {
+				p.step()
+				ran = true
 			}
-			s.mu.Unlock()
 		}
-	}()
-
-	s.wg.Add(s.n)
-	for _, p := range s.procs {
-		go p.run()
+		if !ran {
+			s.runErr = s.deadlock()
+			break
+		}
 	}
-	s.wg.Wait()
-	close(stopWatchdog)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.metricsLocked(), s.runErr
+	return s.metrics(), s.runErr
 }
 
-func (s *System) metricsLocked() Metrics {
+// deadlock returns nil when every process has finished, and otherwise an
+// ErrDeadlock naming each blocked process and the step it is blocked at.
+func (s *System) deadlock() error {
+	var blocked []string
+	for _, p := range s.procs {
+		if p.pc >= len(p.prog.steps) {
+			continue
+		}
+		st := &p.prog.steps[p.pc]
+		what := fmt.Sprintf("Conversation %q", st.name)
+		if st.kind == stepRecv {
+			what = fmt.Sprintf("Recv %q from process %d", st.name, st.peer)
+		}
+		blocked = append(blocked, fmt.Sprintf("process %d at step %d (%s)", p.id, p.pc, what))
+	}
+	if len(blocked) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%w: %s", ErrDeadlock, strings.Join(blocked, "; "))
+}
+
+func (s *System) metrics() Metrics {
 	m := Metrics{
 		Procs:           make([]ProcStats, s.n),
 		Recoveries:      s.recoveries,
@@ -314,68 +262,17 @@ func (s *System) metricsLocked() Metrics {
 	return m
 }
 
-// failLocked is the single entry point for every failure. Called with the
-// lock held by the failing process; returns with the lock held. The first
-// process to fail while the system is unfrozen becomes the recovery
-// coordinator — recovery is decentralized exactly as in the paper's
-// Section 4 algorithm, with no dedicated recovery server.
-func (s *System) failLocked(p *Process, f failure) error {
-	f.proc = p
-	if s.frozen {
-		// Another coordinator is active: queue the report and park; the
-		// coordinator drains the queue before unfreezing, and processing a
-		// failure always rolls its reporter back.
-		s.pending = append(s.pending, f)
-		epoch := p.epoch
-		for s.frozen && !s.shuttingDown {
-			p.parkLocked()
-		}
-		if s.shuttingDown {
-			return errShutdown
-		}
-		if p.epoch != epoch {
-			return errRolledBack
-		}
-		// Defensive: the coordinator must have rolled us back; if not,
-		// re-execute the step and let the failure re-manifest.
-		return errRolledBack
-	}
-
-	s.frozen = true
-	s.pending = append(s.pending, f)
-	s.cond.Broadcast()
-	for s.waiting < s.n-1 && !s.shuttingDown {
-		s.cond.Wait()
-	}
-	if s.shuttingDown {
-		s.frozen = false
-		s.cond.Broadcast()
-		return errShutdown
-	}
-	for len(s.pending) > 0 {
-		next := s.pending[0]
-		s.pending = s.pending[:copy(s.pending, s.pending[1:])]
-		s.processFailureLocked(next)
-		if s.shuttingDown {
-			break
-		}
-	}
-	s.frozen = false
-	s.cond.Broadcast()
-	return errRolledBack
-}
-
-// processFailureLocked chooses restore targets per strategy and failure
-// kind, finds the maximal consistent cut at or below them, and applies it.
-func (s *System) processFailureLocked(f failure) {
+// fail is the single entry point for every failure. The step that detects
+// the failure recovers from it on the spot, so recovery is decentralized as
+// in the paper's Section 4 algorithm, with no dedicated recovery server. It
+// chooses restore targets per strategy and failure kind, finds the maximal
+// consistent cut at or below them, and applies it.
+func (s *System) fail(f failure) {
 	s.recoveries++
 	if s.recoveries > s.opts.MaxRecoveries {
 		s.runErr = ErrUnrecoverable
-		s.shuttingDown = true
-		s.cond.Broadcast()
 		return
 	}
-
 	// Candidate lists: each process's unpurged checkpoints in order, plus
 	// (where admissible) the live "now" position.
 	cands := make([][]*Checkpoint, s.n)
@@ -429,7 +326,7 @@ func (s *System) processFailureLocked(f failure) {
 			// every process has rolled back past one of its own recovery
 			// points; the fixpoint is the pseudo recovery line anchored at
 			// the process whose most recent own RP is oldest.
-			owner, anchorIdx, anchorTime := s.oldestLatestRPLocked(cands)
+			owner, anchorIdx, anchorTime := s.oldestLatestRP(cands)
 			for i := range s.procs {
 				if i == owner {
 					start[i] = clampIndex(latestInList(cands[i], func(cp *Checkpoint) bool {
@@ -437,9 +334,9 @@ func (s *System) processFailureLocked(f failure) {
 					}))
 					continue
 				}
-				// Prefer the PRP implanted for the anchor RP (or the newest
-				// one for an earlier RP of the owner); implantation can lag
-				// the anchor, so the match is by anchor identity, not time.
+				// Prefer the PRP implanted for the anchor RP, or the newest
+				// one for an earlier RP of the owner when a rollback of this
+				// process discarded it; the match is by anchor identity.
 				idx := latestInList(cands[i], func(cp *Checkpoint) bool {
 					return cp.Kind == KindPRP && cp.Anchor.Owner == owner && cp.Anchor.Index <= anchorIdx
 				})
@@ -492,7 +389,7 @@ func (s *System) processFailureLocked(f failure) {
 		if useNow[i] && cut[i] == len(cands[i]) {
 			continue // stays live
 		}
-		s.restoreLocked(p, cands[i][cut[i]], cpIdx[i][cut[i]])
+		s.restore(p, cands[i][cut[i]], cpIdx[i][cut[i]])
 	}
 	// Purge orphan messages: anything beyond the (restored) senders'
 	// cursors was never sent on the surviving timeline.
@@ -504,23 +401,17 @@ func (s *System) processFailureLocked(f failure) {
 		}
 	}
 	// Any conversation in flight is void; participants will re-arrive.
-	for _, c := range s.convs {
-		c.arrived = 0
-		c.tested = 0
-		c.fails = 0
-		c.resetGen++
-	}
-	s.cond.Broadcast()
+	s.leaveLines()
 }
 
-// restoreLocked rolls proc back to checkpoint cp (index origIdx in the full
+// restore rolls proc back to checkpoint cp (index origIdx in the full
 // checkpoint history).
-func (s *System) restoreLocked(p *Process, cp *Checkpoint, origIdx int) {
+func (s *System) restore(p *Process, cp *Checkpoint, origIdx int) {
 	discarded := p.workDone - cp.WorkDone
 	if discarded > s.deepest {
 		s.deepest = discarded
 	}
-	s.emitLocked(p.id, trace.EvRollback, 0,
+	s.emit(p.id, trace.EvRollback, 0,
 		fmt.Sprintf("%s checkpoint (t=%d, discarding %d work units)", cp.Kind, cp.Time, discarded))
 	p.stats.WorkDiscarded += discarded
 	p.stats.Rollbacks++
@@ -535,21 +426,15 @@ func (s *System) restoreLocked(p *Process, cp *Checkpoint, origIdx int) {
 	// Rewind the RP counter so re-executed blocks reuse their original RP
 	// indices and PRP anchors stay coherent across the rollback.
 	p.rpCount = cp.RPCount
-	p.epoch++
-	p.pendingPRPs = p.pendingPRPs[:0]
 	// Checkpoints taken after the restore point belong to the abandoned
 	// timeline.
 	p.checkpoints = p.checkpoints[:origIdx+1]
-	if p.done {
-		p.done = false
-		s.doneCount--
-	}
 }
 
-// oldestLatestRPLocked returns the process whose most recent own recovery
+// oldestLatestRP returns the process whose most recent own recovery
 // point is oldest, that RP's per-owner index, and its logical time (index -1
 // and time 0 when a process has no RP yet — its start counts).
-func (s *System) oldestLatestRPLocked(cands [][]*Checkpoint) (owner, anchorIdx int, anchorTime int64) {
+func (s *System) oldestLatestRP(cands [][]*Checkpoint) (owner, anchorIdx int, anchorTime int64) {
 	owner = 0
 	anchorIdx = -1
 	anchorTime = int64(1) << 62
@@ -569,11 +454,12 @@ func (s *System) oldestLatestRPLocked(cands [][]*Checkpoint) (owner, anchorIdx i
 	return owner, anchorIdx, anchorTime
 }
 
-// purgeForNewRPLocked applies the Section 4 purging rule when proc saved a
-// new recovery point: older own RPs and the PRPs they anchored elsewhere are
+// purgeForNewRP applies the Section 4 purging rule when proc saved a new
+// recovery point: older own RPs and the PRPs they anchored elsewhere are
 // reclaimable once the newer pseudo recovery lines exist. We retain the two
-// most recent generations (the newest line may still be implanting).
-func (s *System) purgeForNewRPLocked(p *Process) {
+// most recent generations, so the cut search can still fall back one
+// generation when the newest line is inconsistent.
+func (s *System) purgeForNewRP(p *Process) {
 	keepFrom := p.rpCount - 2 // rpCount was already advanced past the new RP
 	if keepFrom < 0 {
 		return

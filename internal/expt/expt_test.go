@@ -243,6 +243,17 @@ func TestFigure8PRPScenario(t *testing.T) {
 			t.Errorf("diagram missing %q", s)
 		}
 	}
+	// The restart line is the paper's (RP, PRP, PRP): P1 returns to its own
+	// recovery point, P2 and P3 to pseudo recovery points.
+	for _, s := range []string{
+		"P1 rolls back to RP checkpoint",
+		"P2 rolls back to PRP checkpoint",
+		"P3 rolls back to PRP checkpoint",
+	} {
+		if n := strings.Count(res.Diagram, s); n != 1 {
+			t.Errorf("diagram has %d lines %q, want 1", n, s)
+		}
+	}
 }
 
 func TestTraceRenderShapes(t *testing.T) {

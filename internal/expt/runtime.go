@@ -3,7 +3,6 @@ package expt
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"recoveryblocks/internal/core"
 	"recoveryblocks/internal/trace"
@@ -31,9 +30,9 @@ func (r *TraceResult) Format() string {
 	fmt.Fprintf(&b, "recoveries: %d   messages purged: %d   domino-to-start: %d\n",
 		r.Metrics.Recoveries, r.Metrics.MessagesPurged, r.Metrics.DominoToStart)
 	for i, ps := range r.Metrics.Procs {
-		fmt.Fprintf(&b, "P%d: work %d (discarded %d), RPs %d, PRPs %d, conv %d, rollbacks %d, AT failures %d, conv wait %v\n",
+		fmt.Fprintf(&b, "P%d: work %d (discarded %d), RPs %d, PRPs %d, conv %d, rollbacks %d, AT failures %d, conv wait %d\n",
 			i+1, ps.WorkDone, ps.WorkDiscarded, ps.RPsSaved, ps.PRPsSaved,
-			ps.ConversationsSaved, ps.Rollbacks, ps.ATFailures, ps.ConversationWait.Round(time.Microsecond))
+			ps.ConversationsSaved, ps.Rollbacks, ps.ATFailures, ps.ConversationWait)
 	}
 	return b.String()
 }
@@ -104,7 +103,6 @@ func Figure1Domino(seed int64) (*TraceResult, error) {
 		Seed:     seed,
 		ATs:      at,
 		Trace:    true,
-		Timeout:  20 * time.Second,
 	}, progs, states)
 	if err != nil {
 		return nil, err
@@ -149,7 +147,6 @@ func Figure7SyncTrace(seed int64) (*TraceResult, error) {
 		Strategy: core.StrategyAsync,
 		Seed:     seed,
 		Trace:    true,
-		Timeout:  20 * time.Second,
 	}, progs, states)
 	if err != nil {
 		return nil, err
@@ -199,7 +196,6 @@ func Figure8PRPTrace(seed int64) (*TraceResult, error) {
 		Seed:     seed,
 		Faults:   faults,
 		Trace:    true,
-		Timeout:  20 * time.Second,
 	}, progs, states)
 	if err != nil {
 		return nil, err

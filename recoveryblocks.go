@@ -5,8 +5,9 @@
 // It provides three layers:
 //
 //   - An executable runtime (System, Process programs built with Builder)
-//     that runs cooperating concurrent processes — one goroutine each —
-//     under recovery blocks with acceptance tests and alternates, in the
+//     that runs cooperating concurrent processes — stepped in a fixed
+//     round-robin order, so every run repeats exactly — under recovery
+//     blocks with acceptance tests and alternates, in the
 //     three organizations the paper analyzes: asynchronous recovery blocks
 //     (rollback propagation and the domino effect), synchronized recovery
 //     blocks (conversations at test lines), and pseudo recovery points
