@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 
 	"recoveryblocks/internal/dist"
 	"recoveryblocks/internal/guard"
@@ -260,6 +261,12 @@ func analyzeScenario(sc scenario.Scenario, opt Options, crit float64) (ScenarioS
 		}
 		marginSum := 0.0
 		for d := 0; d < opt.Draws; d++ {
+			// Yield once per draw so the GC's mark worker gets a turn. The
+			// pool keeps every P busy with pricing that allocates hundreds
+			// of MiB/s; without the yield a mark stretches over 15–20 ms,
+			// everything allocated meanwhile counts as live, and the next
+			// heap goal, and with it peak RSS, ratchets up.
+			runtime.Gosched()
 			rng := dist.Substream(sc.Seed+chaosSeedOffset, si*opt.Draws+d)
 			perturbed := stack.Apply(sc, rng)
 			adv, err := scenario.AdviseCtx(drawCtx, perturbed)

@@ -127,6 +127,35 @@ func TestLUSolveRandomResidual(t *testing.T) {
 	}
 }
 
+// TestFactorInPlace: Factor overwrites its argument with the factors, while
+// SolveLinear and Inverse leave theirs intact.
+func TestFactorInPlace(t *testing.T) {
+	a := NewMatrix(2, 2)
+	a.Set(0, 0, 1)
+	a.Set(0, 1, 2)
+	a.Set(1, 0, 3)
+	a.Set(1, 1, 4)
+	keep := a.Clone()
+	if _, err := SolveLinear(a, []float64{1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Inverse(a); err != nil {
+		t.Fatal(err)
+	}
+	for i := range a.Data {
+		if a.Data[i] != keep.Data[i] {
+			t.Fatalf("SolveLinear or Inverse modified its argument: %v, want %v", a.Data, keep.Data)
+		}
+	}
+	f, err := Factor(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.lu != a {
+		t.Fatal("Factor copied its argument instead of factoring it in place")
+	}
+}
+
 func TestLUSingular(t *testing.T) {
 	a := NewMatrix(2, 2)
 	a.Set(0, 0, 1)

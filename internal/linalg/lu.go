@@ -17,14 +17,15 @@ type LU struct {
 	n   int
 }
 
-// Factor computes the LU factorization of the square matrix a.
-// a is not modified.
+// Factor computes the LU factorization of the square matrix a in place:
+// a's storage becomes the factors, so a must not be used afterwards. Clone
+// it first to keep it.
 func Factor(a *Matrix) (*LU, error) {
 	if a.Rows != a.Cols {
 		return nil, errors.New("linalg: Factor requires a square matrix")
 	}
 	n := a.Rows
-	lu := a.Clone()
+	lu := a
 	piv := make([]int, n)
 	for i := range piv {
 		piv[i] = i
@@ -124,17 +125,18 @@ func (f *LU) SolveMatrix(b *Matrix) (*Matrix, error) {
 }
 
 // SolveLinear is a convenience wrapper: factor a and solve a·x = b.
+// a is not modified.
 func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
-	f, err := Factor(a)
+	f, err := Factor(a.Clone())
 	if err != nil {
 		return nil, err
 	}
 	return f.Solve(b)
 }
 
-// Inverse returns A⁻¹ via LU factorization.
+// Inverse returns A⁻¹ via LU factorization. a is not modified.
 func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factor(a)
+	f, err := Factor(a.Clone())
 	if err != nil {
 		return nil, err
 	}

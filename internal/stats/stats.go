@@ -256,35 +256,78 @@ func KSCritical95(n int) float64 {
 // ErrNoConverge is returned when adaptive quadrature hits its depth limit.
 var ErrNoConverge = errors.New("stats: quadrature failed to converge")
 
-// IntegrateSimpson computes ∫_a^b f(t) dt with adaptive Simpson quadrature to
-// absolute tolerance tol.
-func IntegrateSimpson(f func(float64) float64, a, b, tol float64) (float64, error) {
-	fa, fb := f(a), f(b)
-	m := (a + b) / 2
-	fm := f(m)
-	whole := simpson(a, b, fa, fm, fb)
-	v, err := adaptiveSimpson(f, a, b, fa, fm, fb, whole, tol, 50)
-	return v, err
+// The embedded Gauss–Kronrod pair G7/K15 on [−1, 1] (QUADPACK's qk15):
+// gkNodes[j] are the Kronrod abscissae ±x_j, the odd indices and the centre
+// being the 7-point Gauss nodes; gkWeights are the K15 weights and
+// gaussWeights the G7 weights of nodes gkNodes[1], [3], [5] and the centre.
+var (
+	gkNodes = [8]float64{
+		0.991455371120812639206854697526329,
+		0.949107912342758524526189684047851,
+		0.864864423359769072789712788640926,
+		0.741531185599394439863864773280788,
+		0.586087235467691130294144845693013,
+		0.405845151377397166906606412076961,
+		0.207784955007898467600689403773245,
+		0,
+	}
+	gkWeights = [8]float64{
+		0.022935322010529224963732008058970,
+		0.063092092629978553290700663189204,
+		0.104790010322250183839876322541518,
+		0.140653259715525918745189590510238,
+		0.169004726639267902826583426598550,
+		0.190350578064785409913256402421014,
+		0.204432940075298892414161999234649,
+		0.209482141084727828012999174891714,
+	}
+	gaussWeights = [4]float64{
+		0.129484966168869693270611432679082,
+		0.279705391489276667901467771423780,
+		0.381830050505118944950369775488975,
+		0.417959183673469387755102040816327,
+	}
+)
+
+// gk15 applies the G7/K15 pair to f on [a, b] and returns the K15 value
+// with the error estimate |K15 − G7|.
+func gk15(f func(float64) float64, a, b float64) (k15, errEst float64) {
+	c, h := (a+b)/2, (b-a)/2
+	fc := f(c)
+	k15 = gkWeights[7] * fc
+	g7 := gaussWeights[3] * fc
+	for j := 0; j < 7; j++ {
+		dx := h * gkNodes[j]
+		sum := f(c-dx) + f(c+dx)
+		k15 += gkWeights[j] * sum
+		if j%2 == 1 {
+			g7 += gaussWeights[j/2] * sum
+		}
+	}
+	return k15 * h, math.Abs((k15 - g7) * h)
 }
 
-func simpson(a, b, fa, fm, fb float64) float64 {
-	return (b - a) / 6 * (fa + 4*fm + fb)
+// Integrate computes ∫_a^b f(t) dt with adaptive 15-point Gauss–Kronrod
+// quadrature. A panel is accepted when |K15 − G7|, an upper estimate of the
+// error of the K15 value it returns, is within the panel's share of tol, or
+// below the roundoff floor 50·ε·|K15| past which bisection cannot help
+// (QUADPACK's rule); otherwise it is bisected, each half getting half the
+// tolerance.
+func Integrate(f func(float64) float64, a, b, tol float64) (float64, error) {
+	return adaptiveGK(f, a, b, tol, 50)
 }
 
-func adaptiveSimpson(f func(float64) float64, a, b, fa, fm, fb, whole, tol float64, depth int) (float64, error) {
-	m := (a + b) / 2
-	lm, rm := (a+m)/2, (m+b)/2
-	flm, frm := f(lm), f(rm)
-	left := simpson(a, m, fa, flm, fm)
-	right := simpson(m, b, fm, frm, fb)
-	if math.Abs(left+right-whole) <= 15*tol {
-		return left + right + (left+right-whole)/15, nil
+func adaptiveGK(f func(float64) float64, a, b, tol float64, depth int) (float64, error) {
+	v, e := gk15(f, a, b)
+	if e <= tol || e <= 50*0x1p-52*math.Abs(v) {
+		return v, nil
 	}
 	if depth <= 0 {
-		return left + right, ErrNoConverge
+		return v, ErrNoConverge
 	}
-	l, errL := adaptiveSimpson(f, a, m, fa, flm, fm, left, tol/2, depth-1)
-	r, errR := adaptiveSimpson(f, m, b, fm, frm, fb, right, tol/2, depth-1)
+	m := (a + b) / 2
+	l, errL := adaptiveGK(f, a, m, tol/2, depth-1)
+	r, errR := adaptiveGK(f, m, b, tol/2, depth-1)
 	if errL != nil {
 		return l + r, errL
 	}
@@ -292,8 +335,12 @@ func adaptiveSimpson(f func(float64) float64, a, b, fa, fm, fb, whole, tol float
 }
 
 // IntegrateToInf computes ∫_a^∞ f(t) dt for an integrand with (at least)
-// exponentially decaying tail by marching fixed-width panels until the last
-// panel's contribution is below tol.
+// exponentially decaying tail by marching fixed-width panels, each
+// integrated by Integrate to tol/10, until a panel after the third
+// contributes less than tol. Each panel's quadrature error is bounded by
+// its Gauss–Kronrod estimate; the unmarched tail beyond the last panel is
+// not, and for the survival functions integrated here it dominates the
+// total error.
 func IntegrateToInf(f func(float64) float64, a, panel, tol float64) (float64, error) {
 	if panel <= 0 {
 		return 0, errors.New("stats: panel width must be positive")
@@ -301,7 +348,7 @@ func IntegrateToInf(f func(float64) float64, a, panel, tol float64) (float64, er
 	total := 0.0
 	lo := a
 	for i := 0; i < 100000; i++ {
-		v, err := IntegrateSimpson(f, lo, lo+panel, tol/10)
+		v, err := Integrate(f, lo, lo+panel, tol/10)
 		if err != nil {
 			return total, err
 		}

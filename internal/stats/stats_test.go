@@ -171,9 +171,8 @@ func TestKSWrongDistributionRejected(t *testing.T) {
 	}
 }
 
-func TestIntegrateSimpsonPolynomial(t *testing.T) {
-	// Simpson is exact for cubics.
-	v, err := IntegrateSimpson(func(x float64) float64 { return x*x*x - 2*x + 1 }, 0, 2, 1e-12)
+func TestIntegratePolynomial(t *testing.T) {
+	v, err := Integrate(func(x float64) float64 { return x*x*x - 2*x + 1 }, 0, 2, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,13 +182,57 @@ func TestIntegrateSimpsonPolynomial(t *testing.T) {
 	}
 }
 
-func TestIntegrateSimpsonOscillatory(t *testing.T) {
-	v, err := IntegrateSimpson(math.Sin, 0, math.Pi, 1e-10)
+func TestIntegrateOscillatory(t *testing.T) {
+	v, err := Integrate(math.Sin, 0, math.Pi, 1e-10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(v-2) > 1e-8 {
 		t.Fatalf("∫sin = %v, want 2", v)
+	}
+}
+
+// TestGK15Exactness pins the node and weight tables: K15 integrates
+// polynomials exactly through degree 22 and G7 through degree 13, so the
+// error estimate vanishes up to degree 13 and not at degree 14.
+func TestGK15Exactness(t *testing.T) {
+	for deg := 0; deg <= 22; deg++ {
+		d := float64(deg)
+		k15, e := gk15(func(x float64) float64 { return math.Pow(x, d) }, 0, 1)
+		if want := 1 / (d + 1); math.Abs(k15-want) > 1e-15 {
+			t.Errorf("K15 ∫₀¹ x^%d = %v, want %v", deg, k15, want)
+		}
+		if deg <= 13 && e > 1e-15 {
+			t.Errorf("|K15 − G7| on x^%d = %v, want 0 (G7 is exact there)", deg, e)
+		}
+		if deg == 14 && e < 1e-9 {
+			t.Errorf("|K15 − G7| on x^14 = %v, want the G7 error", e)
+		}
+	}
+}
+
+// TestIntegrateRoundoffFloor: a panel whose tolerance lies below what
+// float64 can resolve is accepted at the roundoff floor instead of being
+// bisected to the depth limit.
+func TestIntegrateRoundoffFloor(t *testing.T) {
+	const budget = 15 * 200
+	calls := 0
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatal(r)
+		}
+	}()
+	v, err := Integrate(func(x float64) float64 {
+		if calls++; calls > budget {
+			panic("more than 3000 evaluations: the roundoff floor did not stop bisection")
+		}
+		return math.Exp(-x)
+	}, 0, 40, 1e-30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := -math.Expm1(-40); math.Abs(v-want) > 1e-14 {
+		t.Fatalf("∫e^-x = %v, want %v", v, want)
 	}
 }
 

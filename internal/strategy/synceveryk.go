@@ -83,8 +83,12 @@ func maxErlangCDF(k int, mu []float64, t float64) float64 {
 // meanMaxErlang returns E[Z_k] = E[max_i Erlang(k, μ_i)] by integrating the
 // survival function, ∫₀^∞ (1 − Π_i F_{Erlang(k,μ_i)}(t)) dt — the same route
 // as synch.MeanMaxIntegral, with the Erlang CDFs in place of the
-// exponentials. Accuracy is the integrator's 1e-10, far below every
-// statistical tolerance it is compared under.
+// exponentials. stats.IntegrateToInf runs the adaptive G7/K15
+// Gauss–Kronrod rule on each panel to an estimated error |K15 − G7| within
+// 1e-11 and stops once a panel contributes below 1e-10. The unmarched tail
+// dominates the total error: within 2e-11 of the inclusion–exclusion closed
+// form (1e-11 from k = 2), far below every statistical tolerance it is
+// compared under.
 func meanMaxErlang(k int, mu []float64) (float64, error) {
 	slowest := mu[0]
 	for _, m := range mu {

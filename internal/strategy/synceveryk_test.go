@@ -2,8 +2,11 @@ package strategy
 
 import (
 	"math"
+	"math/bits"
+	"math/rand"
 	"testing"
 
+	"recoveryblocks/internal/stats"
 	"recoveryblocks/internal/synch"
 )
 
@@ -84,6 +87,128 @@ func TestMeanMaxErlangClosedForms(t *testing.T) {
 			t.Fatalf("E[Z_%d] = %v below slowest mean %v", k, ez, floor)
 		}
 		prev = ez
+	}
+}
+
+// exactMeanMaxErlang is the closed form of E[max_i Erlang(k, μ_i)] by
+// inclusion–exclusion over the nonempty subsets S: E[max] = Σ_S (−1)^{|S|+1}
+// E[min_{i∈S}], where the survival function of the minimum is
+// Π_{i∈S} e^{−μ_i t}·P_i(t) with P_i(t) = Σ_{j<k} (μ_i t)^j/j!, a polynomial
+// times e^{−M t} (M = Σ_{i∈S} μ_i) integrated term by term as
+// ∫ t^m e^{−M t} dt = m!/M^{m+1}.
+func exactMeanMaxErlang(k int, mu []float64) float64 {
+	total := 0.0
+	for s := 1; s < 1<<len(mu); s++ {
+		poly := []float64{1} // coefficients of t^m in Π_{i∈S} P_i(t)
+		rate := 0.0
+		for i, m := range mu {
+			if s&(1<<i) == 0 {
+				continue
+			}
+			rate += m
+			next := make([]float64, len(poly)+k-1)
+			c := 1.0 // μ^j/j!
+			for j := 0; j < k; j++ {
+				if j > 0 {
+					c *= m / float64(j)
+				}
+				for a, p := range poly {
+					next[a+j] += p * c
+				}
+			}
+			poly = next
+		}
+		term, moment := 0.0, 1/rate // moment = m!/M^{m+1}
+		for m, c := range poly {
+			if m > 0 {
+				moment *= float64(m) / rate
+			}
+			term += c * moment
+		}
+		if bits.OnesCount(uint(s))%2 == 1 {
+			total += term
+		} else {
+			total -= term
+		}
+	}
+	return total
+}
+
+// meanMaxErlangTol is the absolute accuracy meanMaxErlang holds against the
+// closed form. At k = 1 the panel march stops once a panel (two slowest
+// means wide) contributes below 1e-10, and the survival function decays by
+// e⁻² per panel, so the unmarched tail is up to 1e-10·e⁻²/(1−e⁻²) ≈ 1.6e-11;
+// from k = 2 it decays much faster and the quadrature itself is the bound.
+func meanMaxErlangTol(k int) float64 {
+	if k == 1 {
+		return 2e-11
+	}
+	return 1e-11
+}
+
+// TestMeanMaxErlangExact checks the Gauss–Kronrod route against the
+// inclusion–exclusion closed form on random rates, n ≤ 6 and k ≤ 8.
+func TestMeanMaxErlangExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		n, k := 1+rng.Intn(6), 1+rng.Intn(8)
+		mu := make([]float64, n)
+		for i := range mu {
+			mu[i] = 0.2 + 2.8*rng.Float64()
+		}
+		got, err := meanMaxErlang(k, mu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := exactMeanMaxErlang(k, mu); math.Abs(got-want) > meanMaxErlangTol(k) {
+			t.Fatalf("k=%d μ=%v: integral %v vs closed form %v (error %.3g)", k, mu, got, want, math.Abs(got-want))
+		}
+	}
+}
+
+// TestMeanMaxErlangEvaluationBudget bounds how often the commit-phase
+// integral evaluates its integrand (n exponentials each): at most 400 times
+// on the chaos corpus's shapes (n = 2..5, k = 1..4, rates 0.2..5) and 1 000
+// at k = 512 up to n = 24. It replays meanMaxErlang's own call with a
+// counting integrand and first checks the replay returns the same bits.
+func TestMeanMaxErlangEvaluationBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	check := func(k int, mu []float64, budget int) {
+		t.Helper()
+		slowest := mu[0]
+		for _, m := range mu {
+			slowest = math.Min(slowest, m)
+		}
+		calls := 0
+		got, err := stats.IntegrateToInf(func(t float64) float64 {
+			calls++
+			return 1 - maxErlangCDF(k, mu, t)
+		}, 0, 2*float64(k)/slowest, 1e-10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := meanMaxErlang(k, mu); got != want {
+			t.Fatalf("replay %v differs from meanMaxErlang %v: update the replay", got, want)
+		}
+		if calls > budget {
+			t.Errorf("k=%d n=%d: %d integrand evaluations, budget %d", k, len(mu), calls, budget)
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		n, k := 2+rng.Intn(4), 1+rng.Intn(4)
+		base := 0.5 + 2*rng.Float64()
+		mu := make([]float64, n)
+		for i := range mu {
+			mu[i] = base * (0.4 + 1.6*rng.Float64())
+		}
+		check(k, mu, 400)
+	}
+	for n := 2; n <= 24; n += 2 {
+		mu := make([]float64, n)
+		for i := range mu {
+			mu[i] = 0.5 + 2*rng.Float64()
+		}
+		check(512, mu, 1000)
 	}
 }
 

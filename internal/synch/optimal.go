@@ -41,18 +41,19 @@ func OverheadRate(mu []float64, tau, theta float64) (float64, error) {
 	if theta < 0 || math.IsNaN(theta) || math.IsInf(theta, 0) {
 		return 0, guard.Numericalf("synch: theta %v must be nonnegative and finite", theta)
 	}
-	n := float64(len(mu))
-	cl, err := MeanLoss(mu)
-	if err != nil {
-		return 0, err
-	}
 	ez, err := MeanMax(mu)
 	if err != nil {
 		return 0, err
 	}
+	return overheadRate(float64(len(mu)), meanLossFrom(mu, ez), ez, tau, theta), nil
+}
+
+// overheadRate is the overhead expression for n processes given E[CL] and
+// E[Z], neither of which depends on τ.
+func overheadRate(n, cl, ez, tau, theta float64) float64 {
 	cycle := tau + ez
 	lost := cl + theta*cycle*n*tau/2
-	return lost / (n * cycle), nil
+	return lost / (n * cycle)
 }
 
 // OptimalInterval returns the synchronization request interval minimizing
@@ -66,18 +67,16 @@ func OptimalInterval(mu []float64, theta float64) (tau, overhead float64, err er
 	if theta <= 0 || math.IsNaN(theta) || math.IsInf(theta, 0) {
 		return 0, 0, errors.New("synch: theta must be positive and finite (otherwise never synchronize)")
 	}
-	cost := func(t float64) float64 {
-		v, cerr := OverheadRate(mu, t, theta)
-		if cerr != nil {
-			return math.Inf(1)
-		}
-		return v
-	}
-	// Bracket: the optimum scales like sqrt(CL/θ); search a generous span.
-	cl, err := MeanLoss(mu)
+	// E[Z] and E[CL] are computed once: the search probes τ about 65 times
+	// and each 2ⁿ-subset MeanMax would otherwise be recomputed per probe.
+	ez, err := MeanMax(mu)
 	if err != nil {
 		return 0, 0, err
 	}
+	cl := meanLossFrom(mu, ez)
+	n := float64(len(mu))
+	cost := func(t float64) float64 { return overheadRate(n, cl, ez, t, theta) }
+	// Bracket: the optimum scales like sqrt(CL/θ); search a generous span.
 	scale := math.Sqrt((cl + 1e-9) / theta)
 	lo, hi := scale/1000, scale*1000
 	const phi = 0.6180339887498949

@@ -108,11 +108,16 @@ func MeanLoss(mu []float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return meanLossFrom(mu, ez), nil
+}
+
+// meanLossFrom returns E[CL] = n·E[Z] − Σ 1/μ_i given E[Z].
+func meanLossFrom(mu []float64, ez float64) float64 {
 	loss := float64(len(mu)) * ez
 	for _, m := range mu {
 		loss -= 1 / m
 	}
-	return loss, nil
+	return loss
 }
 
 // MeanLossIntegral is MeanLoss computed via the integral form of E[Z].
