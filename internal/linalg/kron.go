@@ -40,8 +40,10 @@ type KronOp struct {
 	fixups   []fixupTerm
 
 	// Scratch for the exchange sweeps (first- and second-order down-shift
-	// accumulators), allocated on first use and reused across applications.
-	shiftA, shiftB []float64
+	// accumulators) and their per-popcount weights, allocated on first use
+	// and reused across applications.
+	shiftA, shiftB    []float64
+	exW1, exW1T, exW0 []float64
 }
 
 type pairTerm struct {
@@ -155,6 +157,15 @@ func (op *KronOp) scratch() (a, b []float64) {
 	if op.shiftA == nil {
 		op.shiftA = make([]float64, op.dim)
 		op.shiftB = make([]float64, op.dim)
+		n := op.bits
+		op.exW1 = make([]float64, n+1)
+		op.exW1T = make([]float64, n+1)
+		op.exW0 = make([]float64, n+1)
+		for u := 0; u <= n; u++ {
+			op.exW1[u] = float64(n - u)
+			op.exW1T[u] = float64(n - u - 1)
+			op.exW0[u] = float64(u*(u-1)/2 + u*(n-u))
+		}
 	}
 	return op.shiftA, op.shiftB
 }
@@ -343,22 +354,14 @@ func (op *KronOp) fusedSweep(dst, shA, shB, x []float64, step int, k [4]float64,
 // (the (n−u−1) weight is diag(n−u) commuted past U: every up-neighbor of s
 // has u+1 bits set).
 func (op *KronOp) exchangeCombine(dst, x, shA, shB []float64, trans bool) {
-	n := op.bits
 	rate := op.exchange
-	// Per-popcount weights, tabulated once per application.
-	w1 := make([]float64, n+1)
-	w0 := make([]float64, n+1)
-	for u := 0; u <= n; u++ {
-		if trans {
-			w1[u] = float64(n - u - 1)
-		} else {
-			w1[u] = float64(n - u)
-		}
-		w0[u] = float64(u*(u-1)/2 + u*(n-u))
+	w1 := op.exW1
+	if trans {
+		w1 = op.exW1T
 	}
 	for s := range dst {
 		u := bits.OnesCount32(uint32(s))
-		dst[s] += rate * (shB[s] + w1[u]*shA[s] - w0[u]*x[s])
+		dst[s] += rate * (shB[s] + w1[u]*shA[s] - op.exW0[u]*x[s])
 	}
 }
 
@@ -392,8 +395,8 @@ func (op *KronOp) pairSweep(dst, x []float64, p *pairTerm, trans bool) {
 	}
 }
 
-// DiagInto writes the operator's diagonal into dst — the Jacobi scaling the
-// Krylov preconditioners start from. O(n·2^n), run once per operator build.
+// DiagInto writes the operator's diagonal into dst — the D of the Krylov
+// preconditioners' splittings. O(n·2^n), run once per operator build.
 func (op *KronOp) DiagInto(dst []float64) {
 	if len(dst) != op.dim {
 		panic("linalg: KronOp DiagInto dimension mismatch")

@@ -73,10 +73,19 @@ func swapRows(m *Matrix, a, b int) {
 
 // Solve returns x with A·x = b for the factored A. b is not modified.
 func (f *LU) Solve(b []float64) ([]float64, error) {
-	if len(b) != f.n {
-		return nil, errors.New("linalg: Solve dimension mismatch")
-	}
 	x := make([]float64, f.n)
+	if err := f.SolveInto(x, b); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// SolveInto writes the solution of A·x = b into x without allocating. x and
+// b must not alias; b is not modified.
+func (f *LU) SolveInto(x, b []float64) error {
+	if len(b) != f.n || len(x) != f.n {
+		return errors.New("linalg: Solve dimension mismatch")
+	}
 	// Apply the row permutation.
 	for i := 0; i < f.n; i++ {
 		x[i] = b[f.piv[i]]
@@ -99,7 +108,7 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 		}
 		x[i] = s / row[i]
 	}
-	return x, nil
+	return nil
 }
 
 // SolveMatrix solves A·X = B column by column and returns X.

@@ -12,7 +12,7 @@ import (
 // markov.SparseCutoff, so every solve is a dense LU. Above it the model
 // lumps onto orbit counts when the rates allow, or runs the matrix-free
 // Kronecker engine, which already beats the enumerated CSR route from n = 8
-// (moment pair at n = 16 on a distinct-rate ramp: about 0.35 s against
+// (moment pair at n = 16 on a distinct-rate ramp: about 0.32 s against
 // 4.4–4.7 s with the chain's build, on a 2-vCPU Xeon).
 const MaxEnumeratedProcesses = 7
 

@@ -112,22 +112,48 @@ func uniformPairRate(p Params) (float64, bool) {
 }
 
 // kronPrecond is the two-level additive preconditioner of the Krylov rungs:
-// Jacobi (the operator's diagonal, assembled once by DiagInto) plus a coarse
-// correction on the popcount-level aggregation of the cube. The Galerkin
-// coarse operator Ac[u][v] = Σ_{|s|=u} Σ_{|t|=v} Q_T[s][t] never needs the
-// matrix: every level-to-level rate sum has a closed binomial form because
-// the count of vertices at level u containing a fixed bit pattern is
-// independent of which rates sit on it.
+// an exact Gauss–Seidel solve with D + U plus a coarse correction on the
+// popcount-level aggregation of the cube.
+//
+// The fine level is the Gauss–Seidel splitting Q_T = (D + U) + L in natural
+// index order: D is the operator's diagonal (assembled once by DiagInto), U
+// its strictly upper part and L its strictly lower part. Rule R1 sets one bit,
+// so every raising edge s → s|1<<i runs to a larger index. Rules R2 and R3
+// only clear bits, so every interaction edge runs to a smaller one. Hence U is
+// exactly the R1 raising part μ_i·e_s·e_{s|1<<i}ᵀ, less the n edges into the
+// all-ones entry state that the boundary fixups turn into absorption, and
+// (D + U)⁻¹ is one matrix-free pass over the cube with every superset solved
+// before its subsets: descending s for D + U, ascending for its transpose.
+// Each pass costs O(n·2^n) and writes only its output vector. Only that
+// order matters, so the entries of one popcount level are independent of
+// each other.
+//
+// The coarse level carries the interaction flow between popcount levels that
+// D + U leaves out: without it the Krylov iterations stop on the same
+// residual with a forward error that grows with ρ (2.6e-6 relative in E[X]
+// at n = 12, ρ = 8, against 8e-8 with it). The Galerkin coarse operator
+// Ac[u][v] = Σ_{|s|=u} Σ_{|t|=v} Q_T[s][t] never needs the matrix: every
+// level-to-level rate sum has a closed binomial form because the count of
+// vertices at level u containing a fixed bit pattern is independent of which
+// rates sit on it.
 type kronPrecond struct {
 	diag    []float64
-	nlev    int
+	mu      []float64
 	lu, luT *linalg.LU
+	// rc and ec are the coarse restriction and correction, reused by every
+	// application.
+	rc, ec []float64
 }
 
 func newKronPrecond(op *linalg.KronOp, p Params) *kronPrecond {
-	kp := &kronPrecond{diag: make([]float64, op.Dim()), nlev: p.N() + 1}
-	op.DiagInto(kp.diag)
 	n := p.N()
+	kp := &kronPrecond{
+		diag: make([]float64, op.Dim()),
+		mu:   append([]float64(nil), p.Mu...),
+		rc:   make([]float64, n+1),
+		ec:   make([]float64, n+1),
+	}
+	op.DiagInto(kp.diag)
 	sumMu := p.SumMu()
 	lamPairs := p.SumLambdaPairs()
 	ac := linalg.NewMatrix(n+1, n+1)
@@ -159,7 +185,8 @@ func newKronPrecond(op *linalg.KronOp, p Params) *kronPrecond {
 		}
 	}
 	// A singular factorization only arises from non-finite rates; the engine
-	// then runs on Jacobi alone and the acceptance test judges the result.
+	// then runs on Gauss–Seidel alone and the acceptance test judges the
+	// result.
 	if lu, err := linalg.Factor(ac); err == nil {
 		kp.lu = lu
 	}
@@ -185,31 +212,71 @@ func choose(n, k int) float64 {
 	return c
 }
 
-func (kp *kronPrecond) forward(dst, src []float64)    { kp.apply(dst, src, kp.lu) }
-func (kp *kronPrecond) transposed(dst, src []float64) { kp.apply(dst, src, kp.luT) }
+// forward computes dst = (D + U)⁻¹·src + P·Ac⁻¹·R·src: the additive
+// two-level sweep. The coarse restriction R sums each popcount level; the
+// prolongation P injects the level correction back to every vertex of the
+// level.
+func (kp *kronPrecond) forward(dst, src []float64) {
+	kp.sweep(dst, src)
+	kp.coarse(dst, src, kp.lu)
+}
 
-// apply computes dst = D⁻¹·src + P·Ac⁻¹·R·src: the additive two-level sweep.
-// The coarse restriction R sums each popcount level; the prolongation P
-// injects the level correction back to every vertex of the level. (Restricting
-// the transposed system uses Acᵀ, since the level aggregation is symmetric:
-// R·Q_Tᵀ·P = (R·Q_T·P)ᵀ.)
-func (kp *kronPrecond) apply(dst, src []float64, lu *linalg.LU) {
-	if lu == nil {
-		for s, v := range src {
-			dst[s] = v / kp.diag[s]
+// transposed computes dst = (D + U)⁻ᵀ·src + P·Ac⁻ᵀ·R·src. Restricting the
+// transposed system uses Acᵀ, since the level aggregation is symmetric:
+// R·Q_Tᵀ·P = (R·Q_T·P)ᵀ.
+func (kp *kronPrecond) transposed(dst, src []float64) {
+	kp.sweepT(dst, src)
+	kp.coarse(dst, src, kp.luT)
+}
+
+// sweep solves (D + U)·y = r into y, s descending:
+// y[s] = (r[s] − Σ_{i∉s} μ_i·y[s|1<<i]) / D[s]. A vertex one bit short of
+// all-ones (and all-ones itself) has no raising edge left in U.
+func (kp *kronPrecond) sweep(y, r []float64) {
+	ones := len(r) - 1
+	for s := ones; s >= 0; s-- {
+		v := r[s]
+		if z := ones &^ s; z&(z-1) != 0 {
+			for ; z != 0; z &= z - 1 {
+				i := bits.TrailingZeros(uint(z))
+				v -= kp.mu[i] * y[s|1<<i]
+			}
 		}
+		y[s] = v / kp.diag[s]
+	}
+}
+
+// sweepT solves (D + U)ᵀ·y = r into y, s ascending:
+// y[s] = (r[s] − Σ_{i∈s} μ_i·y[s&^(1<<i)]) / D[s]. All-ones receives no
+// edge of U.
+func (kp *kronPrecond) sweepT(y, r []float64) {
+	ones := len(r) - 1
+	for s := 0; s < ones; s++ {
+		v := r[s]
+		for b := s; b != 0; b &= b - 1 {
+			i := bits.TrailingZeros(uint(b))
+			v -= kp.mu[i] * y[s&^(1<<i)]
+		}
+		y[s] = v / kp.diag[s]
+	}
+	y[ones] = r[ones] / kp.diag[ones]
+}
+
+// coarse adds P·Ac⁻¹·R·src to dst, with lu factoring Ac or Acᵀ.
+func (kp *kronPrecond) coarse(dst, src []float64, lu *linalg.LU) {
+	if lu == nil {
 		return
 	}
-	rc := make([]float64, kp.nlev)
-	for s, v := range src {
-		dst[s] = v / kp.diag[s]
-		rc[bits.OnesCount(uint(s))] += v
+	for u := range kp.rc {
+		kp.rc[u] = 0
 	}
-	ec, err := lu.Solve(rc)
-	if err != nil {
+	for s, v := range src {
+		kp.rc[bits.OnesCount(uint(s))] += v
+	}
+	if lu.SolveInto(kp.ec, kp.rc) != nil {
 		return
 	}
 	for s := range dst {
-		dst[s] += ec[bits.OnesCount(uint(s))]
+		dst[s] += kp.ec[bits.OnesCount(uint(s))]
 	}
 }

@@ -58,12 +58,16 @@ func TestExactWallMomentsStayOnPrimary(t *testing.T) {
 // TestKronMomentMatvecsPinned pins the operator applications and the answer
 // of one moment pair on the primary rung, acceptance residuals included. The
 // GMRES(40) rung this replaced took 86 applications here, but each of them
-// paid a Gram–Schmidt sweep over up to 41 basis vectors.
+// paid a Gram–Schmidt sweep over up to 41 basis vectors; under the Jacobi
+// fine level BiCGSTAB took 100. The enumerated chain gives
+// (45.527911392830198, 13002.299813325539): the pinned pair lies 2.6e-10 and
+// 5.2e-10 relative from it, the Jacobi-preconditioned one 2.7e-10 and
+// 5.5e-10.
 func TestKronMomentMatvecsPinned(t *testing.T) {
 	const (
-		wantMatvecs = 100
-		wantM1      = 45.527911405001944
-		wantM2      = 13002.299820414546
+		wantMatvecs = 64
+		wantM1      = 45.527911404716797
+		wantM2      = 13002.299820072101
 	)
 	reg := obs.Enable()
 	defer obs.Disable()

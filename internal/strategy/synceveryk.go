@@ -119,13 +119,23 @@ func meanLossEveryK(k int, mu []float64, ezk float64) float64 {
 // recovery point; the k-th is the test line), the commitment waits E[CL_k],
 // and the same mid-cycle rollback approximation as the sync strategy — an
 // error discards the uncommitted asynchronous work since the last line,
-// τ/2 per process on average — so k = 1 reproduces the sync strategy's
-// metrics exactly.
+// τ/2 per process on average. At k = 1 the discipline is the sync strategy,
+// so it returns that strategy's metrics relabelled: E[Z_1] then comes from
+// the closed form synch.MeanMax rather than the numerical integral, and the
+// advisor never ranks the two by integration error.
 func (s everyKStrategy) Price(w Workload) (Metrics, error) {
 	if err := s.Validate(w); err != nil {
 		return Metrics{}, err
 	}
 	k := w.ResolveEveryK()
+	if k == 1 {
+		m, err := syncStrategy{}.Price(w)
+		if err != nil {
+			return Metrics{}, err
+		}
+		m.Strategy, m.EveryK = SyncEveryK, 1
+		return m, nil
+	}
 	ezk, err := meanMaxErlang(k, w.Mu)
 	if err != nil {
 		return Metrics{}, err

@@ -12,39 +12,44 @@ import (
 
 // TestEveryKDegeneratesToSyncAtK1 is the acceptance identity of the fourth
 // discipline: at k = 1 the Erlang commit phase is the exponential residual of
-// the paper's Section 3, so the advisor metrics must reproduce the sync
-// strategy's to numeric-integration accuracy, on an asymmetric workload.
+// the paper's Section 3, so the advisor metrics must be the sync strategy's
+// bit for bit, apart from the strategy name and the block period, on random
+// workloads with and without a deadline and an optimal interval.
 func TestEveryKDegeneratesToSyncAtK1(t *testing.T) {
-	w := testWorkload()
-	w.EveryK = 1
 	syncSt, _ := Lookup(Sync)
 	everySt, _ := Lookup(SyncEveryK)
-	ms, err := syncSt.Price(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk, err := everySt.Price(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		name       string
-		sync, kone float64
-	}{
-		{"overhead", ms.OverheadRate, mk.OverheadRate},
-		{"checkpoint", ms.CheckpointRate, mk.CheckpointRate},
-		{"syncloss", ms.SyncLossRate, mk.SyncLossRate},
-		{"rollback", ms.RollbackRate, mk.RollbackRate},
-		{"meanRollback", ms.MeanRollback, mk.MeanRollback},
-		{"deadlineMiss", ms.DeadlineMissProb, mk.DeadlineMissProb},
-		{"tau", ms.SyncInterval, mk.SyncInterval},
-	} {
-		if math.Abs(c.sync-c.kone) > 1e-8 {
-			t.Errorf("k=1 %s: sync %v vs every-k %v", c.name, c.sync, c.kone)
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		w := testWorkload()
+		n := 2 + rng.Intn(5)
+		w.Mu = make([]float64, n)
+		for i := range w.Mu {
+			w.Mu[i] = 0.2 + 4.8*rng.Float64()
 		}
-	}
-	if mk.EveryK != 1 {
-		t.Errorf("EveryK metric = %d, want 1", mk.EveryK)
+		w.Lambda = uniformMatrix(n, rng.Float64())
+		w.EveryK = 1
+		w.SyncInterval = 0.1 + 3*rng.Float64()
+		w.ErrorRate = 0.01 + 0.5*rng.Float64()
+		w.OptimalSync = trial%2 == 1
+		w.Deadline = 0
+		if trial%4 < 2 {
+			w.Deadline = 0.5 + 6*rng.Float64()
+		}
+		ms, err := syncSt.Price(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mk, err := everySt.Price(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mk.Strategy != SyncEveryK || mk.EveryK != 1 {
+			t.Fatalf("trial %d: every-k labelled %q with k = %d", trial, mk.Strategy, mk.EveryK)
+		}
+		mk.Strategy, mk.EveryK = ms.Strategy, ms.EveryK
+		if mk != ms {
+			t.Fatalf("trial %d: k = 1 metrics %+v, sync %+v", trial, mk, ms)
+		}
 	}
 }
 
