@@ -34,31 +34,39 @@ func metricsFile(t *testing.T, args ...string) (string, []byte, map[string]json.
 // regression of the observability layer: with -metrics, the report's
 // deterministic section must be byte-identical across worker counts and
 // across same-seed reruns, while stdout stays byte-identical to a
-// metrics-off run. Not parallel: the -metrics flag installs the global
-// metrics registry for the duration of each Run call.
+// metrics-off run. The chaos input pins the per-scenario memo of chain
+// answers: a memo whose hits depended on scheduling, or outlived one sweep
+// (the first run below is the process's first), would move the solve
+// counters. Not parallel: the -metrics flag installs the global metrics
+// registry for the duration of each Run call.
 func TestMetricsDeterministicSectionIsWorkerInvariant(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs a scenario family four times")
+		t.Skip("runs a scenario family and a chaos sweep four times each")
 	}
-	base := []string{"scenario", "-family", "pipeline", "-quick"}
-	off := runOK(t, base...)
+	for _, base := range [][]string{
+		{"scenario", "-family", "pipeline", "-quick"},
+		{"chaos", "-corpus", "12", "-draws", "8"},
+	} {
+		t.Run(base[0], func(t *testing.T) {
+			out1, det1, _ := metricsFile(t, append(base, "-workers", "1")...)
+			off := runOK(t, base...)
+			out4, det4, _ := metricsFile(t, append(base, "-workers", "4")...)
+			out16, det16, _ := metricsFile(t, append(base, "-workers", "16")...)
+			outR, detR, _ := metricsFile(t, append(base, "-workers", "4")...)
 
-	out1, det1, _ := metricsFile(t, append(base, "-workers", "1")...)
-	out4, det4, _ := metricsFile(t, append(base, "-workers", "4")...)
-	out16, det16, _ := metricsFile(t, append(base, "-workers", "16")...)
-	outR, detR, _ := metricsFile(t, append(base, "-workers", "4")...)
-
-	if out1 != off {
-		t.Error("-metrics changed stdout against the metrics-off run")
-	}
-	if out1 != out4 || out4 != out16 || out16 != outR {
-		t.Error("stdout differs across -workers values under -metrics")
-	}
-	if string(det1) != string(det4) || string(det4) != string(det16) {
-		t.Errorf("deterministic metrics differ across worker counts:\n-workers 1: %s\n-workers 16: %s", det1, det16)
-	}
-	if string(det4) != string(detR) {
-		t.Errorf("deterministic metrics differ across same-seed reruns:\nfirst: %s\nrerun: %s", det4, detR)
+			if out1 != off {
+				t.Error("-metrics changed stdout against the metrics-off run")
+			}
+			if out1 != out4 || out4 != out16 || out16 != outR {
+				t.Error("stdout differs across -workers values under -metrics")
+			}
+			if string(det1) != string(det4) || string(det4) != string(det16) {
+				t.Errorf("deterministic metrics differ across worker counts:\n-workers 1: %s\n-workers 16: %s", det1, det16)
+			}
+			if string(det4) != string(detR) {
+				t.Errorf("deterministic metrics differ across same-seed reruns:\nfirst: %s\nrerun: %s", det4, detR)
+			}
+		})
 	}
 }
 

@@ -3,11 +3,13 @@ package chaos
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"recoveryblocks/internal/guard"
 	"recoveryblocks/internal/scenario"
+	"recoveryblocks/internal/strategy"
 )
 
 // TestSolverFaultSweepDegradesEveryDraw is the solver-fault acceptance test:
@@ -58,5 +60,41 @@ func TestRunCancelledContextAborts(t *testing.T) {
 	cancel()
 	if _, err := Run([]scenario.Scenario{stableScenario()}, Options{Ctx: ctx}); !errors.Is(err, guard.ErrBudget) {
 		t.Fatalf("cancelled Run returned %v, want ErrBudget", err)
+	}
+}
+
+// TestMemoKeepsAdviceConfidence runs clean and solver-fault:1 advisements of
+// one scenario through one shared memo, in both orders, and demands each
+// advice equal the advice of the same context without a memo — numbers,
+// Confidence and FallbackRoutes alike. A fault-injected advisement must
+// neither read the clean answers nor leave its fallback answers behind.
+func TestMemoKeepsAdviceConfidence(t *testing.T) {
+	sc := baseScenario()
+	clean := context.Background()
+	faulted := guard.WithFaults(clean, guard.FaultSpec{Depth: 1})
+	advise := func(ctx context.Context) *scenario.Advice {
+		adv, err := scenario.AdviseCtx(ctx, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return adv
+	}
+	wantClean, wantFaulted := advise(clean), advise(faulted)
+	if wantClean.Confidence != scenario.ConfidenceExact || wantFaulted.Confidence == scenario.ConfidenceExact {
+		t.Fatalf("confidences clean %q, faulted %q: the test needs a clean exact advice and a faulted fallback one",
+			wantClean.Confidence, wantFaulted.Confidence)
+	}
+	for _, order := range [][]bool{{false, true, false}, {true, false, true}} {
+		memo := &strategy.Memo{}
+		for i, fault := range order {
+			ctx, ref := clean, wantClean
+			if fault {
+				ctx, ref = faulted, wantFaulted
+			}
+			got := advise(strategy.WithMemo(ctx, memo))
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("order %v, advisement %d (fault %v): advice with the memo\n%+v\nwant\n%+v", order, i, fault, got, ref)
+			}
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"recoveryblocks/internal/obs"
 	"recoveryblocks/internal/scenario"
 	"recoveryblocks/internal/stats"
+	"recoveryblocks/internal/strategy"
 )
 
 // Defaults of the stability analysis. They are deliberate, documented
@@ -74,8 +75,9 @@ type Options struct {
 	// (0 = all CPUs). Results are bit-identical for every value.
 	Workers int
 	// Ctx carries cancellation into the sweep's advisor solves; nil means
-	// context.Background(). Stacks containing solver-fault layers derive
-	// their fault-injected draw contexts from it.
+	// context.Background(). Each scenario's advisements run on it plus that
+	// scenario's own strategy.Memo, and stacks containing solver-fault
+	// layers derive their fault-injected draw contexts from that.
 	Ctx context.Context
 }
 
@@ -222,8 +224,16 @@ func cellFloor(opt Options, stack Stack) float64 {
 // policy installed on the perturbed draws' context only, so clean and
 // perturbed advisements never contaminate each other even though they run on
 // the same pool.
+//
+// One fresh strategy.Memo, shared by the clean advisement and every
+// perturbed draw, lives for the call: a draw that leaves μ, λ and d as they
+// were (error-spike, cost-inflate; burst for E[Z_k]) reuses the clean
+// scenario's chain answers instead of solving again. Fault-injected draws
+// bypass it (see strategy.Memo), and the advisements of one scenario run in
+// order, so which draws hit is fixed by the scenario alone.
 func analyzeScenario(sc scenario.Scenario, opt Options, crit float64) (ScenarioStability, error) {
-	clean, err := scenario.AdviseCtx(opt.Ctx, sc)
+	ctx := strategy.WithMemo(opt.Ctx, &strategy.Memo{})
+	clean, err := scenario.AdviseCtx(ctx, sc)
 	if err != nil {
 		return ScenarioStability{}, err
 	}
@@ -249,9 +259,9 @@ func analyzeScenario(sc scenario.Scenario, opt Options, crit float64) (ScenarioS
 		// Solver-fault layers ride the context, not the scenario: the draw
 		// context forces the first FaultDepth rungs of every guard ladder the
 		// perturbed advisement runs.
-		drawCtx := opt.Ctx
+		drawCtx := ctx
 		if depth := stack.FaultDepth(); depth > 0 {
-			drawCtx = guard.WithFaults(opt.Ctx, guard.FaultSpec{Depth: depth})
+			drawCtx = guard.WithFaults(ctx, guard.FaultSpec{Depth: depth})
 		}
 		// Per-strategy overhead deltas accumulate across draws, keyed in the
 		// clean ranking's order so the report rows are deterministic.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"recoveryblocks/internal/obs"
 	"recoveryblocks/internal/scenario"
 )
 
@@ -138,6 +139,34 @@ func TestRunIsWorkerCountInvariant(t *testing.T) {
 		}
 		if string(got) != string(ref) {
 			t.Fatalf("report differs between workers=1 and workers=%d", workers)
+		}
+	}
+}
+
+// TestRunSolvesEachRateStructureOnce pins the work the per-scenario memo
+// saves. Under the default stacks, error-spike and cost-inflate draws leave
+// μ, λ and d as they were, so only the clean advisement and the burst and
+// straggler draws solve the asynchronous chain: one dense moment solve each,
+// 1 + 2·Draws per scenario. The sweep runs twice: a memo that leaked across
+// scenarios or runs would solve fewer; one that missed would solve all
+// 1 + 4·Draws.
+func TestRunSolvesEachRateStructureOnce(t *testing.T) {
+	scs, err := Corpus(12, 1983)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run <= 2; run++ {
+		reg := obs.Enable()
+		if _, err := Run(scs, Options{Workers: 4}); err != nil {
+			t.Fatal(err)
+		}
+		obs.Disable()
+		want := int64(len(scs) * (1 + 2*DefaultDraws))
+		if got := reg.Counter("markov_solve_dense_total").Value(); got != want {
+			t.Errorf("run %d: markov_solve_dense_total = %d, want %d (12 × 65)", run, got, want)
+		}
+		if got, want := reg.Counter("scenario_advise_total").Value(), int64(len(scs)*(1+4*DefaultDraws)); got != want {
+			t.Errorf("run %d: scenario_advise_total = %d, want %d", run, got, want)
 		}
 	}
 }

@@ -308,8 +308,15 @@ func WithRecorder(ctx context.Context, r *Recorder) context.Context {
 	return context.WithValue(ctx, recorderKey{}, r)
 }
 
-func record(ctx context.Context, e Event) {
+// RecorderFrom returns the recorder the context routes fallback events into,
+// or nil when it carries none.
+func RecorderFrom(ctx context.Context) *Recorder {
 	r, _ := ctx.Value(recorderKey{}).(*Recorder)
+	return r
+}
+
+func record(ctx context.Context, e Event) {
+	r := RecorderFrom(ctx)
 	if r == nil {
 		return
 	}
@@ -323,6 +330,13 @@ func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]Event(nil), r.events...)
+}
+
+// Len returns the number of recorded activations.
+func (r *Recorder) Len() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.events)
 }
 
 // Degraded reports whether any recorded activation accepted a

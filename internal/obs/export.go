@@ -2,15 +2,12 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
-	"math"
+	"maps"
 	"runtime"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -102,122 +99,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// promName sanitizes a metric name into the Prometheus charset
-// [a-zA-Z0-9_:] and prefixes the exporter namespace.
-func promName(name string) string {
-	var b strings.Builder
-	b.WriteString("rbrepro_")
-	for _, c := range name {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '_', c == ':':
-			b.WriteRune(c)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}
-
-// promFloat formats a value the way Prometheus text expects.
-func promFloat(v float64) string {
-	switch {
-	case math.IsInf(v, 1):
-		return "+Inf"
-	case math.IsInf(v, -1):
-		return "-Inf"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// WritePrometheus writes every metric in Prometheus text exposition format
-// (metrics of both sections, names sorted within kind; histograms with
-// cumulative le-buckets, sum and count). The future `rbrepro serve` scrape
-// endpoint is this function behind an HTTP handler.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return fmt.Errorf("obs: no registry installed")
-	}
-	r.mu.Lock()
-	counters := make(map[string]int64, len(r.counters))
-	for name, c := range r.counters {
-		counters[name] = c.Value()
-	}
-	gauges := make(map[string]float64, len(r.gauges))
-	for name, g := range r.gauges {
-		gauges[name] = g.Value()
-	}
-	hists := make(map[string]HistSnapshot, len(r.hists))
-	for name, h := range r.hists {
-		hists[name] = h.Snapshot()
-	}
-	r.mu.Unlock()
-
-	write := func(format string, args ...any) error {
-		_, err := fmt.Fprintf(w, format, args...)
-		return err
-	}
-	head := func(name string, kind Kind) error {
-		help := ""
-		if d, ok := LookupDef(name); ok {
-			help = d.Help
-		}
-		if err := write("# HELP %s %s\n", promName(name), help); err != nil {
-			return err
-		}
-		return write("# TYPE %s %s\n", promName(name), kind)
-	}
-	for _, name := range sortedKeys(counters) {
-		if err := head(name, KindCounter); err != nil {
-			return err
-		}
-		if err := write("%s %d\n", promName(name), counters[name]); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(gauges) {
-		if err := head(name, KindGauge); err != nil {
-			return err
-		}
-		if err := write("%s %s\n", promName(name), promFloat(gauges[name])); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(hists) {
-		if err := head(name, KindHistogram); err != nil {
-			return err
-		}
-		s := hists[name]
-		cum := int64(0)
-		for _, b := range s.Buckets {
-			cum += b.Count
-			if err := write("%s_bucket{le=%q} %d\n", promName(name), promFloat(b.LE), cum); err != nil {
-				return err
-			}
-		}
-		if len(s.Buckets) == 0 || !math.IsInf(s.Buckets[len(s.Buckets)-1].LE, 1) {
-			if err := write("%s_bucket{le=\"+Inf\"} %d\n", promName(name), s.Count); err != nil {
-				return err
-			}
-		}
-		if err := write("%s_sum %s\n", promName(name), promFloat(s.Sum)); err != nil {
-			return err
-		}
-		if err := write("%s_count %d\n", promName(name), s.Count); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // Summary renders the compact human-readable trailer the CLI prints to
 // stderr under -metrics-summary: nonzero deterministic counters, then the
 // runtime headline (wall time, workers, top-level spans).
@@ -228,12 +109,12 @@ func (r *Registry) Summary() string {
 	}
 	var b strings.Builder
 	b.WriteString("metrics summary (deterministic counters)\n")
-	for _, name := range sortedKeys(rep.Deterministic.Counters) {
+	for _, name := range slices.Sorted(maps.Keys(rep.Deterministic.Counters)) {
 		if v := rep.Deterministic.Counters[name]; v != 0 {
 			fmt.Fprintf(&b, "  %-40s %d\n", name, v)
 		}
 	}
-	for _, name := range sortedKeys(rep.Deterministic.Histograms) {
+	for _, name := range slices.Sorted(maps.Keys(rep.Deterministic.Histograms)) {
 		h := rep.Deterministic.Histograms[name]
 		if h.Count != 0 {
 			fmt.Fprintf(&b, "  %-40s n=%d mean=%.1f max=%g\n", name, h.Count, h.Sum/float64(h.Count), h.Max)
@@ -262,22 +143,4 @@ func (r *Registry) Summary() string {
 	}
 	walk("", rep.Runtime.Spans)
 	return b.String()
-}
-
-// expvarOnce guards the expvar registration (Publish panics on duplicates).
-var expvarOnce sync.Once
-
-// PublishExpvar exposes the current report under the expvar key
-// "rbrepro_obs" — the standard /debug/vars surface a long-running server
-// serves for free. The Func re-snapshots on every read, and reads while
-// observability is off yield an explicit disabled marker. Idempotent.
-func PublishExpvar() {
-	expvarOnce.Do(func() {
-		expvar.Publish("rbrepro_obs", expvar.Func(func() any {
-			if rep := Current().Report(); rep != nil {
-				return rep
-			}
-			return map[string]bool{"enabled": false}
-		}))
-	})
 }

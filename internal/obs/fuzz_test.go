@@ -9,12 +9,10 @@ import (
 	"unicode/utf8"
 )
 
-// FuzzEncoders drives arbitrary metric names and values through both report
-// encoders: the JSON report must always be valid JSON, and every Prometheus
-// sample line must stay inside the exposition charset whatever bytes the
-// metric name carried. This is the encoder contract the future scrape
-// endpoint relies on — a hostile or merely unlucky metric name must corrupt
-// neither surface.
+// FuzzEncoders drives arbitrary metric names and values through the JSON
+// report encoder: the report must always be valid JSON whatever bytes the
+// metric name carried — a hostile or merely unlucky metric name must not
+// corrupt it.
 func FuzzEncoders(f *testing.F) {
 	f.Add("mc_blocks_total", int64(7), 1.5)
 	f.Add("strategy_crosschecks_total_sync-every-k", int64(1), 0.0)
@@ -45,27 +43,6 @@ func FuzzEncoders(f *testing.F) {
 		var decoded map[string]any
 		if err := json.Unmarshal(jsonBuf.Bytes(), &decoded); err != nil {
 			t.Fatalf("report is not valid JSON: %v\n%s", err, jsonBuf.String())
-		}
-
-		var promBuf bytes.Buffer
-		if err := r.WritePrometheus(&promBuf); err != nil {
-			t.Fatalf("WritePrometheus: %v", err)
-		}
-		for _, line := range strings.Split(promBuf.String(), "\n") {
-			if line == "" || strings.HasPrefix(line, "# HELP") {
-				continue // help text is free-form (taken from the catalog only)
-			}
-			ident := strings.TrimPrefix(line, "# TYPE ")
-			if i := strings.IndexAny(ident, " {"); i >= 0 {
-				ident = ident[:i]
-			}
-			for _, c := range ident {
-				ok := c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' ||
-					c >= '0' && c <= '9' || c == '_' || c == ':'
-				if !ok {
-					t.Fatalf("prometheus identifier %q contains %q (line %q)", ident, c, line)
-				}
-			}
 		}
 	})
 }

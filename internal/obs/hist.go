@@ -122,8 +122,7 @@ func (h *Histogram) Merge(o *Histogram) error {
 }
 
 // BucketCount is one exported histogram bucket: the count of observations
-// that landed in the bucket with upper bound LE (non-cumulative; the
-// Prometheus encoder accumulates). LE = +Inf marks the overflow bucket and
+// that landed in the bucket with upper bound LE (non-cumulative). LE = +Inf marks the overflow bucket and
 // is rendered as the string "+Inf" in JSON, where bare Inf is not
 // representable.
 type BucketCount struct {

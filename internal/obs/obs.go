@@ -1,8 +1,7 @@
 // Package obs is the observability layer of the repository: atomic counters,
 // gauges, mergeable histograms and hierarchical run-spans, collected behind a
-// single globally installed Registry and exported as an expvar-compatible
-// snapshot, Prometheus text, a structured JSON run report, and a
-// human-readable summary.
+// single globally installed Registry and exported as a structured JSON run
+// report and a human-readable summary.
 //
 // The design contract is zero overhead when off. The package-level accessors
 // (C, G, H, StartSpan) load one atomic pointer; when no registry is installed
@@ -32,7 +31,7 @@ import (
 )
 
 // Registry holds every metric of one observability session. A fresh registry
-// is installed by Enable and read back by Report/WritePrometheus/Summary;
+// is installed by Enable and read back by Report/WriteJSON/Summary;
 // instrumentation sites reach it through the package-level accessors.
 type Registry struct {
 	mu       sync.Mutex

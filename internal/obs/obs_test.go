@@ -198,41 +198,8 @@ func TestJSONReportRoundTrips(t *testing.T) {
 	}
 }
 
-// TestPrometheusFormat checks the text exposition shape: HELP/TYPE heads,
-// sanitized names, cumulative buckets, sum and count lines.
-func TestPrometheusFormat(t *testing.T) {
-	Enable()
-	defer Disable()
-	C("strategy_crosschecks_total_sync-every-k").Add(2)
-	G("mc_workers").Set(8)
-	h := H("linalg_csr_nnz")
-	h.Observe(2)
-	h.Observe(5)
-	var buf bytes.Buffer
-	if err := Current().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE rbrepro_strategy_crosschecks_total_sync_every_k counter",
-		"rbrepro_strategy_crosschecks_total_sync_every_k 2",
-		"# TYPE rbrepro_mc_workers gauge",
-		"rbrepro_mc_workers 8",
-		"# TYPE rbrepro_linalg_csr_nnz histogram",
-		`rbrepro_linalg_csr_nnz_bucket{le="4"} 1`,
-		`rbrepro_linalg_csr_nnz_bucket{le="16"} 2`,
-		`rbrepro_linalg_csr_nnz_bucket{le="+Inf"} 2`,
-		"rbrepro_linalg_csr_nnz_sum 7",
-		"rbrepro_linalg_csr_nnz_count 2",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("prometheus output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestSummaryAndExpvar smoke-tests the remaining export surfaces.
-func TestSummaryAndExpvar(t *testing.T) {
+// TestSummary smoke-tests the human-readable export.
+func TestSummary(t *testing.T) {
 	Enable()
 	defer Disable()
 	C("mc_blocks_total").Add(42)
@@ -243,8 +210,6 @@ func TestSummaryAndExpvar(t *testing.T) {
 			t.Errorf("summary missing %q:\n%s", want, sum)
 		}
 	}
-	PublishExpvar()
-	PublishExpvar() // idempotent — a second call must not panic
 }
 
 // TestCatalogLookup covers exact, family and missing names, and that every

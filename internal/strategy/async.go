@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"context"
 	"fmt"
 
 	"recoveryblocks/internal/rbmodel"
@@ -44,17 +45,15 @@ func (asyncStrategy) Validate(w Workload) error { return validateRates(w.Mu) }
 
 // Price: saves cost t_r·Σμ/n; an error rolls every process back to the
 // latest recovery line, whose stationary age is E[X²]/(2·E[X]) (renewal
-// inspection on the exact chain's moments). Deadline risk is P(X > d).
+// inspection on the exact chain's moments). Deadline risk is P(X > d). The
+// chain's answers come from the context's Memo when it holds them.
 func (asyncStrategy) Price(w Workload) (Metrics, error) {
-	model, err := rbmodel.NewAsync(w.Params())
+	a, err := memoized(w.Context(), func() string { return asyncKey(w) },
+		func(ctx context.Context) (asyncAnswer, error) { return solveAsync(ctx, w) })
 	if err != nil {
 		return Metrics{}, err
 	}
-	m1, m2, err := model.MomentsXCtx(w.Context())
-	if err != nil {
-		return Metrics{}, err
-	}
-	age := m2 / (2 * m1) // stationary age of the recovery-line renewal process
+	age := a.M2 / (2 * a.M1) // stationary age of the recovery-line renewal process
 	n := float64(w.N())
 	m := Metrics{
 		Strategy:         Async,
@@ -64,14 +63,29 @@ func (asyncStrategy) Price(w Workload) (Metrics, error) {
 		DeadlineMissProb: -1,
 	}
 	if w.Deadline > 0 {
-		miss, err := model.DeadlineMissProbCtx(w.Context(), w.Deadline)
-		if err != nil {
-			return Metrics{}, err
-		}
-		m.DeadlineMissProb = miss
+		m.DeadlineMissProb = a.Miss
 	}
 	m.OverheadRate = m.CheckpointRate + m.SyncLossRate + m.RollbackRate
 	return m, nil
+}
+
+// solveAsync builds the workload's chain and solves its moments and, when
+// the workload sets a deadline, P(X > d).
+func solveAsync(ctx context.Context, w Workload) (asyncAnswer, error) {
+	model, err := rbmodel.NewAsync(w.Params())
+	if err != nil {
+		return asyncAnswer{}, err
+	}
+	var a asyncAnswer
+	if a.M1, a.M2, err = model.MomentsXCtx(ctx); err != nil {
+		return asyncAnswer{}, err
+	}
+	if w.Deadline > 0 {
+		if a.Miss, err = model.DeadlineMissProbCtx(ctx, w.Deadline); err != nil {
+			return asyncAnswer{}, err
+		}
+	}
+	return a, nil
 }
 
 // Model: the exact chain's E[X], plus P(X > d) when the workload sets a

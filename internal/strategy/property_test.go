@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -217,4 +218,56 @@ func TestPriceOverheadDecomposes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPriceWithMemoIsBitIdentical: for every registered discipline over 200
+// randomized workloads, pricing through one shared Memo must equal pricing
+// without it in every Metrics field, bit for bit. Each workload is priced
+// without a deadline, with it, with θ, t_r and τ moved, with it again and
+// with the next k: the deadline step must miss the d = 0 entry, the next two
+// hit the async and every-k answers, and the last hits async's while
+// sync-every-k's next k must miss.
+func TestPriceWithMemoIsBitIdentical(t *testing.T) {
+	for _, name := range Names() {
+		st, _ := Lookup(name)
+		t.Run(string(name), func(t *testing.T) {
+			memo := &Memo{}
+			for trial := 0; trial < 200; trial++ {
+				w := drawPropertyWorkload(dist.Substream(8128, trial))
+				noDeadline, moved, nextK := w, w, w
+				noDeadline.Deadline = 0
+				moved.ErrorRate *= 1.5
+				moved.CheckpointCost *= 1.25
+				moved.SyncInterval *= 0.75
+				moved.OptimalSync = trial%2 == 0
+				nextK.EveryK++
+				for step, v := range []Workload{noDeadline, w, moved, w, nextK} {
+					want, err := st.Price(v)
+					if err != nil {
+						t.Fatal(err)
+					}
+					v.Ctx = WithMemo(context.Background(), memo)
+					got, err := st.Price(v)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameMetricsBits(got, want) {
+						t.Fatalf("trial %d step %d: with the memo %+v, without %+v (%s)", trial, step, got, want, describeWorkload(v))
+					}
+				}
+			}
+		})
+	}
+}
+
+// sameMetricsBits compares every Metrics field, floats by their bits.
+func sameMetricsBits(a, b Metrics) bool {
+	fa := []float64{a.OverheadRate, a.CheckpointRate, a.SyncLossRate, a.RollbackRate, a.MeanRollback, a.DeadlineMissProb, a.SyncInterval}
+	fb := []float64{b.OverheadRate, b.CheckpointRate, b.SyncLossRate, b.RollbackRate, b.MeanRollback, b.DeadlineMissProb, b.SyncInterval}
+	for i := range fa {
+		if math.Float64bits(fa[i]) != math.Float64bits(fb[i]) {
+			return false
+		}
+	}
+	return a.Strategy == b.Strategy && a.EveryK == b.EveryK
 }

@@ -116,9 +116,12 @@ type Workload struct {
 	Workers int
 	// Ctx, when non-nil, carries cancellation (CLI -timeout, Ctrl-C), an
 	// injected guard.FaultSpec and a guard.Recorder through every chain solve
-	// this workload triggers. Nil means context.Background(): the value does
-	// not influence any number, only whether and via which fallback route it
-	// is computed, so it is deliberately excluded from workload identity.
+	// this workload triggers. It may also carry a Memo (WithMemo) of chain
+	// answers shared with other workloads of the same rates, which changes
+	// only whether a number is recomputed. Nil means context.Background():
+	// the value does not influence any number, only whether and via which
+	// fallback route it is computed, so it is deliberately excluded from
+	// workload identity.
 	Ctx context.Context
 }
 

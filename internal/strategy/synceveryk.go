@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -122,7 +123,8 @@ func meanLossEveryK(k int, mu []float64, ezk float64) float64 {
 // τ/2 per process on average. At k = 1 the discipline is the sync strategy,
 // so it returns that strategy's metrics relabelled: E[Z_1] then comes from
 // the closed form synch.MeanMax rather than the numerical integral, and the
-// advisor never ranks the two by integration error.
+// advisor never ranks the two by integration error. For k > 1, E[Z_k] comes
+// from the context's Memo when it holds it.
 func (s everyKStrategy) Price(w Workload) (Metrics, error) {
 	if err := s.Validate(w); err != nil {
 		return Metrics{}, err
@@ -136,7 +138,8 @@ func (s everyKStrategy) Price(w Workload) (Metrics, error) {
 		m.Strategy, m.EveryK = SyncEveryK, 1
 		return m, nil
 	}
-	ezk, err := meanMaxErlang(k, w.Mu)
+	ezk, err := memoized(w.Context(), func() string { return everyKKey(k, w.Mu) },
+		func(context.Context) (float64, error) { return meanMaxErlang(k, w.Mu) })
 	if err != nil {
 		return Metrics{}, err
 	}

@@ -619,10 +619,10 @@ func ParseChaosStacks(s string) ([]ChaosStack, error) { return chaos.ParseStacks
 // Aliases re-exporting the zero-overhead-when-off metrics and tracing layer:
 // atomic counters, gauges and mergeable histograms across the whole pipeline
 // (Monte Carlo engine, simulators, exact solvers, scenario/xval/rare/chaos
-// harnesses), hierarchical run spans, and three export surfaces — a
+// harnesses), hierarchical run spans, and two export surfaces — a
 // structured JSON run report split into deterministic and runtime sections,
-// Prometheus text exposition, and expvar. When no registry is installed,
-// every instrumented site is one atomic pointer load and a nil check.
+// and a human-readable summary. When no registry is installed, every
+// instrumented site is one atomic pointer load and a nil check.
 type (
 	// MetricsRegistry holds one run's metrics; install with MetricsEnable.
 	MetricsRegistry = obs.Registry
@@ -648,8 +648,8 @@ func MetricsDisable() { obs.Disable() }
 func MetricsEnabled() bool { return obs.Enabled() }
 
 // CurrentMetrics returns the installed registry, or nil when observability
-// is off. The returned registry's WriteJSON, WritePrometheus, Summary and
-// Report methods are the export surfaces behind `rbrepro -metrics`.
+// is off. The returned registry's WriteJSON, Summary and Report methods are
+// the export surfaces behind `rbrepro -metrics` and `-metrics-summary`.
 func CurrentMetrics() *MetricsRegistry { return obs.Current() }
 
 // StartMetricsSpan opens a hierarchical run span ("cmd/scenario",
@@ -660,11 +660,6 @@ func StartMetricsSpan(path string) *MetricsSpan { return obs.StartSpan(path) }
 // MetricsCatalog returns the full metric catalog — the authoritative list
 // behind the deterministic/runtime report split. `rbrepro info` prints it.
 func MetricsCatalog() []MetricDef { return append([]MetricDef(nil), obs.Catalog...) }
-
-// PublishMetricsExpvar exposes the current metrics report under the expvar
-// key "rbrepro_obs" (the /debug/vars surface). Idempotent; reads while
-// observability is off yield an explicit disabled marker.
-func PublishMetricsExpvar() { obs.PublishExpvar() }
 
 // Limits reports the compiled-in structural bounds of the analysis stack —
 // the numbers that decide which route a given workload takes.
