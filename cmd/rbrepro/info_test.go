@@ -56,7 +56,7 @@ func TestInfoJSON(t *testing.T) {
 	if rep.GoVersion == "" || rep.NumCPU <= 0 {
 		t.Errorf("build facts missing: go_version=%q num_cpu=%d", rep.GoVersion, rep.NumCPU)
 	}
-	if rep.Limits.MaxExactProcesses != 24 || rep.Limits.MaxEnumerated != 7 || rep.Limits.MaxSplit != 16 ||
+	if rep.Limits.MaxExactProcesses != 24 || rep.Limits.MaxEnumerated != 7 || rep.Limits.MaxSplit != 10 ||
 		rep.Limits.KronCutoff != 1<<17 || rep.Limits.SparseCutoff != 256 ||
 		rep.Limits.DefaultBlockSize != 1024 {
 		t.Errorf("unexpected limits: %+v", rep.Limits)

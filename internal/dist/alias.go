@@ -55,9 +55,8 @@ type Alias struct {
 	// data-random, so a branch would mispredict almost half the time and
 	// dominate the O(1) draw it guards.
 	packed []uint64
-	shift  uint    // 64 − log2(len(packed)): maps a word's top bits to a column
-	total  float64 // cached Σ weights (the superposed event rate g)
-	k      int     // number of real (unpadded) categories
+	shift  uint // 64 − log2(len(packed)): maps a word's top bits to a column
+	k      int  // number of real (unpadded) categories
 }
 
 // threshScale converts an acceptance probability p into the integer
@@ -99,7 +98,7 @@ func NewAlias(weights []float64) *Alias {
 		k:      k,
 	}
 	var b AliasBuilder
-	a.total = b.Build(a.packed, weights)
+	b.Build(a.packed, weights)
 	return a
 }
 
@@ -210,11 +209,6 @@ func AliasAccept(u, thresh uint64) uint64 {
 
 // K returns the number of categories (excluding internal padding).
 func (a *Alias) K() int { return a.k }
-
-// Total returns the cached Σ weights — for the simulators this is the
-// superposed event rate g, kept alongside the table so hot loops never
-// re-sum the weight vector.
-func (a *Alias) Total() float64 { return a.total }
 
 // Pick maps one 64-bit uniform word to a category index: the top bits
 // choose the column (exactly uniform — the padded table size is a power of

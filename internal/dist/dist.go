@@ -116,24 +116,14 @@ func (s *Stream) Exp(rate float64) float64 {
 // Bernoulli returns true with probability p.
 func (s *Stream) Bernoulli(p float64) bool { return s.Float64() < p }
 
-// Choice samples an index with probability weights[i] / Σ weights. Zero
-// weights are never chosen. It panics if the weights are empty or sum to a
-// non-positive value. Hot loops that already hold the sum should call
-// ChoiceTotal and skip the summation pass.
-func (s *Stream) Choice(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	return s.ChoiceTotal(weights, total)
-}
-
-// ChoiceTotal is Choice with the precomputed Σ weights, saving one pass over
-// the slice per call — the event-category selection in the simulators' inner
-// loops keeps the total alongside the weights.
+// ChoiceTotal samples an index with probability weights[i] / total, where
+// total is the precomputed Σ weights: the event-category selection in the
+// simulators' inner loops keeps the total alongside the weights. Zero
+// weights are never chosen. It panics if the weights are empty or total is
+// non-positive.
 func (s *Stream) ChoiceTotal(weights []float64, total float64) int {
 	if len(weights) == 0 || total <= 0 {
-		panic("dist: Choice needs positive total weight")
+		panic("dist: ChoiceTotal needs positive total weight")
 	}
 	u := s.Float64() * total
 	acc := 0.0

@@ -105,7 +105,7 @@ func TestChoiceProportions(t *testing.T) {
 	const n = 90000
 	counts := make([]int, len(w))
 	for i := 0; i < n; i++ {
-		counts[s.Choice(w)]++
+		counts[s.ChoiceTotal(w, 4)]++
 	}
 	if counts[1] != 0 {
 		t.Fatalf("zero-weight category chosen %d times", counts[1])
@@ -180,8 +180,8 @@ func TestPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"Intn0":      func() { s.Intn(0) },
 		"ExpZero":    func() { s.Exp(0) },
-		"ChoiceNone": func() { s.Choice(nil) },
-		"ChoiceZero": func() { s.Choice([]float64{0, 0}) },
+		"ChoiceNone": func() { s.ChoiceTotal(nil, 0) },
+		"ChoiceZero": func() { s.ChoiceTotal([]float64{0, 0}, 0) },
 	} {
 		func() {
 			defer func() {

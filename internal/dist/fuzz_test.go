@@ -60,8 +60,8 @@ func FuzzSubstream(f *testing.F) {
 				t.Fatalf("Poisson returned negative count %d", p)
 			}
 			w := []float64{0, float64(idxA%5) + 1, 0.25, 0}
-			if c := s.Choice(w); w[c] == 0 {
-				t.Fatalf("Choice picked zero-weight index %d", c)
+			if c := s.ChoiceTotal(w, w[1]+w[2]); w[c] == 0 {
+				t.Fatalf("ChoiceTotal picked zero-weight index %d", c)
 			}
 		}
 	})

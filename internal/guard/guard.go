@@ -139,9 +139,6 @@ type Result[T any] struct {
 	Trace []AttemptError
 }
 
-// Fallback reports whether the accepted value came from an alternate.
-func (r Result[T]) Fallback() bool { return r.Attempt > 0 }
-
 // Do runs the block: each attempt in ladder order, skipping attempts the
 // context's FaultSpec forces to fail, until one produces a value the
 // acceptance test passes. It returns ErrBudget when the budget or context

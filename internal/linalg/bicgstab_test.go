@@ -31,7 +31,7 @@ func transpose(a *Matrix) *Matrix {
 }
 
 // TestBiCGSTABMatchesLU solves random nonsymmetric diagonally dominant CSR
-// systems, forward and transposed, bare and Jacobi-preconditioned, and
+// systems and their transposes, bare and Jacobi-preconditioned, and
 // checks each answer against dense LU: the explicit residual meets the
 // backward-error rule, and the forward error is within what that rule
 // allows, ‖x − x_LU‖∞ ≤ ‖A⁻¹‖∞·Tol·(‖b‖∞ + ‖A‖∞·‖x‖∞).
@@ -78,7 +78,7 @@ func TestBiCGSTABMatchesLU(t *testing.T) {
 		if trial%4 >= 2 {
 			diag := make([]float64, n)
 			for i := range diag {
-				diag[i] = a.At(i, i)
+				diag[i] = sys.At(i, i)
 			}
 			opts.Precond = func(dst, src []float64) {
 				for i := range dst {
@@ -86,7 +86,7 @@ func TestBiCGSTABMatchesLU(t *testing.T) {
 				}
 			}
 		}
-		got, iters, err := SolveBiCGSTAB(csrFromDense(a), trans, b, opts)
+		got, iters, err := SolveBiCGSTAB(csrFromDense(sys), b, opts)
 		if err != nil {
 			t.Fatalf("trial %d (n=%d trans=%v): BiCGSTAB failed after %d applications: %v", trial, n, trans, iters, err)
 		}
@@ -114,28 +114,28 @@ func TestBiCGSTABBudgetExhaustion(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	x, _, err := SolveBiCGSTAB(csrFromDense(a), false, b, GMRESOpts{MaxIters: 1, Tol: 1e-14})
+	x, _, err := SolveBiCGSTAB(csrFromDense(a), b, GMRESOpts{MaxIters: 1, Tol: 1e-14})
 	if !errors.Is(err, ErrNoConvergence) || x != nil {
 		t.Fatalf("want ErrNoConvergence and no iterate from a 1-application budget, got %v, %v", x, err)
 	}
 }
 
-// TestBiCGSTABBreakdown: on the rotation A = [[0, 1], [−1, 0]] with b = e₁
-// the first direction is orthogonal to the shadow residual, (r̂, A·r̂) = 0,
-// and the naive recurrence divides by zero. The solver must report the
-// breakdown instead of returning NaN.
+// TestBiCGSTABBreakdown: on the rotation A = [[0, 1], [−1, 0]] and its
+// transpose with b = e₁ the first direction is orthogonal to the shadow
+// residual, (r̂, A·r̂) = 0, and the naive recurrence divides by zero. The
+// solver must report the breakdown instead of returning NaN.
 func TestBiCGSTABBreakdown(t *testing.T) {
 	a := NewMatrix(2, 2)
 	a.Set(0, 1, 1)
 	a.Set(1, 0, -1)
-	for _, trans := range []bool{false, true} {
-		x, _, err := SolveBiCGSTAB(csrFromDense(a), trans, []float64{1, 0}, GMRESOpts{})
+	for _, sys := range []*Matrix{a, transpose(a)} {
+		x, _, err := SolveBiCGSTAB(csrFromDense(sys), []float64{1, 0}, GMRESOpts{})
 		if !errors.Is(err, ErrNoConvergence) {
-			t.Fatalf("trans=%v: want ErrNoConvergence on breakdown, got %v (x = %v)", trans, err, x)
+			t.Fatalf("A = %v: want ErrNoConvergence on breakdown, got %v (x = %v)", sys.Data, err, x)
 		}
 		for _, v := range x {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("trans=%v: breakdown returned a non-finite iterate %v", trans, x)
+				t.Fatalf("A = %v: breakdown returned a non-finite iterate %v", sys.Data, x)
 			}
 		}
 	}
@@ -145,17 +145,17 @@ func TestBiCGSTABBreakdown(t *testing.T) {
 // application counts.
 func TestBiCGSTABDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	a := csrFromDense(randomDiagDominant(rng, 70))
+	a := csrFromDense(transpose(randomDiagDominant(rng, 70)))
 	b := make([]float64, 70)
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	first, it0, err := SolveBiCGSTAB(a, true, b, GMRESOpts{})
+	first, it0, err := SolveBiCGSTAB(a, b, GMRESOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for rep := 0; rep < 3; rep++ {
-		got, it, err := SolveBiCGSTAB(a, true, b, GMRESOpts{})
+		got, it, err := SolveBiCGSTAB(a, b, GMRESOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -95,9 +95,6 @@ func (b *CSRBuilder) Build() *CSR {
 // N returns the dimension.
 func (m *CSR) N() int { return m.n }
 
-// NNZ returns the stored entry count.
-func (m *CSR) NNZ() int { return len(m.col) }
-
 // MulVecInto computes dst = M·x. dst and x must not alias.
 func (m *CSR) MulVecInto(dst, x []float64) {
 	if len(dst) != m.n || len(x) != m.n {

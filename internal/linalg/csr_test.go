@@ -33,8 +33,8 @@ func buildTestCSR(t *testing.T) (*CSR, *Matrix) {
 
 func TestCSRBuilderAndMulVec(t *testing.T) {
 	m, d := buildTestCSR(t)
-	if m.N() != 4 || m.NNZ() != 7 {
-		t.Fatalf("N=%d NNZ=%d, want 4 and 7 (duplicate merged)", m.N(), m.NNZ())
+	if m.N() != 4 || len(m.val) != 7 {
+		t.Fatalf("N=%d nnz=%d, want 4 and 7 (duplicate merged)", m.N(), len(m.val))
 	}
 	x := []float64{1, -2, 3, 0.5}
 	want := d.MulVec(x)

@@ -102,26 +102,27 @@ type ExpvOpts struct {
 	// Tol is the target for the accumulated local-error estimates relative
 	// to the vector scale (default 1e-10).
 	Tol float64
-	// MaxIters bounds the total Arnoldi steps across substeps (default
-	// 100000) — the budget guard against a horizon the step control cannot
-	// cross.
-	MaxIters int
 }
 
-// KrylovExpv computes w = e^{t·A}·v (or e^{t·Aᵀ}·v when trans is set) by the
-// expokit-style Krylov method: project A onto an m-dimensional Krylov basis
-// of the current vector, exponentiate the small Hessenberg matrix densely,
-// and advance w = β·V_m·e^{τH_m}·e₁ over adaptively chosen substeps τ. Each
-// substep costs m operator applications and O(m³) dense work; the operator is
-// never materialized, so transient distributions of a 2^24-state generator
-// fit in a handful of length-2^n vectors.
+// expvMaxIters bounds KrylovExpv's total Arnoldi steps across substeps: the
+// budget guard against a horizon the step control cannot cross.
+const expvMaxIters = 100000
+
+// KrylovExpv computes w = e^{t·Aᵀ}·v, the row vector vᵀ advanced to
+// vᵀ·e^{t·A}, as a transient distribution evolves under a generator A. It
+// runs the expokit-style Krylov method: project Aᵀ onto an m-dimensional
+// Krylov basis of the current vector, exponentiate the small Hessenberg
+// matrix densely, and advance w = β·V_m·e^{τH_m}·e₁ over adaptively chosen
+// substeps τ. Each substep costs m operator applications and O(m³) dense
+// work; the operator is never materialized, so transient distributions of a
+// 2^24-state generator fit in a handful of length-2^n vectors.
 //
 // The a-posteriori local error estimate is the standard last-component bound
 // β·h_{m+1,m}·|e_mᵀ·e^{τH_m}·e₁|; a substep is rejected and halved when its
 // estimate overruns its share of the budget. It returns the result, the
 // total Arnoldi step count, and an error only if the step control collapses
 // (τ underflows) or the iteration budget runs out.
-func KrylovExpv(op Operator, trans bool, v []float64, t float64, opts ExpvOpts) ([]float64, int, error) {
+func KrylovExpv(op Operator, v []float64, t float64, opts ExpvOpts) ([]float64, int, error) {
 	n := op.Dim()
 	if len(v) != n {
 		panic("linalg: KrylovExpv dimension mismatch")
@@ -137,15 +138,6 @@ func KrylovExpv(op Operator, trans bool, v []float64, t float64, opts ExpvOpts) 
 	if tol <= 0 {
 		tol = 1e-10
 	}
-	maxIters := opts.MaxIters
-	if maxIters <= 0 {
-		maxIters = 100000
-	}
-	apply := op.MulVecInto
-	if trans {
-		apply = op.MulVecTransInto
-	}
-
 	w := CloneVec(v)
 	if t == 0 {
 		return w, 0, nil
@@ -169,7 +161,7 @@ func KrylovExpv(op Operator, trans bool, v []float64, t float64, opts ExpvOpts) 
 	tcur := 0.0
 	tau := t
 	for tcur < t {
-		if iters >= maxIters {
+		if iters >= expvMaxIters {
 			return nil, iters, ErrNoConvergence
 		}
 		beta := Norm2(w)
@@ -185,7 +177,7 @@ func KrylovExpv(op Operator, trans bool, v []float64, t float64, opts ExpvOpts) 
 		happy := false
 		for j := 0; j < m; j++ {
 			iters++
-			apply(tmp, basis[j])
+			op.MulVecTransInto(tmp, basis[j])
 			for i := 0; i <= j; i++ {
 				hij := Dot(tmp, basis[i])
 				hm[i][j] = hij

@@ -23,12 +23,10 @@ type GMRESOpts struct {
 	// residual of the original system, so the stopping rule needs no
 	// preconditioner norm.
 	Precond func(dst, src []float64)
-	// X0 is an optional initial guess; it is not modified.
-	X0 []float64
 }
 
-// SolveGMRES solves A·x = b (or Aᵀ·x = b when trans is set) by restarted
-// GMRES with modified Gram–Schmidt Arnoldi and Givens rotations, right-
+// SolveGMRES solves A·x = b from a zero initial guess by restarted GMRES
+// with modified Gram–Schmidt Arnoldi and Givens rotations, right-
 // preconditioned when opts.Precond is given. It returns the solution, the
 // number of Arnoldi steps (matrix applications, excluding the one residual
 // check per cycle), and ErrNoConvergence if the backward-error criterion is
@@ -37,7 +35,7 @@ type GMRESOpts struct {
 // Matrix-free by construction: the operator is only ever applied to vectors,
 // so a 2^24-state Kronecker generator costs the same per iteration as its
 // matvec, with no materialization.
-func SolveGMRES(op Operator, trans bool, b []float64, opts GMRESOpts) ([]float64, int, error) {
+func SolveGMRES(op Operator, b []float64, opts GMRESOpts) ([]float64, int, error) {
 	n := op.Dim()
 	if len(b) != n {
 		panic("linalg: SolveGMRES dimension mismatch")
@@ -57,19 +55,8 @@ func SolveGMRES(op Operator, trans bool, b []float64, opts GMRESOpts) ([]float64
 	if tol <= 0 {
 		tol = 1e-12
 	}
-	apply := op.MulVecInto
-	if trans {
-		apply = op.MulVecTransInto
-	}
-
 	normB := NormInf(b)
 	x := make([]float64, n)
-	if opts.X0 != nil {
-		if len(opts.X0) != n {
-			panic("linalg: SolveGMRES initial guess dimension mismatch")
-		}
-		copy(x, opts.X0)
-	}
 
 	// Arnoldi workspace, shared across cycles.
 	v := make([][]float64, m+1)
@@ -96,7 +83,7 @@ func SolveGMRES(op Operator, trans bool, b []float64, opts GMRESOpts) ([]float64
 	iters := 0
 	for {
 		// Explicit residual r = b − A·x; also the per-cycle acceptance test.
-		apply(r, x)
+		op.MulVecInto(r, x)
 		for i := range r {
 			r[i] = b[i] - r[i]
 		}
@@ -130,7 +117,7 @@ func SolveGMRES(op Operator, trans bool, b []float64, opts GMRESOpts) ([]float64
 				opts.Precond(z, v[j])
 				src = z
 			}
-			apply(w, src)
+			op.MulVecInto(w, src)
 			// Modified Gram–Schmidt.
 			for i := 0; i <= j; i++ {
 				hij := Dot(w, v[i])

@@ -61,7 +61,7 @@ func TestGMRESMatchesLU(t *testing.T) {
 			}
 			normA = math.Max(normA, row)
 		}
-		got, iters, err := SolveGMRES(csrFromDense(a), false, b, GMRESOpts{Restart: 20, NormA: normA})
+		got, iters, err := SolveGMRES(csrFromDense(a), b, GMRESOpts{Restart: 20, NormA: normA})
 		if err != nil {
 			t.Fatalf("trial %d: GMRES failed after %d iters: %v", trial, iters, err)
 		}
@@ -81,7 +81,7 @@ func TestGMRESTransposeAndPrecond(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	// Transposed solve against LU on the explicit transpose.
+	// Jacobi-preconditioned solve on the explicit transpose, against LU.
 	at := NewMatrix(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -101,7 +101,7 @@ func TestGMRESTransposeAndPrecond(t *testing.T) {
 			dst[i] = src[i] / diag[i]
 		}
 	}
-	got, _, err := SolveGMRES(csrFromDense(a), true, b, GMRESOpts{Restart: 15, Precond: jacobi})
+	got, _, err := SolveGMRES(csrFromDense(at), b, GMRESOpts{Restart: 15, Precond: jacobi})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestGMRESBudgetExhaustion(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	_, _, err := SolveGMRES(csrFromDense(a), false, b, GMRESOpts{Restart: 3, MaxIters: 2, Tol: 1e-14})
+	_, _, err := SolveGMRES(csrFromDense(a), b, GMRESOpts{Restart: 3, MaxIters: 2, Tol: 1e-14})
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("want ErrNoConvergence from a 2-iteration budget, got %v", err)
 	}
@@ -185,7 +185,7 @@ func TestKrylovExpvMatchesDense(t *testing.T) {
 		}
 		want := Expm(at).MulVec(v)
 
-		got, _, err := KrylovExpv(csrFromDense(a), true, v, tHoriz, ExpvOpts{KrylovDim: 12})
+		got, _, err := KrylovExpv(csrFromDense(a), v, tHoriz, ExpvOpts{KrylovDim: 12})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

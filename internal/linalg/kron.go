@@ -74,9 +74,6 @@ func NewKronOp(nbits int) *KronOp {
 // Dim returns 2^bits.
 func (op *KronOp) Dim() int { return op.dim }
 
-// Bits returns the number of bit positions n.
-func (op *KronOp) Bits() int { return op.bits }
-
 // AddSite accumulates a 2×2 factor K = [[k00 k01],[k10 k11]] acting on the
 // given bit (identity on every other bit).
 func (op *KronOp) AddSite(bit int, k00, k01, k10, k11 float64) {

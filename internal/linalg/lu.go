@@ -142,12 +142,3 @@ func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
 	}
 	return f.Solve(b)
 }
-
-// Inverse returns A⁻¹ via LU factorization. a is not modified.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factor(a.Clone())
-	if err != nil {
-		return nil, err
-	}
-	return f.SolveMatrix(Identity(a.Rows))
-}

@@ -8,10 +8,7 @@
 // paper's equations.
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Matrix is a dense row-major matrix.
 type Matrix struct {
@@ -106,39 +103,6 @@ func (m *Matrix) VecMul(x []float64) []float64 {
 		}
 	}
 	return y
-}
-
-// Mul returns the matrix product m·other.
-func (m *Matrix) Mul(other *Matrix) *Matrix {
-	if m.Cols != other.Rows {
-		panic("linalg: Mul dimension mismatch")
-	}
-	out := NewMatrix(m.Rows, other.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			rowK := other.Data[k*other.Cols : (k+1)*other.Cols]
-			outRow := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for j, v := range rowK {
-				outRow[j] += a * v
-			}
-		}
-	}
-	return out
-}
-
-// MaxAbs returns the largest absolute element value.
-func (m *Matrix) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
 }
 
 // String renders the matrix for debugging.

@@ -24,22 +24,6 @@ func AXPY(alpha float64, x, y []float64) {
 	}
 }
 
-// ScaleVec multiplies x by alpha in place.
-func ScaleVec(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
-// Norm1 returns the sum of absolute values.
-func Norm1(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
-}
-
 // NormInf returns the largest absolute value.
 func NormInf(x []float64) float64 {
 	m := 0.0

@@ -1,15 +1,14 @@
 // Package markov implements the generic continuous- and discrete-time
 // Markov-chain machinery behind the paper's analysis: absorbing-chain
-// absorption-time moments (E[X] of Section 2.3), state occupancies, transient
-// distributions via uniformization (the Chapman–Kolmogorov solution used for
-// the density f_X(t)), and discrete-chain expected visit counts (the Y_d
-// construction of Figure 4).
+// absorption-time moments (E[X] of Section 2.3), transient distributions
+// via uniformization (the Chapman–Kolmogorov solution used for the density
+// f_X(t)), and discrete-chain expected visit counts (the Y_d construction of
+// Figure 4).
 package markov
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 
 	"recoveryblocks/internal/guard"
@@ -116,30 +115,6 @@ func (c *CTMC) MaxOutRate() float64 {
 	return m
 }
 
-// AbsorbRate returns the total rate from state directly into absorbing
-// states.
-func (c *CTMC) AbsorbRate(state int) float64 {
-	s := 0.0
-	for _, e := range c.rows[state] {
-		if c.absorbing[e.To] {
-			s += e.Rate
-		}
-	}
-	return s
-}
-
-// Generator returns the dense generator matrix Q (diagonal = −row sum).
-func (c *CTMC) Generator() *linalg.Matrix {
-	q := linalg.NewMatrix(c.n, c.n)
-	for u := 0; u < c.n; u++ {
-		for _, e := range c.rows[u] {
-			q.Add(u, e.To, e.Rate)
-			q.Add(u, u, -e.Rate)
-		}
-	}
-	return q
-}
-
 // transientIndex maps transient states to compact indices; absorbing states
 // map to -1.
 func (c *CTMC) transientIndex() ([]int, []int) {
@@ -187,17 +162,6 @@ const (
 // propagating a bad number.
 func (c *CTMC) AbsorptionMoments(start int) (m1, m2 float64, err error) {
 	return c.AbsorptionMomentsCtx(context.Background(), start)
-}
-
-// transientCount returns the number of non-absorbing states.
-func (c *CTMC) transientCount() int {
-	nt := 0
-	for _, a := range c.absorbing {
-		if !a {
-			nt++
-		}
-	}
-	return nt
 }
 
 // AbsorptionMomentsDense is the direct route: build the dense transient
@@ -280,7 +244,7 @@ func (c *CTMC) AbsorptionMomentsSparse(start int) (m1, m2 float64, err error) {
 // both systems solved by the aggregated Gauss–Seidel route, full vectors out.
 func (c *CTMC) momentVectorsSparse(idx, order []int) (h, h2 []float64, err error) {
 	obs.C("markov_solve_sparse_total").Inc()
-	q, agg, nAgg, err := c.transientCSR(idx, order, false)
+	q, agg, nAgg, err := c.transientCSR(idx, order)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -303,11 +267,11 @@ func (c *CTMC) momentVectorsSparse(idx, order []int) (h, h2 []float64, err error
 	return h, h2, nil
 }
 
-// transientCSR assembles the transient generator Q_T (or its transpose) in
-// CSR form together with the distance-to-absorption aggregation the sparse
-// solver uses as its coarse level. It fails if some transient state cannot
-// reach an absorbing state — the same singularity the dense route reports.
-func (c *CTMC) transientCSR(idx, order []int, transpose bool) (q *linalg.CSR, agg []int, nAgg int, err error) {
+// transientCSR assembles the transient generator Q_T in CSR form together
+// with the distance-to-absorption aggregation the sparse solver uses as its
+// coarse level. It fails if some transient state cannot reach an absorbing
+// state — the same singularity the dense route reports.
+func (c *CTMC) transientCSR(idx, order []int) (q *linalg.CSR, agg []int, nAgg int, err error) {
 	nt := len(order)
 	nnz := 0
 	for _, u := range order {
@@ -361,33 +325,11 @@ func (c *CTMC) transientCSR(idx, order []int, transpose bool) (q *linalg.CSR, ag
 	}
 
 	b := linalg.NewCSRBuilder(nt, nnz)
-	if transpose {
-		// Gather Q_Tᵀ rows: incoming transitions plus the diagonal.
-		type inEdge struct {
-			from int32
-			rate float64
-		}
-		in := make([][]inEdge, nt)
-		for k, u := range order {
-			for _, e := range c.rows[u] {
-				if j := idx[e.To]; j >= 0 {
-					in[j] = append(in[j], inEdge{int32(k), e.Rate})
-				}
-			}
-		}
-		for k, u := range order {
-			b.Add(k, k, -c.OutRate(u))
-			for _, e := range in[k] {
-				b.Add(k, int(e.from), e.rate)
-			}
-		}
-	} else {
-		for k, u := range order {
-			b.Add(k, k, -c.OutRate(u))
-			for _, e := range c.rows[u] {
-				if j := idx[e.To]; j >= 0 {
-					b.Add(k, j, e.Rate)
-				}
+	for k, u := range order {
+		b.Add(k, k, -c.OutRate(u))
+		for _, e := range c.rows[u] {
+			if j := idx[e.To]; j >= 0 {
+				b.Add(k, j, e.Rate)
 			}
 		}
 	}
@@ -437,83 +379,4 @@ func (c *CTMC) MeanAbsorptionTimeIterative(start int, tol float64, maxIter int) 
 		}
 	}
 	return 0, errors.New("markov: Gauss–Seidel did not converge")
-}
-
-// ExpectedOccupancy returns, for each state, the expected total time spent in
-// it before absorption when starting from start (0 for absorbing states).
-// It solves oᵀ·Q_T = −e_startᵀ — below SparseCutoff by a dense LU on the
-// transpose, above it by the sparse aggregated solver on the CSR transpose
-// (the transposed system has the same level structure, so the same
-// distance-to-absorption aggregation applies).
-func (c *CTMC) ExpectedOccupancy(start int) ([]float64, error) {
-	occ := make([]float64, c.n)
-	if c.absorbing[start] {
-		return occ, nil
-	}
-	idx, order := c.transientIndex()
-	nt := len(order)
-	rhs := make([]float64, nt)
-	rhs[idx[start]] = -1
-
-	var o []float64
-	var err error
-	if nt < SparseCutoff {
-		obs.C("markov_solve_dense_total").Inc()
-		// Build the transpose of Q_T directly so a single LU solve suffices.
-		qt := linalg.NewMatrix(nt, nt)
-		for k, u := range order {
-			for _, e := range c.rows[u] {
-				qt.Add(k, k, -e.Rate)
-				if j := idx[e.To]; j >= 0 {
-					qt.Add(j, k, e.Rate)
-				}
-			}
-		}
-		o, err = linalg.SolveLinear(qt, rhs)
-	} else {
-		obs.C("markov_solve_sparse_total").Inc()
-		var qt *linalg.CSR
-		var agg []int
-		var nAgg int
-		qt, agg, nAgg, err = c.transientCSR(idx, order, true)
-		if err != nil {
-			return nil, err
-		}
-		o, _, err = qt.SolveTwoLevelGS(rhs, agg, nAgg, gsTol, gsMaxIter)
-		if err != nil {
-			err = fmt.Errorf("markov: sparse occupancy solve: %w", err)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	for k, u := range order {
-		occ[u] = o[k]
-	}
-	return occ, nil
-}
-
-// Uniformized returns the uniformized jump chain P = I + Q/gamma. gamma must
-// be at least the maximum departure rate. Absorbing states stay absorbing.
-func (c *CTMC) Uniformized(gamma float64) *DTMC {
-	if gamma < c.MaxOutRate() {
-		panic("markov: uniformization constant below max out-rate")
-	}
-	d := NewDTMC(c.n)
-	for u := 0; u < c.n; u++ {
-		if c.absorbing[u] {
-			d.SetAbsorbing(u)
-			continue
-		}
-		stay := 1.0
-		for _, e := range c.rows[u] {
-			p := e.Rate / gamma
-			d.AddProb(u, e.To, p)
-			stay -= p
-		}
-		if stay > 0 {
-			d.AddProb(u, u, stay)
-		}
-	}
-	return d
 }

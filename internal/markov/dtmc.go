@@ -82,27 +82,6 @@ func (d *DTMC) Validate(tol float64) error {
 	return nil
 }
 
-// StepDistribution returns π·P for a row distribution π.
-func (d *DTMC) StepDistribution(pi []float64) []float64 {
-	if len(pi) != d.n {
-		panic("markov: distribution length mismatch")
-	}
-	out := make([]float64, d.n)
-	for u, p := range pi {
-		if p == 0 {
-			continue
-		}
-		if d.absorbing[u] {
-			out[u] += p
-			continue
-		}
-		for _, e := range d.rows[u] {
-			out[e.To] += p * e.Rate
-		}
-	}
-	return out
-}
-
 // ExpectedVisits returns, for each transient state, the expected number of
 // epochs spent there (counting the initial epoch) before absorption when
 // starting from start. Absorbing states report 0. This is the row of the
@@ -144,42 +123,4 @@ func (d *DTMC) ExpectedVisits(start int) ([]float64, error) {
 		visits[u] = v[k]
 	}
 	return visits, nil
-}
-
-// ExpectedTransitionCount returns E[#traversals of from→to] before absorption
-// starting from start, which is visits(from)·p(from,to). The split-state
-// construction of Figure 4 counts arrivals into the split state S_u', which
-// equals the sum of such transition counts over the tagged edges.
-func (d *DTMC) ExpectedTransitionCount(visits []float64, from, to int) float64 {
-	for _, e := range d.rows[from] {
-		if e.To == to {
-			return visits[from] * e.Rate
-		}
-	}
-	return 0
-}
-
-// AbsorptionProbabilities returns, for each absorbing state a, the
-// probability of being absorbed in a when starting from start.
-func (d *DTMC) AbsorptionProbabilities(start int) (map[int]float64, error) {
-	visits, err := d.ExpectedVisits(start)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int]float64)
-	if d.absorbing[start] {
-		out[start] = 1
-		return out, nil
-	}
-	for u := 0; u < d.n; u++ {
-		if visits[u] == 0 {
-			continue
-		}
-		for _, e := range d.rows[u] {
-			if d.absorbing[e.To] {
-				out[e.To] += visits[u] * e.Rate
-			}
-		}
-	}
-	return out, nil
 }

@@ -28,9 +28,9 @@ import (
 const KronCutoff = 1 << 17
 
 const (
-	// kronRestart is the Krylov dimension of the kron-gmres alternate, the
-	// occupancy retry and the Krylov sweep (memory = kronRestart+1
-	// state-space basis vectors); the BiCGSTAB primary ignores it.
+	// kronRestart is the Krylov dimension of the kron-gmres alternate and
+	// the Krylov sweep (memory = kronRestart+1 state-space basis vectors);
+	// the BiCGSTAB primary ignores it.
 	// kronMaxIters is every Krylov solve's operator-application budget,
 	// shared by the two moment systems.
 	kronRestart  = 40
@@ -61,10 +61,11 @@ type MatrixFreeSpec struct {
 	// n+1 such states out of 2^n).
 	AbsorbIdx  []int
 	AbsorbRate []float64
-	// Precond optionally right-preconditions the forward Krylov solves
-	// (dst = M⁻¹·src); PrecondT its transposed counterpart for occupancy.
-	// nil runs unpreconditioned.
-	Precond  func(dst, src []float64)
+	// Precond optionally right-preconditions the Krylov moment solves
+	// (dst = M⁻¹·src); nil runs unpreconditioned.
+	Precond func(dst, src []float64)
+	// PrecondT is not read: the engine solves no transposed system. It
+	// stays because callers still set it (perfbench's Jacobi reference).
 	PrecondT func(dst, src []float64)
 	// Rows enumerates state u's transitions on the fly for the jump-chain
 	// rung: yield(to, rate) per transition, to < 0 meaning absorption. nil
@@ -73,8 +74,8 @@ type MatrixFreeSpec struct {
 }
 
 // MatrixFree solves an absorbing chain whose transient generator exists only
-// as an operator. It mirrors CTMC's solve surface: the moments ladder,
-// expected occupancy and the absorption sequence.
+// as an operator. It mirrors CTMC's solve surface: the moments ladder and
+// the absorption sequence.
 type MatrixFree struct {
 	spec  MatrixFreeSpec
 	op    *countedOp
@@ -171,19 +172,7 @@ func (m *MatrixFree) AbsorptionMomentsCtx(ctx context.Context) (m1, m2 float64, 
 }
 
 // krylovSolver is the shape SolveBiCGSTAB and SolveGMRES share.
-type krylovSolver func(op linalg.Operator, trans bool, b []float64, opts linalg.GMRESOpts) ([]float64, int, error)
-
-// krylovOpts are the options of every Krylov solve on Q_T: the moment
-// systems forward under Precond, occupancy transposed under PrecondT.
-func (m *MatrixFree) krylovOpts(precond func(dst, src []float64)) linalg.GMRESOpts {
-	return linalg.GMRESOpts{
-		Restart:  kronRestart,
-		MaxIters: kronMaxIters,
-		Tol:      gsTol,
-		NormA:    2 * m.gamma,
-		Precond:  precond,
-	}
-}
+type krylovSolver func(op linalg.Operator, b []float64, opts linalg.GMRESOpts) ([]float64, int, error)
 
 // momentsKrylov runs the two moment systems on one right-preconditioned
 // Krylov solver, the two solves sharing one iteration budget. It is the
@@ -193,8 +182,14 @@ func (m *MatrixFree) momentsKrylov(ctx context.Context, name string, solve krylo
 	for i := range rhs {
 		rhs[i] = -1
 	}
-	opts := m.krylovOpts(m.spec.Precond)
-	h, it1, err := solve(m.op, false, rhs, opts)
+	opts := linalg.GMRESOpts{
+		Restart:  kronRestart,
+		MaxIters: kronMaxIters,
+		Tol:      gsTol,
+		NormA:    2 * m.gamma,
+		Precond:  m.spec.Precond,
+	}
+	h, it1, err := solve(m.op, rhs, opts)
 	m.kiters.Add(int64(it1))
 	if err != nil {
 		return momentSolution{}, guard.Numericalf("markov: kron first-moment %s: %v", name, err)
@@ -206,7 +201,7 @@ func (m *MatrixFree) momentsKrylov(ctx context.Context, name string, solve krylo
 		rhs[i] = -2 * h[i]
 	}
 	opts.MaxIters = max(1, kronMaxIters-it1)
-	h2, it2, err := solve(m.op, false, rhs, opts)
+	h2, it2, err := solve(m.op, rhs, opts)
 	m.kiters.Add(int64(it2))
 	if err != nil {
 		return momentSolution{}, guard.Numericalf("markov: kron second-moment %s: %v", name, err)
@@ -308,23 +303,6 @@ func (m *MatrixFree) momentsMC(ctx context.Context) (momentSolution, error) {
 	return momentSolution{m1: sum / kronMCReps, m2: sum2 / kronMCReps}, nil
 }
 
-// ExpectedOccupancy solves oᵀ·Q_T = −e_startᵀ by transposed BiCGSTAB under
-// PrecondT, retried once with GMRES if it does not converge: o[s] is the
-// expected time spent in transient state s before absorption.
-func (m *MatrixFree) ExpectedOccupancy() ([]float64, error) {
-	m.solves.Inc()
-	rhs := make([]float64, m.dim)
-	rhs[m.spec.Start] = -1
-	opts := m.krylovOpts(m.spec.PrecondT)
-	o, iters, err := linalg.SolveBiCGSTAB(m.op, true, rhs, opts)
-	m.kiters.Add(int64(iters))
-	if err != nil {
-		o, iters, err = linalg.SolveGMRES(m.op, true, rhs, opts)
-		m.kiters.Add(int64(iters))
-	}
-	return o, err
-}
-
 // AbsorptionCDF evaluates P(absorbed by t) at the given times (nondecreasing,
 // ≥ 0) as 1 minus the surviving transient mass, the transient distribution
 // advanced by Krylov exponentials between consecutive times. eps is the
@@ -370,7 +348,7 @@ func (m *MatrixFree) transientSweep(times []float64, eps float64, eval func(pi [
 			panic("markov: matrix-free transient sweep needs nonnegative times")
 		}
 		if t > last {
-			next, iters, err := linalg.KrylovExpv(m.op, true, pi, t-last, linalg.ExpvOpts{
+			next, iters, err := linalg.KrylovExpv(m.op, pi, t-last, linalg.ExpvOpts{
 				KrylovDim: kronRestart,
 				Tol:       eps,
 			})

@@ -14,7 +14,12 @@ import (
 // rest absorbing — the harness for judging the matrix-free routes against
 // the enumerated ones on one chain.
 func matrixFreeFromChain(c *CTMC, start int) *MatrixFree {
-	nt := c.transientCount()
+	nt := 0
+	for u := 0; u < c.N(); u++ {
+		if !c.IsAbsorbing(u) {
+			nt++
+		}
+	}
 	b := linalg.NewCSRBuilder(nt, nt*4)
 	var absIdx []int
 	var absRate []float64
@@ -71,20 +76,6 @@ func TestMatrixFreeMatchesEnumerated(t *testing.T) {
 	}
 	if math.Abs(k1-m1) > 1e-8*m1 || math.Abs(k2-m2) > 1e-8*m2 {
 		t.Fatalf("kron moments (%g, %g) deviate from enumerated (%g, %g)", k1, k2, m1, m2)
-	}
-
-	occ, err := c.ExpectedOccupancy(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kocc, err := mf.ExpectedOccupancy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range kocc {
-		if math.Abs(kocc[i]-occ[i]) > 1e-8*(1+occ[i]) {
-			t.Fatalf("occupancy[%d] = %g, enumerated says %g", i, kocc[i], occ[i])
-		}
 	}
 
 	times := []float64{0, 5, 20, 50, 100}

@@ -84,55 +84,6 @@ func TestSparseMatchesDenseMoments(t *testing.T) {
 	}
 }
 
-// TestSparseOccupancyMatchesDense checks the transposed solve the same way,
-// summing occupancies (which must equal the mean absorption time) and
-// comparing state by state against a dense reference chain below the
-// cutoff... by rebuilding the same chain and calling the internal sparse
-// path directly.
-func TestSparseOccupancyMatchesDense(t *testing.T) {
-	mu := rampRates(9, 0.8, 1.6)
-	c := buildAbsorbing(mu, 0.25)
-	start := 1<<len(mu) - 1
-
-	idx, order := c.transientIndex()
-	rhs := make([]float64, len(order))
-	rhs[idx[start]] = -1
-	qt, agg, nAgg, err := c.transientCSR(idx, order, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, iters, err := qt.SolveTwoLevelGS(rhs, agg, nAgg, gsTol, gsMaxIter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("occupancy solve converged in %d cycles", iters)
-
-	// Σ occupancy = E[absorption time].
-	m1, _, err := c.AbsorptionMomentsDense(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0.0
-	for _, v := range o {
-		sum += v
-	}
-	if rel(m1, sum) > 1e-8 {
-		t.Errorf("Σ occupancy %v vs E[T] %v", sum, m1)
-	}
-
-	// ExpectedOccupancy's public route must agree (it auto-selects sparse at
-	// this size).
-	occ, err := c.ExpectedOccupancy(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, u := range order {
-		if math.Abs(occ[u]-o[k]) > 1e-9*(1+math.Abs(o[k])) {
-			t.Fatalf("occ[%d] = %v, want %v", u, occ[u], o[k])
-		}
-	}
-}
-
 // TestSparseSolveUnreachableAbsorption pins the failure mode: a chain with a
 // transient trap must error, not hang or return garbage.
 func TestSparseSolveUnreachableAbsorption(t *testing.T) {

@@ -58,8 +58,9 @@ func poissonWeights(w []float64, lambdaT, eps float64) []float64 {
 // AbsorptionSequence is the uniformized absorption sequence of one chain from
 // one initial distribution. With P = I + Q/γ and π_k = π_0·Pᵏ it records, per
 // step k, the absorbed mass a_k, the transient mass s_k and the absorption
-// flux d_k = Σ_u π_k(u)·AbsorbRate(u). Uniformization turns every transient
-// question into a Poisson-weighted sum over that one sequence:
+// flux d_k = Σ_u π_k(u)·r_u, with r_u the absorption rate out of u.
+// Uniformization turns every transient question into a Poisson-weighted sum
+// over that one sequence:
 //
 //	F(t) = Σ_k Pois(γt; k)·a_k,   f(t) = Σ_k Pois(γt; k)·d_k,
 //

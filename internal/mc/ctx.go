@@ -131,10 +131,17 @@ func cancelErr(err error) error {
 	return fmt.Errorf("mc: run cancelled: %w: %w", guard.ErrBudget, err)
 }
 
-// MapCtx is Map with RunCtx's panic isolation and cancellation: the
-// grid-level fan-out used by the scenario, xval, and chaos drivers so a
-// Ctrl-C or -timeout stops a long corpus at the next item boundary and a
-// poisoned cell surfaces as a typed error instead of a crash.
+// MapCtx runs fn once per item on the worker pool and returns the results in
+// item order — the grid-level counterpart of RunCtx: where RunCtx shards the
+// replications *inside* one estimator, MapCtx fans *independent* work items
+// (xval scenarios, scenario-batch cells, chaos draws) across the same pool.
+// fn must be deterministic in (i, item) and must not touch shared mutable
+// state; under that discipline the result slice is identical for every
+// worker count, so reports built by folding it in order inherit the
+// engine's bit-reproducibility. RunCtx's panic isolation and cancellation
+// carry over: a Ctrl-C or -timeout stops a long corpus at the next item
+// boundary and a poisoned cell surfaces as a typed error instead of a
+// crash.
 func MapCtx[T, R any](ctx context.Context, items []T, workers int, fn func(i int, item T) R) ([]R, error) {
 	obs.C("mc_map_items_total").Add(int64(len(items)))
 	return RunCtx(ctx, len(items), 1, workers, func(b Block) R {

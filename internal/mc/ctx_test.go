@@ -67,10 +67,13 @@ func TestRunCtxPreCancelled(t *testing.T) {
 	}
 }
 
-func TestMapCtxMatchesMap(t *testing.T) {
+func TestMapCtxMatchesSerialLoop(t *testing.T) {
 	items := []int{3, 1, 4, 1, 5, 9, 2, 6}
 	double := func(i, item int) int { return 2*item + i }
-	want := Map(items, 3, double)
+	want := make([]int, len(items))
+	for i, item := range items {
+		want[i] = double(i, item)
+	}
 	got, err := MapCtx(context.Background(), items, 3, double)
 	if err != nil {
 		t.Fatalf("MapCtx: %v", err)

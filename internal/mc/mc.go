@@ -172,18 +172,3 @@ func finishRun(reg *obs.Registry, start time.Time, perWorker []int64, busy []tim
 	}
 	reg.Histogram("mc_run_seconds").Observe(time.Since(start).Seconds())
 }
-
-// Map runs fn once per item on the worker pool and returns the results in
-// item order — the grid-level counterpart of Run: where Run shards the
-// replications *inside* one estimator, Map fans *independent* work items
-// (xval scenarios, scenario-batch cells) across the same pool. fn must be
-// deterministic in (i, item) and must not touch shared mutable state; under
-// that discipline the result slice is identical for every worker count, so
-// batch reports built by folding it in order inherit the engine's
-// bit-reproducibility.
-func Map[T, R any](items []T, workers int, fn func(i int, item T) R) []R {
-	obs.C("mc_map_items_total").Add(int64(len(items)))
-	return Run(len(items), 1, workers, func(b Block) R {
-		return fn(b.Lo, items[b.Lo])
-	})
-}

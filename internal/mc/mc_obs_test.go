@@ -21,28 +21,28 @@ func withRegistry(t *testing.T) *obs.Registry {
 func TestMapEmptyGrid(t *testing.T) {
 	reg := withRegistry(t)
 	called := 0
-	res := Map(nil, 8, func(i int, item struct{}) int {
+	res := mustMap(t, nil, 8, func(i int, item struct{}) int {
 		called++
 		return i
 	})
 	if res != nil {
-		t.Errorf("Map(nil) = %v, want nil", res)
+		t.Errorf("MapCtx(nil) = %v, want nil", res)
 	}
 	if called != 0 {
 		t.Errorf("fn called %d times on empty grid", called)
 	}
 	for _, name := range []string{"mc_runs_total", "mc_blocks_total", "mc_map_items_total"} {
 		if v := reg.Counter(name).Value(); v != 0 {
-			t.Errorf("%s = %d after empty Map, want 0", name, v)
+			t.Errorf("%s = %d after empty MapCtx, want 0", name, v)
 		}
 	}
 }
 
 func TestMapSingleItem(t *testing.T) {
 	reg := withRegistry(t)
-	res := Map([]int{41}, 8, func(i int, item int) int { return item + 1 + i })
+	res := mustMap(t, []int{41}, 8, func(i int, item int) int { return item + 1 + i })
 	if len(res) != 1 || res[0] != 42 {
-		t.Fatalf("Map single item = %v, want [42]", res)
+		t.Fatalf("MapCtx single item = %v, want [42]", res)
 	}
 	if v := reg.Counter("mc_runs_total").Value(); v != 1 {
 		t.Errorf("mc_runs_total = %d, want 1", v)

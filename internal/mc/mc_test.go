@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 
@@ -139,7 +140,7 @@ func TestMapOrderAndWorkerInvariance(t *testing.T) {
 	for i := range items {
 		items[i] = 10 + i
 	}
-	base := Map(items, 1, func(i, item int) [2]int { return [2]int{i, item * item} })
+	base := mustMap(t, items, 1, func(i, item int) [2]int { return [2]int{i, item * item} })
 	if len(base) != len(items) {
 		t.Fatalf("len = %d, want %d", len(base), len(items))
 	}
@@ -149,14 +150,24 @@ func TestMapOrderAndWorkerInvariance(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{2, 7, 0} {
-		got := Map(items, workers, func(i, item int) [2]int { return [2]int{i, item * item} })
+		got := mustMap(t, items, workers, func(i, item int) [2]int { return [2]int{i, item * item} })
 		for i := range base {
 			if got[i] != base[i] {
 				t.Fatalf("workers=%d: result %d differs", workers, i)
 			}
 		}
 	}
-	if r := Map(nil, 4, func(i int, item struct{}) int { return i }); r != nil {
-		t.Fatalf("empty Map = %v, want nil", r)
+	if r := mustMap(t, nil, 4, func(i int, item struct{}) int { return i }); r != nil {
+		t.Fatalf("empty MapCtx = %v, want nil", r)
 	}
+}
+
+// mustMap runs MapCtx under a background context, failing the test on error.
+func mustMap[T, R any](t *testing.T, items []T, workers int, fn func(i int, item T) R) []R {
+	t.Helper()
+	res, err := MapCtx(context.Background(), items, workers, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

@@ -34,7 +34,7 @@ var Catalog = []Def{
 	// Monte Carlo engine (internal/mc).
 	{Name: "mc_runs_total", Kind: KindCounter, Help: "Monte Carlo engine invocations that executed at least one block"},
 	{Name: "mc_blocks_total", Kind: KindCounter, Help: "replication blocks executed by the Monte Carlo worker pool"},
-	{Name: "mc_map_items_total", Kind: KindCounter, Help: "independent grid items fanned out through mc.Map"},
+	{Name: "mc_map_items_total", Kind: KindCounter, Help: "independent grid items fanned out through mc.MapCtx"},
 	{Name: "mc_block_panics_total", Kind: KindCounter, Help: "replication blocks whose panic was captured and converted to a typed error"},
 
 	// Simulators (internal/sim).

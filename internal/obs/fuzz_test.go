@@ -25,9 +25,9 @@ func FuzzEncoders(f *testing.F) {
 		r := Enable()
 		defer Disable()
 		C(name).Add(count)
-		G(name + "_gauge").Set(obsv)
+		r.Gauge(name + "_gauge").Set(obsv)
 		if !math.IsNaN(obsv) && !math.IsInf(obsv, 0) {
-			H(name + "_hist").Observe(obsv)
+			r.Histogram(name + "_hist").Observe(obsv)
 		}
 		StartSpan(name).End()
 

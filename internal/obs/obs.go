@@ -177,9 +177,3 @@ func (r *Registry) Histogram(name string) *Histogram {
 // C returns the named counter of the current registry, or nil when
 // observability is off. The off path is one atomic load.
 func C(name string) *Counter { return Current().Counter(name) }
-
-// G returns the named gauge of the current registry, or nil when off.
-func G(name string) *Gauge { return Current().Gauge(name) }
-
-// H returns the named histogram of the current registry, or nil when off.
-func H(name string) *Histogram { return Current().Histogram(name) }

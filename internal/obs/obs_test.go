@@ -17,7 +17,7 @@ func TestDisabledPathIsNilSafe(t *testing.T) {
 	if Enabled() || Current() != nil {
 		t.Fatal("registry installed at test start")
 	}
-	if C("x") != nil || G("x") != nil || H("x") != nil || StartSpan("a/b") != nil {
+	if C("x") != nil || Current().Gauge("x") != nil || Current().Histogram("x") != nil || StartSpan("a/b") != nil {
 		t.Fatal("disabled accessors must return nil")
 	}
 	var c *Counter
@@ -61,13 +61,13 @@ func TestCountersAndGauges(t *testing.T) {
 	if got := C("mc_blocks_total").Value(); got != 4 {
 		t.Fatalf("counter = %d, want 4", got)
 	}
-	G("mc_workers").Set(8)
-	G("mc_workers").SetMax(4) // lower: ignored
-	if got := G("mc_workers").Value(); got != 8 {
+	Current().Gauge("mc_workers").Set(8)
+	Current().Gauge("mc_workers").SetMax(4) // lower: ignored
+	if got := Current().Gauge("mc_workers").Value(); got != 8 {
 		t.Fatalf("gauge = %v, want 8", got)
 	}
-	G("mc_workers").SetMax(16)
-	if got := G("mc_workers").Value(); got != 16 {
+	Current().Gauge("mc_workers").SetMax(16)
+	if got := Current().Gauge("mc_workers").Value(); got != 16 {
 		t.Fatalf("gauge after SetMax = %v, want 16", got)
 	}
 }
@@ -85,7 +85,7 @@ func TestConcurrentCountsAreExact(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < per; j++ {
 				C("sim_async_events_total").Inc()
-				H("linalg_csr_nnz").Observe(64)
+				Current().Histogram("linalg_csr_nnz").Observe(64)
 				StartSpan("pipeline/stage/shard").End()
 			}
 		}()
@@ -94,7 +94,7 @@ func TestConcurrentCountsAreExact(t *testing.T) {
 	if got := C("sim_async_events_total").Value(); got != workers*per {
 		t.Fatalf("counter = %d, want %d", got, workers*per)
 	}
-	if got := H("linalg_csr_nnz").N(); got != workers*per {
+	if got := Current().Histogram("linalg_csr_nnz").N(); got != workers*per {
 		t.Fatalf("histogram count = %d, want %d", got, workers*per)
 	}
 	rep := Current().Report()
@@ -149,12 +149,12 @@ func TestHistogramBucketsAndMerge(t *testing.T) {
 func TestReportSectionSplit(t *testing.T) {
 	Enable()
 	defer Disable()
-	C("mc_blocks_total").Add(7)                 // cataloged deterministic
-	C("strategy_crosschecks_total_async").Inc() // '*'-family, deterministic
-	G("mc_workers").Set(4)                      // cataloged runtime
-	C("totally_unknown_metric").Inc()           // uncataloged → runtime
-	H("linalg_csr_nnz").Observe(128)            // deterministic histogram
-	H("mc_run_seconds").Observe(0.25)           // runtime histogram
+	C("mc_blocks_total").Add(7)                         // cataloged deterministic
+	C("strategy_crosschecks_total_async").Inc()         // '*'-family, deterministic
+	Current().Gauge("mc_workers").Set(4)                // cataloged runtime
+	C("totally_unknown_metric").Inc()                   // uncataloged → runtime
+	Current().Histogram("linalg_csr_nnz").Observe(128)  // deterministic histogram
+	Current().Histogram("mc_run_seconds").Observe(0.25) // runtime histogram
 	rep := Current().Report()
 	det, rt := rep.Deterministic, rep.Runtime
 	if det.Counters["mc_blocks_total"] != 7 {
@@ -182,7 +182,7 @@ func TestReportSectionSplit(t *testing.T) {
 func TestJSONReportRoundTrips(t *testing.T) {
 	Enable()
 	defer Disable()
-	h := H("linalg_csr_nnz")
+	h := Current().Histogram("linalg_csr_nnz")
 	h.Observe(3)
 	h.Observe(1e9) // overflow bucket
 	var buf bytes.Buffer

@@ -4,11 +4,6 @@
 // two methods can cross-validate each other.
 package ode
 
-import (
-	"errors"
-	"math"
-)
-
 // Func evaluates the derivative dy/dt at (t, y) into dst.
 // dst and y always have the same length and never alias.
 type Func func(t float64, y, dst []float64)
@@ -47,117 +42,6 @@ func RK4(f Func, y0 []float64, t0, t1 float64, steps int) []float64 {
 			y[i] += h / 6 * (k1[i] + 2*k2[i] + 2*k3[i] + k4[i])
 		}
 		t += h
-	}
-	return y
-}
-
-// Trajectory records the solution at the requested times. times must be
-// nondecreasing and start at or after t0.
-func Trajectory(f Func, y0 []float64, t0 float64, times []float64, stepsPerUnit int) ([][]float64, error) {
-	if stepsPerUnit < 1 {
-		return nil, errors.New("ode: stepsPerUnit must be >= 1")
-	}
-	out := make([][]float64, len(times))
-	y := append([]float64(nil), y0...)
-	t := t0
-	for i, target := range times {
-		if target < t {
-			return nil, errors.New("ode: times must be nondecreasing")
-		}
-		if target > t {
-			span := target - t
-			steps := int(math.Ceil(span * float64(stepsPerUnit)))
-			if steps < 1 {
-				steps = 1
-			}
-			y = RK4(f, y, t, target, steps)
-			t = target
-		}
-		out[i] = append([]float64(nil), y...)
-	}
-	return out, nil
-}
-
-// DormandPrince integrates with an adaptive embedded RK5(4) pair
-// (Dormand–Prince) to absolute/relative tolerance tol, returning the final
-// state. It is the reference high-accuracy integrator for validation runs.
-func DormandPrince(f Func, y0 []float64, t0, t1, tol float64) []float64 {
-	if tol <= 0 {
-		panic("ode: tolerance must be positive")
-	}
-	n := len(y0)
-	y := append([]float64(nil), y0...)
-	t := t0
-	h := (t1 - t0) / 100
-	if h <= 0 {
-		h = 1e-6
-	}
-	k := make([][]float64, 7)
-	for i := range k {
-		k[i] = make([]float64, n)
-	}
-	tmp := make([]float64, n)
-	y5 := make([]float64, n)
-	y4 := make([]float64, n)
-
-	// Dormand–Prince coefficients.
-	var (
-		c = [7]float64{0, 1. / 5, 3. / 10, 4. / 5, 8. / 9, 1, 1}
-		a = [7][6]float64{
-			{},
-			{1. / 5},
-			{3. / 40, 9. / 40},
-			{44. / 45, -56. / 15, 32. / 9},
-			{19372. / 6561, -25360. / 2187, 64448. / 6561, -212. / 729},
-			{9017. / 3168, -355. / 33, 46732. / 5247, 49. / 176, -5103. / 18656},
-			{35. / 384, 0, 500. / 1113, 125. / 192, -2187. / 6784, 11. / 84},
-		}
-		b5 = [7]float64{35. / 384, 0, 500. / 1113, 125. / 192, -2187. / 6784, 11. / 84, 0}
-		b4 = [7]float64{5179. / 57600, 0, 7571. / 16695, 393. / 640, -92097. / 339200, 187. / 2100, 1. / 40}
-	)
-
-	for t < t1 {
-		if t+h > t1 {
-			h = t1 - t
-		}
-		for stage := 0; stage < 7; stage++ {
-			copy(tmp, y)
-			for j := 0; j < stage; j++ {
-				if a[stage][j] != 0 {
-					for i := range tmp {
-						tmp[i] += h * a[stage][j] * k[j][i]
-					}
-				}
-			}
-			f(t+c[stage]*h, tmp, k[stage])
-		}
-		errNorm := 0.0
-		for i := range y {
-			s5, s4 := 0.0, 0.0
-			for stage := 0; stage < 7; stage++ {
-				s5 += b5[stage] * k[stage][i]
-				s4 += b4[stage] * k[stage][i]
-			}
-			y5[i] = y[i] + h*s5
-			y4[i] = y[i] + h*s4
-			scale := tol + tol*math.Max(math.Abs(y[i]), math.Abs(y5[i]))
-			e := (y5[i] - y4[i]) / scale
-			errNorm += e * e
-		}
-		errNorm = math.Sqrt(errNorm / float64(n))
-		if errNorm <= 1 || h < 1e-14 {
-			t += h
-			copy(y, y5)
-		}
-		// Step-size controller with the usual safety clamp.
-		factor := 0.9 * math.Pow(1/math.Max(errNorm, 1e-10), 0.2)
-		if factor > 5 {
-			factor = 5
-		}
-		if factor < 0.2 {
-			factor = 0.2
-		}
-		h *= factor
 	}
 	return y
 }

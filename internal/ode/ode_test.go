@@ -48,61 +48,6 @@ func TestRK4TimeDependent(t *testing.T) {
 	}
 }
 
-func TestTrajectory(t *testing.T) {
-	times := []float64{0, 0.5, 1.0, 2.0}
-	tr, err := Trajectory(decay, []float64{1}, 0, times, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tt := range times {
-		want := math.Exp(-tt)
-		if math.Abs(tr[i][0]-want) > 1e-7 {
-			t.Fatalf("trajectory at t=%v: %v want %v", tt, tr[i][0], want)
-		}
-	}
-}
-
-func TestTrajectoryRejectsDecreasingTimes(t *testing.T) {
-	_, err := Trajectory(decay, []float64{1}, 0, []float64{1, 0.5}, 10)
-	if err == nil {
-		t.Fatal("Trajectory accepted decreasing times")
-	}
-}
-
-func TestDormandPrinceDecay(t *testing.T) {
-	y := DormandPrince(decay, []float64{1}, 0, 3, 1e-10)
-	want := math.Exp(-3)
-	if math.Abs(y[0]-want) > 1e-8 {
-		t.Fatalf("DP decay = %v, want %v", y[0], want)
-	}
-}
-
-func TestDormandPrinceStiffish(t *testing.T) {
-	// y' = -50(y - cos t): solution tends to ≈ cos t; adaptive stepping must
-	// survive the fast transient.
-	f := func(tt float64, y, dst []float64) { dst[0] = -50 * (y[0] - math.Cos(tt)) }
-	y := DormandPrince(f, []float64{0}, 0, 2, 1e-8)
-	// Reference from a very fine RK4 grid.
-	ref := RK4(f, []float64{0}, 0, 2, 200000)
-	if math.Abs(y[0]-ref[0]) > 1e-6 {
-		t.Fatalf("DP stiff-ish = %v, ref %v", y[0], ref[0])
-	}
-}
-
-func TestDormandPrinceMatchesRK4OnSystem(t *testing.T) {
-	f := func(_ float64, y, dst []float64) {
-		dst[0] = -2*y[0] + y[1]
-		dst[1] = y[0] - 3*y[1]
-	}
-	a := RK4(f, []float64{1, 2}, 0, 1.5, 5000)
-	b := DormandPrince(f, []float64{1, 2}, 0, 1.5, 1e-10)
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > 1e-7 {
-			t.Fatalf("integrators disagree at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
 func TestRK4PanicsOnZeroSteps(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -18,15 +18,13 @@ import (
 	"fmt"
 	"math"
 
-	"recoveryblocks/internal/guard"
 	"recoveryblocks/internal/synch"
 )
 
 // Config describes a PRP deployment.
 type Config struct {
-	Mu        []float64 // per-process RP rates μ_i
-	SaveCost  float64   // t_r: time to record one process state
-	StateSize float64   // bytes (or any unit) per saved state, for storage accounting
+	Mu       []float64 // per-process RP rates μ_i
+	SaveCost float64   // t_r: time to record one process state
 }
 
 // Validate checks the configuration.
@@ -42,9 +40,6 @@ func (c Config) Validate() error {
 	if c.SaveCost < 0 {
 		return errors.New("prpmodel: SaveCost must be nonnegative")
 	}
-	if c.StateSize < 0 {
-		return errors.New("prpmodel: StateSize must be nonnegative")
-	}
 	return nil
 }
 
@@ -57,10 +52,6 @@ func (c Config) N() int { return len(c.Mu) }
 func (c Config) TimeOverheadPerRP() float64 {
 	return float64(c.N()-1) * c.SaveCost
 }
-
-// StatesPerRP returns the number of states saved per recovery point: one RP
-// plus (n−1) PRPs.
-func (c Config) StatesPerRP() int { return c.N() }
 
 // RPRate returns the total system rate of recovery-point establishment,
 // Σ_i μ_i. Every such event triggers one full pseudo-recovery-line save.
@@ -88,9 +79,6 @@ func (c Config) TimeOverheadRate() float64 {
 // RPs and PRPs can be purged — so n² states bound the live store.
 func (c Config) LiveStates() int { return c.N() * c.N() }
 
-// LiveStorage returns LiveStates scaled by the configured state size.
-func (c Config) LiveStorage() float64 { return float64(c.LiveStates()) * c.StateSize }
-
 // RollbackDistanceBound returns the paper's bound on the rollback distance:
 // E[sup{y_1..y_n}] where y_i ~ Exp(μ_i) is the inter-RP interval of P_i.
 // (The same max-of-exponentials expectation as Section 3's E[Z]; the
@@ -116,53 +104,4 @@ func (c Config) MeanRollbackToPRL(i int) (float64, error) {
 		return 0, fmt.Errorf("prpmodel: process %d out of range", i)
 	}
 	return 1 / c.Mu[i], nil
-}
-
-// Comparison summarizes the three strategies of the paper for a symmetric
-// system, in the units of the model (per-unit-time overhead during normal
-// operation vs expected rollback distance on failure).
-type Comparison struct {
-	N                int
-	AsyncRollbackEX  float64 // asynchronous: E[X] lower-bounds rollback distance
-	SyncLossPerSync  float64 // synchronized: E[CL] per synchronization
-	PRPOverheadPerRP float64 // PRP: (n−1)·t_r
-	PRPRollbackBound float64 // PRP: E[sup y_i]
-	PRPLiveStates    int     // PRP: retained states after purging
-}
-
-// Compare evaluates the trade-off table for n identical processes with RP
-// rate mu, interaction rate lambda (for the asynchronous E[X]) and state
-// save cost saveCost. asyncEX must be supplied by the caller (it comes from
-// rbmodel, which this package must not import to stay cycle-free).
-func Compare(n int, mu, saveCost, asyncEX float64) (Comparison, error) {
-	if n < 1 || mu <= 0 || math.IsNaN(mu) || math.IsInf(mu, 0) {
-		return Comparison{}, guard.Numericalf("prpmodel: need n ≥ 1 and finite μ > 0 (got n = %d, μ = %v)", n, mu)
-	}
-	if saveCost < 0 || math.IsNaN(saveCost) || math.IsInf(saveCost, 0) {
-		return Comparison{}, guard.Numericalf("prpmodel: save cost %v must be nonnegative and finite", saveCost)
-	}
-	if math.IsNaN(asyncEX) || math.IsInf(asyncEX, 0) || asyncEX < 0 {
-		return Comparison{}, guard.Numericalf("prpmodel: async E[X] %v must be nonnegative and finite", asyncEX)
-	}
-	rates := make([]float64, n)
-	for i := range rates {
-		rates[i] = mu
-	}
-	cl, err := synch.MeanLoss(rates)
-	if err != nil {
-		return Comparison{}, err
-	}
-	bound, err := synch.MeanMax(rates)
-	if err != nil {
-		return Comparison{}, err
-	}
-	cfg := Config{Mu: rates, SaveCost: saveCost}
-	return Comparison{
-		N:                n,
-		AsyncRollbackEX:  asyncEX,
-		SyncLossPerSync:  cl,
-		PRPOverheadPerRP: cfg.TimeOverheadPerRP(),
-		PRPRollbackBound: bound,
-		PRPLiveStates:    cfg.LiveStates(),
-	}, nil
 }

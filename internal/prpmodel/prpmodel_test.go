@@ -6,7 +6,7 @@ import (
 )
 
 func cfg3() Config {
-	return Config{Mu: []float64{1.5, 1.0, 0.5}, SaveCost: 0.05, StateSize: 4096}
+	return Config{Mu: []float64{1.5, 1.0, 0.5}, SaveCost: 0.05}
 }
 
 func TestValidate(t *testing.T) {
@@ -17,7 +17,6 @@ func TestValidate(t *testing.T) {
 		{},
 		{Mu: []float64{0}},
 		{Mu: []float64{1}, SaveCost: -1},
-		{Mu: []float64{1}, StateSize: -1},
 		{Mu: []float64{1, math.Inf(1)}},
 	}
 	for i, c := range bad {
@@ -30,18 +29,12 @@ func TestValidate(t *testing.T) {
 func TestPaperOverheadFormulas(t *testing.T) {
 	c := cfg3()
 	// Section 4: "The additional time overhead for every recovery point is
-	// (n−1)·t_r" and "it is required to save n states for every RP".
+	// (n−1)·t_r", and the pseudo recovery lines retain n² states.
 	if got := c.TimeOverheadPerRP(); math.Abs(got-2*0.05) > 1e-15 {
 		t.Fatalf("(n-1)t_r = %v", got)
 	}
-	if c.StatesPerRP() != 3 {
-		t.Fatalf("states per RP = %d", c.StatesPerRP())
-	}
 	if c.LiveStates() != 9 {
 		t.Fatalf("live states = %d, want n² = 9", c.LiveStates())
-	}
-	if got := c.LiveStorage(); got != 9*4096 {
-		t.Fatalf("live storage = %v", got)
 	}
 }
 
@@ -80,51 +73,6 @@ func TestMeanRollbackToPRL(t *testing.T) {
 	}
 	if _, err := c.MeanRollbackToPRL(3); err == nil {
 		t.Fatal("accepted out-of-range process")
-	}
-}
-
-func TestCompareTradeoffShape(t *testing.T) {
-	// The paper's qualitative conclusion: PRP bounds rollback at the price
-	// of per-RP overhead; asynchronous has no overhead but E[X] (the rollback
-	// lower bound) exceeds the PRP bound once interactions are frequent.
-	cmp, err := Compare(3, 1.0, 0.05, 2.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp.PRPRollbackBound >= cmp.AsyncRollbackEX {
-		t.Fatalf("PRP bound %v should beat async E[X] %v at ρ=2",
-			cmp.PRPRollbackBound, cmp.AsyncRollbackEX)
-	}
-	if cmp.PRPOverheadPerRP <= 0 || cmp.SyncLossPerSync <= 0 {
-		t.Fatalf("overheads must be positive: %+v", cmp)
-	}
-	if cmp.PRPLiveStates != 9 {
-		t.Fatalf("live states = %d", cmp.PRPLiveStates)
-	}
-}
-
-func TestCompareSingleProcessDegenerate(t *testing.T) {
-	cmp, err := Compare(1, 2.0, 0.1, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp.PRPOverheadPerRP != 0 {
-		t.Fatalf("single process pays no implantation cost: %v", cmp.PRPOverheadPerRP)
-	}
-	if cmp.SyncLossPerSync > 1e-12 {
-		t.Fatalf("single process never waits: %v", cmp.SyncLossPerSync)
-	}
-	if math.Abs(cmp.PRPRollbackBound-0.5) > 1e-12 {
-		t.Fatalf("bound = %v, want 1/μ", cmp.PRPRollbackBound)
-	}
-}
-
-func TestCompareRejectsBadInput(t *testing.T) {
-	if _, err := Compare(0, 1, 0, 1); err == nil {
-		t.Fatal("accepted n=0")
-	}
-	if _, err := Compare(2, 0, 0, 1); err == nil {
-		t.Fatal("accepted μ=0")
 	}
 }
 

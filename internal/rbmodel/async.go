@@ -78,17 +78,21 @@ func NewAsync(p Params) (*AsyncModel, error) {
 	return m, nil
 }
 
+// maxEnumerateProcesses bounds EnumerateAsync: the chain holds every
+// transition of the cube, up to n + C(n,2) per vertex, about 140 MB at
+// n = 16.
+const maxEnumerateProcesses = 16
+
 // EnumerateAsync builds the full model's 2^n+1-state chain as markov.CTMC
 // rows, in AsyncModel's state indexing: the chain NewAsync answers from for
 // n ≤ MaxEnumeratedProcesses, and the full-cube reference for the other
-// routes at any n up to MaxSplitProcesses, beyond which, like the split
-// chain, it would hold every transition of too large a cube.
+// routes at any n up to maxEnumerateProcesses.
 func EnumerateAsync(p Params) (*markov.CTMC, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if n := p.N(); n > MaxSplitProcesses {
-		return nil, fmt.Errorf("rbmodel: n = %d exceeds MaxSplitProcesses = %d", n, MaxSplitProcesses)
+	if n := p.N(); n > maxEnumerateProcesses {
+		return nil, fmt.Errorf("rbmodel: n = %d exceeds the enumeration bound %d", n, maxEnumerateProcesses)
 	}
 	return enumerate(p), nil
 }
@@ -200,14 +204,6 @@ func (m *AsyncModel) StateOf(mask int) int {
 	return mask + 1
 }
 
-// MaskOf inverts StateOf for intermediate states.
-func (m *AsyncModel) MaskOf(state int) int {
-	if state <= 0 || state > m.ones {
-		panic("rbmodel: state is not intermediate")
-	}
-	return state - 1
-}
-
 // Chain exposes the underlying CTMC of the enumerated backend. It returns
 // nil on the orbit and kron routes, which never build one — their state
 // spaces are the lumped cells and the implicit cube. EnumerateAsync builds
@@ -291,44 +287,4 @@ func (m *AsyncModel) MeanLWald() ([]float64, error) {
 		out[i] = mu * ex
 	}
 	return out, nil
-}
-
-// OccupancyByOnes returns the expected time before absorption spent in
-// states with exactly u ones (u indexed 0..n), with the entry state counted
-// under u = n. Used to analyze where the interval X is spent.
-func (m *AsyncModel) OccupancyByOnes() ([]float64, error) {
-	n := m.P.N()
-	switch {
-	case m.orbit != nil:
-		return m.orbit.occupancyByOnes()
-	case m.kron != nil:
-		occ, err := m.kron.mf.ExpectedOccupancy()
-		if err != nil {
-			return nil, err
-		}
-		out := make([]float64, n+1)
-		for s, v := range occ {
-			out[popcount(s)] += v // the all-ones vertex is the entry: u = n
-		}
-		return out, nil
-	}
-	occ, err := m.chain.ExpectedOccupancy(m.Entry())
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, n+1)
-	out[n] += occ[m.Entry()]
-	for mask := 0; mask < m.ones; mask++ {
-		out[popcount(mask)] += occ[m.StateOf(mask)]
-	}
-	return out, nil
-}
-
-func popcount(x int) int {
-	c := 0
-	for x != 0 {
-		x &= x - 1
-		c++
-	}
-	return c
 }

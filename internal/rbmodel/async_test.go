@@ -75,9 +75,6 @@ func TestStateIndexingMatchesPaper(t *testing.T) {
 	if m.StateOf(1) != 2 {
 		t.Fatalf("state of (1,0,0) = %d, want 2", m.StateOf(1))
 	}
-	if m.MaskOf(2) != 1 {
-		t.Fatalf("MaskOf(2) = %d", m.MaskOf(2))
-	}
 }
 
 func TestSingleProcessIsExponential(t *testing.T) {
@@ -218,25 +215,6 @@ func TestMeanLWaldProportionalToMu(t *testing.T) {
 	}
 	if math.Abs(ls[0]/ls[1]-1.5) > 1e-9 {
 		t.Fatalf("E[L1]/E[L2] = %v, want 1.5", ls[0]/ls[1])
-	}
-}
-
-func TestOccupancyByOnesSumsToMeanX(t *testing.T) {
-	m := mustAsync(t, Table1Cases()[3].Params)
-	occ, err := m.OccupancyByOnes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0.0
-	for _, o := range occ {
-		sum += o
-	}
-	ex, err := m.MeanX()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sum-ex) > 1e-9 {
-		t.Fatalf("Σ occupancy = %v vs E[X] = %v", sum, ex)
 	}
 }
 

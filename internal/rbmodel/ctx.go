@@ -34,19 +34,6 @@ func (m *AsyncModel) MomentsXCtx(ctx context.Context) (m1, m2 float64, err error
 	}
 }
 
-// MeanLWaldCtx is MeanLWald under an explicit context.
-func (m *AsyncModel) MeanLWaldCtx(ctx context.Context) ([]float64, error) {
-	ex, err := m.MeanXCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, m.P.N())
-	for i, mu := range m.P.Mu {
-		out[i] = mu * ex
-	}
-	return out, nil
-}
-
 // MeanXCtx is MeanX under an explicit context.
 func (m *SymmetricModel) MeanXCtx(ctx context.Context) (float64, error) {
 	m1, _, err := m.chain.AbsorptionMomentsCtx(ctx, m.Entry())

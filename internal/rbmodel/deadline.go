@@ -167,22 +167,3 @@ func (m *AsyncModel) QuantileXCtx(ctx context.Context, q float64) (float64, erro
 	}
 	return (lo + hi) / 2, nil
 }
-
-// HazardX evaluates the hazard rate h(t) = f(t)/(1−F(t)) of the inter-line
-// interval at the given times — the instantaneous recovery-line formation
-// rate given none has formed yet. For large t it converges to the slowest
-// decay mode of the chain, which is what dominates deadline-miss risk.
-func (m *AsyncModel) HazardX(times []float64) []float64 {
-	cdf, f := make([]float64, len(times)), make([]float64, len(times))
-	m.transientAt(times, cdf, f)
-	out := make([]float64, len(times))
-	for i := range times {
-		surv := 1 - cdf[i]
-		if surv < 1e-15 {
-			out[i] = math.Inf(1)
-			continue
-		}
-		out[i] = f[i] / surv
-	}
-	return out
-}

@@ -153,7 +153,7 @@ func TestQuantileSingleProcessClosedForm(t *testing.T) {
 func TestHazardEdgeBehavior(t *testing.T) {
 	m := mustAsync(t, Uniform(2, 1.5, 0.5))
 	times := []float64{0, 1e-9, 0.1, 1, 10, 100, 1000}
-	h := m.HazardX(times)
+	h := hazardX(m, times)
 	if math.Abs(h[0]-3) > 1e-8 {
 		t.Fatalf("h(0) = %v, want Σμ = 3", h[0])
 	}

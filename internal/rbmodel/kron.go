@@ -14,8 +14,7 @@ import (
 // generator is a Kronecker sum of 2×2 per-process recovery-point factors plus
 // the pairwise interaction family and n+1 boundary fixups — a linalg.KronOp
 // applied in O(n·2^n) flops with O(2^n) memory, never materialized. The
-// markov.MatrixFree engine runs the moment, occupancy and transient solves
-// against it.
+// markov.MatrixFree engine runs the moment and transient solves against it.
 type kronEngine struct {
 	op *linalg.KronOp
 	mf *markov.MatrixFree
@@ -88,7 +87,6 @@ func newKronEngine(p Params) *kronEngine {
 		AbsorbIdx:  absIdx,
 		AbsorbRate: absRate,
 		Precond:    pre.forward,
-		PrecondT:   pre.transposed,
 		Rows:       func(u int, yield func(int, float64)) { cubeRows(p, u, yield) },
 	})}
 }
@@ -123,10 +121,9 @@ func uniformPairRate(p Params) (float64, bool) {
 // exactly the R1 raising part μ_i·e_s·e_{s|1<<i}ᵀ, less the n edges into the
 // all-ones entry state that the boundary fixups turn into absorption, and
 // (D + U)⁻¹ is one matrix-free pass over the cube with every superset solved
-// before its subsets: descending s for D + U, ascending for its transpose.
-// Each pass costs O(n·2^n) and writes only its output vector. Only that
-// order matters, so the entries of one popcount level are independent of
-// each other.
+// before its subsets, in descending s. Each pass costs O(n·2^n) and writes
+// only its output vector. Only that order matters, so the entries of one
+// popcount level are independent of each other.
 //
 // The coarse level carries the interaction flow between popcount levels that
 // D + U leaves out: without it the Krylov iterations stop on the same
@@ -137,9 +134,9 @@ func uniformPairRate(p Params) (float64, bool) {
 // vertices at level u containing a fixed bit pattern is independent of which
 // rates sit on it.
 type kronPrecond struct {
-	diag    []float64
-	mu      []float64
-	lu, luT *linalg.LU
+	diag []float64
+	mu   []float64
+	lu   *linalg.LU
 	// rc and ec are the coarse restriction and correction, reused by every
 	// application.
 	rc, ec []float64
@@ -178,20 +175,11 @@ func newKronPrecond(op *linalg.KronOp, p Params) *kronPrecond {
 		ac.Add(u, u, -r2-r3)
 	}
 	ac.Add(n, n, -sumMu) // the entry's R4 exit
-	act := linalg.NewMatrix(n+1, n+1)
-	for i := 0; i <= n; i++ {
-		for j := 0; j <= n; j++ {
-			act.Set(i, j, ac.At(j, i))
-		}
-	}
 	// A singular factorization only arises from non-finite rates; the engine
 	// then runs on Gauss–Seidel alone and the acceptance test judges the
 	// result.
 	if lu, err := linalg.Factor(ac); err == nil {
 		kp.lu = lu
-	}
-	if lu, err := linalg.Factor(act); err == nil {
-		kp.luT = lu
 	}
 	return kp
 }
@@ -218,15 +206,7 @@ func choose(n, k int) float64 {
 // level.
 func (kp *kronPrecond) forward(dst, src []float64) {
 	kp.sweep(dst, src)
-	kp.coarse(dst, src, kp.lu)
-}
-
-// transposed computes dst = (D + U)⁻ᵀ·src + P·Ac⁻ᵀ·R·src. Restricting the
-// transposed system uses Acᵀ, since the level aggregation is symmetric:
-// R·Q_Tᵀ·P = (R·Q_T·P)ᵀ.
-func (kp *kronPrecond) transposed(dst, src []float64) {
-	kp.sweepT(dst, src)
-	kp.coarse(dst, src, kp.luT)
+	kp.coarse(dst, src)
 }
 
 // sweep solves (D + U)·y = r into y, s descending:
@@ -246,25 +226,9 @@ func (kp *kronPrecond) sweep(y, r []float64) {
 	}
 }
 
-// sweepT solves (D + U)ᵀ·y = r into y, s ascending:
-// y[s] = (r[s] − Σ_{i∈s} μ_i·y[s&^(1<<i)]) / D[s]. All-ones receives no
-// edge of U.
-func (kp *kronPrecond) sweepT(y, r []float64) {
-	ones := len(r) - 1
-	for s := 0; s < ones; s++ {
-		v := r[s]
-		for b := s; b != 0; b &= b - 1 {
-			i := bits.TrailingZeros(uint(b))
-			v -= kp.mu[i] * y[s&^(1<<i)]
-		}
-		y[s] = v / kp.diag[s]
-	}
-	y[ones] = r[ones] / kp.diag[ones]
-}
-
-// coarse adds P·Ac⁻¹·R·src to dst, with lu factoring Ac or Acᵀ.
-func (kp *kronPrecond) coarse(dst, src []float64, lu *linalg.LU) {
-	if lu == nil {
+// coarse adds P·Ac⁻¹·R·src to dst.
+func (kp *kronPrecond) coarse(dst, src []float64) {
+	if kp.lu == nil {
 		return
 	}
 	for u := range kp.rc {
@@ -273,7 +237,7 @@ func (kp *kronPrecond) coarse(dst, src []float64, lu *linalg.LU) {
 	for s, v := range src {
 		kp.rc[bits.OnesCount(uint(s))] += v
 	}
-	if lu.SolveInto(kp.ec, kp.rc) != nil {
+	if kp.lu.SolveInto(kp.ec, kp.rc) != nil {
 		return
 	}
 	for s := range dst {

@@ -184,38 +184,10 @@ func (m *OrbitModel) Absorbing() int { return m.cells }
 // NumStates returns the lumped state count, absorbing state included.
 func (m *OrbitModel) NumStates() int { return m.cells + 1 }
 
-// NumClasses returns the number of exchangeability classes.
-func (m *OrbitModel) NumClasses() int { return len(m.size) }
-
 // Chain exposes the lumped CTMC.
 func (m *OrbitModel) Chain() *markov.CTMC { return m.chain }
 
 // MomentsX returns E[X] and E[X²] from the lumped chain.
 func (m *OrbitModel) MomentsX() (m1, m2 float64, err error) {
 	return m.chain.AbsorptionMoments(m.Entry())
-}
-
-// totalOf returns Σ u_a of a cell — the number of marked processes.
-func (m *OrbitModel) totalOf(s int) int {
-	total := 0
-	for a := 0; a < len(m.size); a++ {
-		total += s % (m.size[a] + 1)
-		s /= m.size[a] + 1
-	}
-	return total
-}
-
-// occupancyByOnes aggregates the lumped occupancy onto marked-count levels,
-// matching AsyncModel.OccupancyByOnes (the entry counted under u = n; it is
-// the only cell with all n marks, so the aggregation needs no special case).
-func (m *OrbitModel) occupancyByOnes() ([]float64, error) {
-	occ, err := m.chain.ExpectedOccupancy(m.Entry())
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, m.P.N()+1)
-	for s := 0; s < m.cells; s++ {
-		out[m.totalOf(s)] += occ[s]
-	}
-	return out, nil
 }

@@ -35,11 +35,12 @@ type SplitChain struct {
 	idxDoublePrim map[int]int // mask (x_t = 1) → S''
 }
 
-// MaxSplitProcesses bounds the split chain. It enumerates ~3·2^(n−1)
-// discrete states and every transition out of them, with no matrix-free
-// counterpart, so the bound is set by build memory; past it E[L_t] comes
-// from the Wald identity instead (MeanLWald).
-const MaxSplitProcesses = 16
+// MaxSplitProcesses bounds the split chain. MeanL solves one dense system of
+// ~3·2^(n−1) unknowns, with no matrix-free counterpart: about 0.9 s at
+// n = 10 on a 2-vCPU host, about 8× more per further process (the LU is
+// cubic), and the matrix alone is 4.8 GB at n = 14. Past the bound E[L_t]
+// comes from the Wald identity instead (MeanLWald).
+const MaxSplitProcesses = 10
 
 // NewSplitChain builds Y_d for target process t (0-based).
 func NewSplitChain(p Params, target int) (*SplitChain, error) {
@@ -176,6 +177,8 @@ func (s *SplitChain) NumStates() int { return s.numStates }
 // MeanL returns E[L_t]: the expected number of recovery points established
 // by the target process between two successive recovery lines, counted as
 // arrivals into the primed states (including absorption via P_t's final RP).
+// One solve of the fundamental-matrix row answers both parts: the absorbing
+// arrivals are the visits of each state times its step into S'.
 func (s *SplitChain) MeanL() (float64, error) {
 	visits, err := s.chain.ExpectedVisits(s.entry)
 	if err != nil {
@@ -185,25 +188,12 @@ func (s *SplitChain) MeanL() (float64, error) {
 	for _, st := range s.primeStates {
 		total += visits[st]
 	}
-	probs, err := s.chain.AbsorptionProbabilities(s.entry)
-	if err != nil {
-		return 0, err
+	for u, v := range visits {
+		for _, e := range s.chain.Transitions(u) {
+			if e.To == s.absorbPrime {
+				total += v * e.Rate
+			}
+		}
 	}
-	total += probs[s.absorbPrime]
 	return total, nil
-}
-
-// MeanEpochs returns the expected number of Y_d epochs before absorption —
-// equal to G·E[X] since epochs arrive at the uniformization rate G. Used as
-// an internal consistency check between the discrete and continuous views.
-func (s *SplitChain) MeanEpochs() (float64, error) {
-	visits, err := s.chain.ExpectedVisits(s.entry)
-	if err != nil {
-		return 0, err
-	}
-	sum := 0.0
-	for _, v := range visits {
-		sum += v
-	}
-	return sum, nil
 }

@@ -43,9 +43,13 @@ func TestSplitChainEpochsEqualGTimesEX(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		epochs, err := sc.MeanEpochs()
+		visits, err := sc.Chain().ExpectedVisits(0) // the entry is state 0
 		if err != nil {
 			t.Fatal(err)
+		}
+		epochs := 0.0
+		for _, v := range visits {
+			epochs += v
 		}
 		want := c.Params.TotalEventRate() * ex
 		if math.Abs(epochs-want) > 1e-7*(1+want) {

@@ -51,8 +51,12 @@ func TestTransientGridMatchesTransientDistribution(t *testing.T) {
 			for u, v := range pi {
 				if c.chain.IsAbsorbing(u) {
 					wantCDF += v
-				} else {
-					wantF += v * c.chain.AbsorbRate(u)
+					continue
+				}
+				for _, e := range c.chain.Transitions(u) {
+					if c.chain.IsAbsorbing(e.To) {
+						wantF += v * e.Rate
+					}
 				}
 			}
 			if math.Abs(cdf[i]-wantCDF) > 1e-12 || math.Abs(dens[i]-wantF) > 1e-12*math.Max(1, wantF) {

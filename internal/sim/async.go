@@ -1,3 +1,15 @@
+// Package sim provides the three scheme simulators used to cross-validate
+// the analytic models: SimulateAsync (recovery-line intervals X and
+// saved-state counts L_i, Table 1 and Figures 5–6), SimulateSync
+// (computation loss under the three synchronization-request strategies of
+// Section 3), and SimulatePRP (rollback distances with pseudo recovery
+// points vs asynchronous recovery lines, Section 4).
+//
+// All three simulators shard their replications through the parallel Monte
+// Carlo engine in internal/mc: replications are cut into fixed blocks, each
+// block draws from its own dist.Substream, and per-block statistics merge
+// in block order, so for a fixed seed every result is bit-identical across
+// worker counts (the Workers option on each simulator's options struct).
 package sim
 
 import (

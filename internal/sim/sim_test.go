@@ -2,96 +2,12 @@ package sim
 
 import (
 	"math"
-	"sort"
 	"testing"
 
 	"recoveryblocks/internal/rbmodel"
 	"recoveryblocks/internal/stats"
 	"recoveryblocks/internal/synch"
 )
-
-func TestEngineOrdering(t *testing.T) {
-	e := NewEngine()
-	var fired []float64
-	for _, tt := range []float64{3, 1, 2, 1.5} {
-		tt := tt
-		if err := e.At(tt, func(now float64) { fired = append(fired, now) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.Run()
-	if !sort.Float64sAreSorted(fired) || len(fired) != 4 {
-		t.Fatalf("events misordered: %v", fired)
-	}
-	if e.Now() != 3 {
-		t.Fatalf("clock = %v", e.Now())
-	}
-}
-
-func TestEngineFIFOTieBreak(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		if err := e.At(1.0, func(float64) { order = append(order, i) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("tie-break not FIFO: %v", order)
-		}
-	}
-}
-
-func TestEngineRejectsPast(t *testing.T) {
-	e := NewEngine()
-	if err := e.At(5, func(float64) {}); err != nil {
-		t.Fatal(err)
-	}
-	e.Run()
-	if err := e.At(1, func(float64) {}); err == nil {
-		t.Fatal("scheduled event in the past")
-	}
-	if err := e.After(-1, func(float64) {}); err == nil {
-		t.Fatal("accepted negative delay")
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	var reschedule func(now float64)
-	reschedule = func(now float64) {
-		count++
-		_ = e.After(1, reschedule)
-	}
-	_ = e.After(1, reschedule)
-	e.RunUntil(10.5)
-	if count != 10 {
-		t.Fatalf("fired %d events, want 10", count)
-	}
-	if e.Now() != 10.5 {
-		t.Fatalf("clock = %v", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d", e.Pending())
-	}
-}
-
-func TestEngineCascade(t *testing.T) {
-	// Events scheduled by handlers at the same time still run.
-	e := NewEngine()
-	hits := 0
-	_ = e.At(1, func(now float64) {
-		_ = e.At(now, func(float64) { hits++ })
-	})
-	e.Run()
-	if hits != 1 {
-		t.Fatal("cascaded same-time event did not fire")
-	}
-}
 
 // --- asynchronous scheme ---
 

@@ -63,9 +63,6 @@ func (b *BiWelford) Cov() float64 {
 // X returns the first coordinate's marginal moments as a Welford accumulator.
 func (b *BiWelford) X() Welford { return Welford{n: b.n, mean: b.meanX, m2: b.m2x} }
 
-// Y returns the second coordinate's marginal moments as a Welford accumulator.
-func (b *BiWelford) Y() Welford { return Welford{n: b.n, mean: b.meanY, m2: b.m2y} }
-
 // Merge folds another accumulator into b using the pairwise update of Chan,
 // Golub & LeVeque extended to the cross moment. Like Welford.Merge, merging
 // per-block accumulators in a fixed block order reproduces the sequential

@@ -88,30 +88,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Quantile returns the q-th sample quantile (0 <= q <= 1) using linear
-// interpolation on the sorted copy of xs. It panics for empty input.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Quantile of empty sample")
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
 // Histogram bins observations over [Min, Max) into equal-width bins;
 // observations outside the range are counted in Under/Over.
 type Histogram struct {
@@ -184,16 +160,6 @@ func (h *Histogram) Density() []float64 {
 		d[i] = float64(c) / (float64(h.total) * w)
 	}
 	return d
-}
-
-// BinCenters returns the center coordinate of each bin.
-func (h *Histogram) BinCenters() []float64 {
-	w := h.BinWidth()
-	cs := make([]float64, len(h.Counts))
-	for i := range cs {
-		cs[i] = h.Min + (float64(i)+0.5)*w
-	}
-	return cs
 }
 
 // ECDF is an empirical cumulative distribution function.

@@ -158,7 +158,7 @@ func (asyncStrategy) XValChecks(w Workload, rec *Recorder) error {
 		return err
 	}
 	// The Wald identity E[L_i] = μ_i·E[X] prices every process from the one
-	// moment solve already paid above; calling MeanLWaldCtx would repeat the
+	// moment solve already paid above; calling MeanLWald would repeat the
 	// solve, which at the largest sizes costs seconds to minutes.
 	wald := make([]float64, len(p.Mu))
 	for i, mu := range p.Mu {

@@ -133,17 +133,11 @@ func MeanLossIntegral(mu []float64) (float64, error) {
 	return loss, nil
 }
 
-// SimulateLoss estimates E[CL] and E[Z] by Monte Carlo with reps independent
-// synchronizations, returning (loss, z) accumulators with means and 95% CIs.
-// It runs on one worker; SimulateLossWorkers shards the replications across
-// a pool with identical results.
-func SimulateLoss(mu []float64, reps int, seed int64) (loss, z stats.Welford, err error) {
-	return SimulateLossWorkers(mu, reps, seed, 1)
-}
-
-// SimulateLossWorkers is SimulateLoss on the internal/mc worker pool:
-// workers > 0 means exactly that many goroutines, anything else means
-// runtime.NumCPU(). Replications are sharded into fixed blocks seeded by
+// SimulateLossWorkers estimates E[CL] and E[Z] by Monte Carlo with reps
+// independent synchronizations, returning (loss, z) accumulators with means
+// and 95% CIs. It runs on the internal/mc worker pool: workers > 0 means
+// exactly that many goroutines, anything else means runtime.NumCPU().
+// Replications are sharded into fixed blocks seeded by
 // dist.Substream(seed, block) and merged in block order, so for a fixed
 // seed the result is bit-identical for every worker count.
 func SimulateLossWorkers(mu []float64, reps int, seed int64, workers int) (loss, z stats.Welford, err error) {
@@ -178,23 +172,4 @@ func SimulateLossWorkers(mu []float64, reps int, seed int64, workers int) (loss,
 		z.Merge(blk.z)
 	}
 	return loss, z, nil
-}
-
-// LossPerUnitTime converts the per-synchronization loss into a long-run
-// overhead rate when synchronization requests are issued every interval time
-// units (the paper's "constant interval" strategy): each cycle costs E[CL]
-// lost work out of n·(interval + E[Z]) available work.
-func LossPerUnitTime(mu []float64, interval float64) (float64, error) {
-	if interval <= 0 || math.IsNaN(interval) || math.IsInf(interval, 0) {
-		return 0, guard.Numericalf("synch: interval %v must be positive and finite", interval)
-	}
-	cl, err := MeanLoss(mu)
-	if err != nil {
-		return 0, err
-	}
-	ez, err := MeanMax(mu)
-	if err != nil {
-		return 0, err
-	}
-	return cl / (float64(len(mu)) * (interval + ez)), nil
 }

@@ -131,7 +131,7 @@ func TestMeanLossEqualRateClosedForm(t *testing.T) {
 
 func TestSimulateLossMatchesAnalytic(t *testing.T) {
 	mu := []float64{1.5, 1.0, 0.5}
-	loss, z, err := SimulateLoss(mu, 200000, 42)
+	loss, z, err := SimulateLossWorkers(mu, 200000, 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,27 +151,6 @@ func TestSimulateLossMatchesAnalytic(t *testing.T) {
 	}
 }
 
-func TestLossPerUnitTime(t *testing.T) {
-	mu := []float64{1, 1, 1}
-	short, err := LossPerUnitTime(mu, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	long, err := LossPerUnitTime(mu, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if short <= long {
-		t.Fatalf("frequent syncs should cost more per unit time: %v vs %v", short, long)
-	}
-	if short <= 0 || short >= 1 {
-		t.Fatalf("overhead fraction out of range: %v", short)
-	}
-	if _, err := LossPerUnitTime(mu, 0); err == nil {
-		t.Fatal("accepted zero interval")
-	}
-}
-
 func TestValidation(t *testing.T) {
 	if _, err := MeanMax(nil); err == nil {
 		t.Fatal("accepted empty rates")
@@ -182,7 +161,7 @@ func TestValidation(t *testing.T) {
 	if _, err := MeanMaxEqual(0, 1); err == nil {
 		t.Fatal("accepted n=0")
 	}
-	if _, _, err := SimulateLoss([]float64{1}, 0, 1); err == nil {
+	if _, _, err := SimulateLossWorkers([]float64{1}, 0, 1, 1); err == nil {
 		t.Fatal("accepted zero reps")
 	}
 }

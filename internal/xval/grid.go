@@ -69,8 +69,9 @@ func EveryKGrid() []Scenario {
 	}
 }
 
-// KronGrid is the matrix-free proof grid: cells past the split chain's
-// n = 16 bound, which no materialized chain reaches. The per-process μ ramps are pairwise distinct, so orbit lumping
+// KronGrid is the matrix-free proof grid: cells past the enumerated chain's
+// n = 16 bound, which no materialized chain reaches. The per-process μ ramps
+// are pairwise distinct, so orbit lumping
 // refuses every cell and the async model takes the Kronecker–Krylov route —
 // the grid is the end-to-end evidence that the O(n·2^n) matrix-free engine
 // agrees with the event-driven simulator where no materialized chain can be
