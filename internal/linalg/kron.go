@@ -13,11 +13,13 @@ import "math/bits"
 //	  + rate · Σ_{i<j} E_ij                  (uniform exchange family)
 //	  + Σ_k v_k · e_{row_k} e_{col_k}ᵀ       (fixups)
 //
-// Matrix–vector products run the shuffle algorithm: one strided sweep per
-// factor, O(n·2^n) flops and O(2^n) memory, and the 2^n × 2^n matrix is never
+// Matrix–vector products run the shuffle algorithm: strided sweeps over the
+// factors, O(n·2^n) flops and O(2^n) memory, and the 2^n × 2^n matrix is never
 // materialized. This is what breaks the CSR regime's memory wall for the
 // recovery-block generator: its transient part is exactly a sum of
-// per-process 2×2 site factors and pairwise interaction terms.
+// per-process 2×2 site factors and pairwise interaction terms. The site
+// factors and the exchange family share their sweeps, two bits per pass on
+// the recovery-block generator (see apply), one pair term per pass.
 //
 // Bit b of a state index corresponds to local states {0 = clear, 1 = set};
 // factor entries are generator-style K[row][col] with row the source state.
@@ -187,21 +189,20 @@ func (op *KronOp) apply(dst, x []float64, trans bool) {
 	if len(dst) != op.dim || len(x) != op.dim {
 		panic("linalg: KronOp dimension mismatch")
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
+	ex := op.exchange != 0
 	var shA, shB []float64
-	if op.exchange != 0 {
+	if ex {
 		shA, shB = op.scratch()
-		for i := range shA {
-			shA[i] = 0
-			shB[i] = 0
-		}
 	}
 
-	// One strided pass per bit: the site factor and, when the exchange
-	// family is on, the prefix accumulation of the first- and second-order
-	// shift operators ride the same sweep so x is streamed once per bit.
+	// The site factors and, when the exchange family is on, the prefix
+	// accumulation of the first- and second-order shift operators ride the
+	// same passes, so x is streamed once per pass. With the exchange family
+	// on and the factor shapes of the recovery-block chain (see twoBits), one
+	// pass applies two bits to the 4-state tiles they span, all in registers,
+	// and the pass over bits 0–1 starts every tile from zero, so dst and the
+	// accumulators need no zero fill. Other operators fill and run one bit
+	// per pass.
 	//
 	// The shift identity is order-free — every unordered pair {i, j}
 	// contributes via whichever of its bits sweeps second, so bits may be
@@ -211,25 +212,44 @@ func (op *KronOp) apply(dst, x []float64, trans bool) {
 	// while each block is cache-resident, and only the high bits pay a full
 	// strided pass each. At the largest sizes this is the difference
 	// between n passes over gigabyte vectors and ~(n − blockBits) of them.
-	low := op.bits
-	if low > blockBits {
-		low = blockBits
+	//
+	// Bits still apply in ascending order and every element sees the same
+	// floating-point operations in the same order as a one-bit-per-pass sweep
+	// from zeroed arrays, so the result does not depend on the pass layout.
+	low := min(op.bits, blockBits)
+	tiled := low >= 2 && op.twoBits(0, trans)
+	if !tiled {
+		clear(dst)
+		if ex {
+			clear(shA)
+			clear(shB)
+		}
 	}
 	bsize := 1 << low
 	for base := 0; base < op.dim; base += bsize {
 		d, xs := dst[base:base+bsize], x[base:base+bsize]
 		var sa, sb []float64
-		if op.exchange != 0 {
+		if ex {
 			sa, sb = shA[base:base+bsize], shB[base:base+bsize]
 		}
-		for bit := 0; bit < low; bit++ {
-			op.bitSweep(d, sa, sb, xs, bit, bsize, trans)
+		bit := 0
+		if tiled {
+			op.tilePass(d, sa, sb, xs, trans)
+			bit = 2
+		}
+		for ; bit < low; bit++ {
+			if bit+1 < low && op.twoBits(bit, trans) {
+				op.twoBitPass(d, sa, sb, xs, bit, trans)
+				bit++
+				continue
+			}
+			op.oneBitPass(d, sa, sb, xs, bit, trans)
 		}
 	}
 	for bit := low; bit < op.bits; bit++ {
-		op.bitSweep(dst, shA, shB, x, bit, op.dim, trans)
+		op.oneBitPass(dst, shA, shB, x, bit, trans)
 	}
-	if op.exchange != 0 {
+	if ex {
 		op.exchangeCombine(dst, x, shA, shB, trans)
 	}
 
@@ -245,102 +265,191 @@ func (op *KronOp) apply(dst, x []float64, trans bool) {
 	}
 }
 
-// bitSweep applies one bit's site factor and shift accumulation to a
-// contiguous range of dim states (the whole space, or one cache block when
-// every pair the bit touches lies inside it).
-func (op *KronOp) bitSweep(dst, shA, shB, x []float64, bit, dim int, trans bool) {
-	step := 1 << bit
-	if op.hasSite[bit] {
-		k := op.site[bit]
-		if trans {
-			k[1], k[2] = k[2], k[1]
-		}
-		if op.exchange != 0 && !trans {
-			op.fusedSweep(dst, shA, shB, x, step, k, dim)
-			return
-		}
-		siteSweep(dst, x, step, k, dim)
+// siteFactor returns bit b's 2×2 factor in the applied direction and which
+// state of each pair (s0 with the bit clear, s1 with it set) it writes. An
+// upper-shape factor (k10 = k11 = 0, the recovery-block raising terms) leaves
+// s1 alone and a lower-shape one (k00 = k01 = 0) leaves s0 alone, which
+// halves their write traffic; a bit with no factor writes neither.
+func (op *KronOp) siteFactor(b int, trans bool) (k [4]float64, w0, w1 bool) {
+	if !op.hasSite[b] {
+		return k, false, false
 	}
-	if op.exchange != 0 {
-		op.shiftSweep(shA, shB, x, step, dim, trans)
-	}
-}
-
-// siteSweep applies one 2×2 factor: for every pair (s0, s1 = s0|step),
-// dst[s0] += k00·x[s0] + k01·x[s1] and dst[s1] += k10·x[s0] + k11·x[s1].
-// The lower-triangular-row-zero case (generator raising terms, and their
-// transposes' mirror) skips the untouched half to halve the write traffic.
-func siteSweep(dst, x []float64, step int, k [4]float64, dim int) {
-	k00, k01, k10, k11 := k[0], k[1], k[2], k[3]
-	switch {
-	case k10 == 0 && k11 == 0:
-		for base := 0; base < dim; base += 2 * step {
-			for s0 := base; s0 < base+step; s0++ {
-				dst[s0] += k00*x[s0] + k01*x[s0+step]
-			}
-		}
-	case k00 == 0 && k01 == 0:
-		for base := 0; base < dim; base += 2 * step {
-			for s0 := base; s0 < base+step; s0++ {
-				dst[s0+step] += k10*x[s0] + k11*x[s0+step]
-			}
-		}
-	default:
-		for base := 0; base < dim; base += 2 * step {
-			for s0 := base; s0 < base+step; s0++ {
-				x0, x1 := x[s0], x[s0+step]
-				dst[s0] += k00*x0 + k01*x1
-				dst[s0+step] += k10*x0 + k11*x1
-			}
-		}
-	}
-}
-
-// shiftSweep advances the prefix accumulators one bit. Forward direction
-// (down-shift D, lowering): for each pair, shB[s1] += shA[s0] then
-// shA[s1] += x[s0]; after all bits shA = D·x and shB = D²x/2 (each unordered
-// pair {i, j} ⊆ s contributes x[s∖i∖j] exactly once, via its larger bit
-// sweeping the smaller bit's accumulation). Transposed direction mirrors it
-// with the up-shift U = Dᵀ.
-func (op *KronOp) shiftSweep(shA, shB, x []float64, step, dim int, trans bool) {
+	k = op.site[b]
 	if trans {
-		for base := 0; base < dim; base += 2 * step {
-			for s0 := base; s0 < base+step; s0++ {
-				s1 := s0 + step
-				shB[s0] += shA[s1]
-				shA[s0] += x[s1]
-			}
-		}
-		return
+		k[1], k[2] = k[2], k[1]
 	}
-	for base := 0; base < dim; base += 2 * step {
-		for s0 := base; s0 < base+step; s0++ {
-			s1 := s0 + step
-			shB[s1] += shA[s0]
-			shA[s1] += x[s0]
+	switch {
+	case k[2] == 0 && k[3] == 0:
+		return k, true, false
+	case k[0] == 0 && k[1] == 0:
+		return k, false, true
+	}
+	return k, true, true
+}
+
+// twoBits reports whether bits b and b+1 take the two-bit pass: the exchange
+// family is on and both factors have the shape the recovery-block chain
+// gives them in the applied direction. Forward that is the upper (raising)
+// shape; transposed, the raising factor writes both states of each pair, and
+// the transposed pass takes any factor that does.
+func (op *KronOp) twoBits(b int, trans bool) bool {
+	if op.exchange == 0 {
+		return false
+	}
+	_, k0, k1 := op.siteFactor(b, trans)
+	_, m0, m1 := op.siteFactor(b+1, trans)
+	if trans {
+		return k0 && k1 && m0 && m1
+	}
+	return k0 && !k1 && m0 && !m1
+}
+
+// oneBitPass applies one bit's site factor and shift accumulation to each
+// pair (s0, s1 = s0|step): dst[s0] += k00·x[s0] + k01·x[s1] and
+// dst[s1] += k10·x[s0] + k11·x[s1]. The forward shift step (down-shift D,
+// lowering) is shB[s1] += shA[s0] then shA[s1] += x[s0]; after all bits
+// shA = D·x and shB = D²x/2, each unordered pair {i, j} ⊆ s contributing
+// x[s∖i∖j] exactly once, via its larger bit sweeping the smaller bit's
+// accumulation. The transposed step mirrors it with the up-shift U = Dᵀ.
+func (op *KronOp) oneBitPass(dst, shA, shB, x []float64, bit int, trans bool) {
+	k, w0, w1 := op.siteFactor(bit, trans)
+	ex := op.exchange != 0
+	step := 1 << bit
+	for base := 0; base < len(dst); base += 2 * step {
+		x0s := x[base : base+step]
+		n := len(x0s)
+		x1s, d0s, d1s := x[base+step:][:n], dst[base:][:n], dst[base+step:][:n]
+		if ex && !trans && w0 && !w1 {
+			// The recovery-block raising factor with the forward shift.
+			a0s, a1s, b1s := shA[base:][:n], shA[base+step:][:n], shB[base+step:][:n]
+			for j, x0 := range x0s {
+				d0s[j] += k[0]*x0 + k[1]*x1s[j]
+				b1s[j] += a0s[j]
+				a1s[j] += x0
+			}
+			continue
+		}
+		for j, x0 := range x0s {
+			x1 := x1s[j]
+			if w0 {
+				d0s[j] += k[0]*x0 + k[1]*x1
+			}
+			if w1 {
+				d1s[j] += k[2]*x0 + k[3]*x1
+			}
+			if !ex {
+				continue
+			}
+			s0, s1 := base+j, base+step+j
+			if trans {
+				shB[s0] += shA[s1]
+				shA[s0] += x1
+			} else {
+				shB[s1] += shA[s0]
+				shA[s1] += x0
+			}
 		}
 	}
 }
 
-// fusedSweep is siteSweep and the forward shiftSweep in one pass over the
-// bit's pairs, so x is read once. Only the upper-shape site factor
-// (k10 = k11 = 0, the recovery-block raising terms) fuses; other shapes fall
-// back to two passes. The transposed direction always takes the two-pass
-// route in apply — the transposed factor loses the fusable shape.
-func (op *KronOp) fusedSweep(dst, shA, shB, x []float64, step int, k [4]float64, dim int) {
-	k00, k01 := k[0], k[1]
-	if k[2] != 0 || k[3] != 0 {
-		siteSweep(dst, x, step, k, dim)
-		op.shiftSweep(shA, shB, x, step, dim, false)
-		return
+// tilePass is twoBitPass on bits 0 and 1, each 4-state tile started from
+// zero instead of loaded.
+func (op *KronOp) tilePass(dst, shA, shB, x []float64, trans bool) {
+	k, m := op.site[0], op.site[1]
+	if trans {
+		k[1], k[2] = k[2], k[1]
+		m[1], m[2] = m[2], m[1]
 	}
-	for base := 0; base < dim; base += 2 * step {
-		for s0 := base; s0 < base+step; s0++ {
-			s1 := s0 + step
-			x0 := x[s0]
-			dst[s0] += k00*x0 + k01*x[s1]
-			shB[s1] += shA[s0]
-			shA[s1] += x0
+	for q := 0; q < len(dst); q += 4 {
+		xs, ds := x[q:q+4:q+4], dst[q:q+4:q+4]
+		as, bs := shA[q:q+4:q+4], shB[q:q+4:q+4]
+		x0, x1, x2, x3 := xs[0], xs[1], xs[2], xs[3]
+		var d0, d1, d2, d3, a0, a1, a2, a3, b0, b1, b2, b3 float64
+		if trans {
+			d0 += k[0]*x0 + k[1]*x1
+			d1 += k[2]*x0 + k[3]*x1
+			d2 += k[0]*x2 + k[1]*x3
+			d3 += k[2]*x2 + k[3]*x3
+			d0 += m[0]*x0 + m[1]*x2
+			d1 += m[0]*x1 + m[1]*x3
+			d2 += m[2]*x0 + m[3]*x2
+			d3 += m[2]*x1 + m[3]*x3
+			b0 += a1
+			a0 += x1
+			b2 += a3
+			a2 += x3
+			b0 += a2
+			a0 += x2
+			b1 += a3
+			a1 += x3
+		} else {
+			d0 += k[0]*x0 + k[1]*x1
+			d2 += k[0]*x2 + k[1]*x3
+			d0 += m[0]*x0 + m[1]*x2
+			d1 += m[0]*x1 + m[1]*x3
+			b1 += a0
+			a1 += x0
+			b3 += a2
+			a3 += x2
+			b2 += a0
+			a2 += x0
+			b3 += a1
+			a3 += x1
+		}
+		ds[0], ds[1], ds[2], ds[3] = d0, d1, d2, d3
+		as[0], as[1], as[2], as[3] = a0, a1, a2, a3
+		bs[0], bs[1], bs[2], bs[3] = b0, b1, b2, b3
+	}
+}
+
+// twoBitPass applies bits lo and lo+1 in one pass over the tiles
+// (q0, q1, q2, q3) = q0 + {0, 1, 2, 3}·2^lo they span: bit lo's oneBitPass
+// step on the pairs (q0, q1) and (q2, q3), then bit lo+1's on (q0, q2) and
+// (q1, q3), in registers. Forward, the upper-shape factors write q3 with
+// neither bit, and q1 and q2 with one each.
+func (op *KronOp) twoBitPass(dst, shA, shB, x []float64, lo int, trans bool) {
+	k, m := op.site[lo], op.site[lo+1]
+	if trans {
+		k[1], k[2] = k[2], k[1]
+		m[1], m[2] = m[2], m[1]
+	}
+	st := 1 << lo
+	for base := 0; base < len(dst); base += 4 * st {
+		x0s := x[base : base+st]
+		n := len(x0s)
+		x1s, x2s, x3s := x[base+st:][:n], x[base+2*st:][:n], x[base+3*st:][:n]
+		d0s, d1s, d2s, d3s := dst[base:][:n], dst[base+st:][:n], dst[base+2*st:][:n], dst[base+3*st:][:n]
+		a0s, a1s, a2s, a3s := shA[base:][:n], shA[base+st:][:n], shA[base+2*st:][:n], shA[base+3*st:][:n]
+		b0s, b1s, b2s, b3s := shB[base:][:n], shB[base+st:][:n], shB[base+2*st:][:n], shB[base+3*st:][:n]
+		if trans {
+			for j, x0 := range x0s {
+				x1, x2, x3 := x1s[j], x2s[j], x3s[j]
+				d0s[j] = d0s[j] + (k[0]*x0 + k[1]*x1) + (m[0]*x0 + m[1]*x2)
+				d1s[j] = d1s[j] + (k[2]*x0 + k[3]*x1) + (m[0]*x1 + m[1]*x3)
+				d2s[j] = d2s[j] + (k[0]*x2 + k[1]*x3) + (m[2]*x0 + m[3]*x2)
+				d3s[j] = d3s[j] + (k[2]*x2 + k[3]*x3) + (m[2]*x1 + m[3]*x3)
+				a1, a2, a3 := a1s[j], a2s[j]+x3, a3s[j]
+				b0s[j] = b0s[j] + a1 + a2
+				a0s[j] = a0s[j] + x1 + x2
+				b1s[j] += a3
+				b2s[j] += a3
+				a1s[j] = a1 + x3
+				a2s[j] = a2
+			}
+			continue
+		}
+		for j, x0 := range x0s {
+			x1, x2, x3 := x1s[j], x2s[j], x3s[j]
+			d0s[j] = d0s[j] + (k[0]*x0 + k[1]*x1) + (m[0]*x0 + m[1]*x2)
+			d1s[j] += m[0]*x1 + m[1]*x3
+			d2s[j] += k[0]*x2 + k[1]*x3
+			a0, a1, a2 := a0s[j], a1s[j]+x0, a2s[j]
+			b1s[j] += a0
+			b2s[j] += a0
+			b3s[j] = b3s[j] + a2 + a1
+			a1s[j] = a1
+			a2s[j] = a2 + x0
+			a3s[j] = a3s[j] + x2 + x1
 		}
 	}
 }

@@ -1,11 +1,18 @@
-// Package linalg provides the small dense linear-algebra kernel used by the
-// Markov-chain analyses: row-major matrices, LU factorization with partial
-// pivoting, and the handful of vector operations the solvers need.
+// Package linalg holds the linear algebra under the Markov-chain analyses,
+// from a few states to the 2^24-state cube of the full asynchronous model:
 //
-// The state spaces in this reproduction are modest (2^n+1 states for n
-// concurrent processes, with n ≤ 14 in the full model), so a straightforward
-// dense implementation is both sufficient and easy to audit against the
-// paper's equations.
+//   - dense row-major matrices and LU with partial pivoting, for chains
+//     below markov.SparseCutoff and the coarse level of the Kronecker
+//     preconditioner;
+//   - CSR matrices with a two-level Gauss–Seidel solver, for the larger
+//     enumerated and lumped orbit chains and their uniformized steps;
+//   - KronOp, the matrix-free Kronecker-structured operator of the
+//     asynchronous model's generator, applied in O(n·2^n) flops and O(2^n)
+//     memory;
+//   - the Krylov layer over any Operator: BiCGSTAB and restarted GMRES
+//     for linear systems, and KrylovExpv for e^{tA}·v (a Padé exponential
+//     of its small Hessenberg matrix);
+//   - the handful of vector operations the solvers share.
 package linalg
 
 import "fmt"

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -87,38 +86,6 @@ func (h *Histogram) Sum() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.sum
-}
-
-// Merge folds another histogram's state into h. The two must share the same
-// bucket shape (the internal/stats.Histogram contract).
-func (h *Histogram) Merge(o *Histogram) error {
-	if h == nil || o == nil {
-		return nil
-	}
-	o.mu.Lock()
-	on, osum, omin, omax := o.n, o.sum, o.min, o.max
-	ocounts := append([]int64(nil), o.counts...)
-	o.mu.Unlock()
-	if on == 0 {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(ocounts) != len(h.counts) {
-		return errors.New("obs: histogram shapes differ")
-	}
-	if h.n == 0 || omin < h.min {
-		h.min = omin
-	}
-	if h.n == 0 || omax > h.max {
-		h.max = omax
-	}
-	h.n += on
-	h.sum += osum
-	for i, c := range ocounts {
-		h.counts[i] += c
-	}
-	return nil
 }
 
 // BucketCount is one exported histogram bucket: the count of observations

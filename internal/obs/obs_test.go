@@ -37,9 +37,6 @@ func TestDisabledPathIsNilSafe(t *testing.T) {
 	if h.N() != 0 || h.Sum() != 0 {
 		t.Fatal("nil histogram value")
 	}
-	if err := h.Merge(NewHistogram(nil)); err != nil {
-		t.Fatal(err)
-	}
 	var s *Span
 	s.End()
 	if got := h.Snapshot(); got.Count != 0 {
@@ -107,9 +104,8 @@ func TestConcurrentCountsAreExact(t *testing.T) {
 	}
 }
 
-// TestHistogramBucketsAndMerge checks le-convention bucketing and the
-// stats.Histogram-style exact merge.
-func TestHistogramBucketsAndMerge(t *testing.T) {
+// TestHistogramBuckets checks le-convention bucketing.
+func TestHistogramBuckets(t *testing.T) {
 	a := NewHistogram([]float64{1, 4, 16})
 	for _, v := range []float64{0.5, 1, 2, 4, 100} {
 		a.Observe(v)
@@ -127,19 +123,6 @@ func TestHistogramBucketsAndMerge(t *testing.T) {
 		if b != want[i] {
 			t.Fatalf("bucket[%d] = %+v, want %+v", i, b, want[i])
 		}
-	}
-	b := NewHistogram([]float64{1, 4, 16})
-	b.Observe(3)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Snapshot(); got.Count != 6 || got.Sum != 110.5 {
-		t.Fatalf("merged = %+v", got)
-	}
-	mismatched := NewHistogram([]float64{1})
-	mismatched.Observe(0.5)
-	if err := a.Merge(mismatched); err == nil {
-		t.Fatal("shape-mismatched merge must fail")
 	}
 }
 

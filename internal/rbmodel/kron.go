@@ -109,9 +109,9 @@ func uniformPairRate(p Params) (float64, bool) {
 	return rate, true
 }
 
-// kronPrecond is the two-level additive preconditioner of the Krylov rungs:
-// an exact Gauss–Seidel solve with D + U plus a coarse correction on the
-// popcount-level aggregation of the cube.
+// kronPrecond is the two-level preconditioner of the Krylov rungs: a coarse
+// solve on the popcount-level aggregation of the cube, then an exact
+// Gauss–Seidel solve with D + U on the residual the coarse correction leaves.
 //
 // The fine level is the Gauss–Seidel splitting Q_T = (D + U) + L in natural
 // index order: D is the operator's diagonal (assembled once by DiagInto), U
@@ -121,9 +121,9 @@ func uniformPairRate(p Params) (float64, bool) {
 // exactly the R1 raising part μ_i·e_s·e_{s|1<<i}ᵀ, less the n edges into the
 // all-ones entry state that the boundary fixups turn into absorption, and
 // (D + U)⁻¹ is one matrix-free pass over the cube with every superset solved
-// before its subsets, in descending s. Each pass costs O(n·2^n) and writes
-// only its output vector. Only that order matters, so the entries of one
-// popcount level are independent of each other.
+// before its subsets, in descending s. Each pass costs O(n·2^n) and runs in
+// place. Only that order matters, so the entries of one popcount level are
+// independent of each other.
 //
 // The coarse level carries the interaction flow between popcount levels that
 // D + U leaves out: without it the Krylov iterations stop on the same
@@ -133,25 +133,56 @@ func uniformPairRate(p Params) (float64, bool) {
 // level-to-level rate sum has a closed binomial form because the count of
 // vertices at level u containing a fixed bit pattern is independent of which
 // rates sit on it.
+//
+// The two levels combine multiplicatively, coarse first: c = Ac⁻¹·R·r, then
+// y = (D + U)⁻¹·(r − Q_T·P·c) + P·c, with R summing each popcount level and
+// P injecting a level value back into every vertex of the level. Q_T·P·c
+// costs no operator application (see coarseResidual). The additive form
+// (D + U)⁻¹·r + P·c took about half again as many Krylov iterations.
 type kronPrecond struct {
 	diag []float64
 	mu   []float64
 	lu   *linalg.LU
-	// rc and ec are the coarse restriction and correction, reused by every
-	// application.
+	// rc and ec are the coarse restriction and correction, and lv the
+	// per-level weights of coarseResidual, reused by every application.
 	rc, ec []float64
+	lv     [][5]float64
+	sumMu  float64
+	// The mu and lam tables hold Σ μ_i and Σ Λ_i (Λ_i = Σ_j λ_ij) over the
+	// set bits of a vertex, split into its low byte (the [256] tables) and
+	// its higher bits (the 2^(n−8)-entry tables).
+	muLo, lamLo [256]float64
+	muHi, lamHi []float64
 }
 
 func newKronPrecond(op *linalg.KronOp, p Params) *kronPrecond {
 	n := p.N()
+	lam := make([]float64, n)
+	for i, row := range p.Lambda {
+		for j, v := range row {
+			if j != i {
+				lam[i] += v
+			}
+		}
+	}
 	kp := &kronPrecond{
-		diag: make([]float64, op.Dim()),
-		mu:   append([]float64(nil), p.Mu...),
-		rc:   make([]float64, n+1),
-		ec:   make([]float64, n+1),
+		diag:  make([]float64, op.Dim()),
+		mu:    append([]float64(nil), p.Mu...),
+		rc:    make([]float64, n+1),
+		ec:    make([]float64, n+1),
+		lv:    make([][5]float64, n+1),
+		sumMu: p.SumMu(),
 	}
 	op.DiagInto(kp.diag)
-	sumMu := p.SumMu()
+	lo := min(n, 8)
+	setSums(kp.muLo[:1<<lo], p.Mu[:lo])
+	setSums(kp.lamLo[:1<<lo], lam[:lo])
+	kp.muHi = make([]float64, 1<<(n-lo))
+	kp.lamHi = make([]float64, 1<<(n-lo))
+	setSums(kp.muHi, p.Mu[lo:])
+	setSums(kp.lamHi, lam[lo:])
+
+	sumMu := kp.sumMu
 	lamPairs := p.SumLambdaPairs()
 	ac := linalg.NewMatrix(n+1, n+1)
 	for u := 0; u <= n; u++ {
@@ -184,6 +215,13 @@ func newKronPrecond(op *linalg.KronOp, p Params) *kronPrecond {
 	return kp
 }
 
+// setSums fills t[b] with the sum of w[i] over the set bits i of b.
+func setSums(t, w []float64) {
+	for b := 1; b < len(t); b++ {
+		t[b] = t[b&(b-1)] + w[bits.TrailingZeros(uint(b))]
+	}
+}
+
 // choose returns C(n, k) as a float64 (0 outside the triangle); exact for
 // every n ≤ MaxExactProcesses+6.
 func choose(n, k int) float64 {
@@ -200,18 +238,71 @@ func choose(n, k int) float64 {
 	return c
 }
 
-// forward computes dst = (D + U)⁻¹·src + P·Ac⁻¹·R·src: the additive
-// two-level sweep. The coarse restriction R sums each popcount level; the
-// prolongation P injects the level correction back to every vertex of the
-// level.
+// forward computes dst = M⁻¹·src for the coarse-first two-level M: three
+// passes over the cube after the level sums, the sweep running in place on
+// the residual in dst.
 func (kp *kronPrecond) forward(dst, src []float64) {
-	kp.sweep(dst, src)
-	kp.coarse(dst, src)
+	if kp.lu == nil {
+		kp.sweep(dst, src)
+		return
+	}
+	clear(kp.rc)
+	for s, v := range src {
+		kp.rc[bits.OnesCount(uint(s))] += v
+	}
+	if kp.lu.SolveInto(kp.ec, kp.rc) != nil {
+		kp.sweep(dst, src)
+		return
+	}
+	kp.coarseResidual(dst, src, kp.ec)
+	kp.sweep(dst, dst)
+	for s := range dst {
+		dst[s] += kp.ec[bits.OnesCount(uint(s))]
+	}
+}
+
+// coarseResidual writes t = r − Q_T·P·c from the level values c. P·c is
+// constant on each level, so row s of Q_T·P·c at level u = |s| only needs
+// the rate sums from s into each level:
+//
+//	D[s]·c[u] + R′(s)·c[u+1] + R3(s)·c[u−1] + R2(s)·c[u−2],
+//
+// with R(s) = Σ_{i∉s} μ_i the raising rate (R′ = R except at level n−1,
+// whose raising edge absorbs), I = −D − R (less the entry's exit Σμ at
+// the all-ones vertex) the interaction out-rate, and R2 = L − I and
+// R3 = 2I − L its two- and one-bit parts, where L = Σ_{i∈s} Λ_i counts every
+// pair inside s twice and every pair across it once. t and r may alias.
+func (kp *kronPrecond) coarseResidual(t, r, c []float64) {
+	n := len(c) - 1
+	for u := range kp.lv {
+		w := &kp.lv[u]
+		*w = [5]float64{c[u]}
+		if u <= n-2 {
+			w[1] = c[u+1]
+		}
+		if u >= 1 {
+			w[2] = c[u-1]
+		}
+		if u >= 2 {
+			w[3] = c[u-2]
+		}
+	}
+	kp.lv[n][4] = kp.sumMu
+	ones := len(r) - 1
+	for s, d := range kp.diag[:len(r)] {
+		w := &kp.lv[bits.OnesCount(uint(s))]
+		z := ones &^ s
+		up := kp.muLo[z&0xff] + kp.muHi[z>>8]
+		in := -d - up - w[4]
+		r2 := kp.lamLo[s&0xff] + kp.lamHi[s>>8] - in
+		t[s] = r[s] - (d*w[0] + up*w[1] + (in-r2)*w[2] + r2*w[3])
+	}
 }
 
 // sweep solves (D + U)·y = r into y, s descending:
 // y[s] = (r[s] − Σ_{i∉s} μ_i·y[s|1<<i]) / D[s]. A vertex one bit short of
-// all-ones (and all-ones itself) has no raising edge left in U.
+// all-ones (and all-ones itself) has no raising edge left in U. y may alias
+// r: each step reads r[s] before it writes y[s], and reads only y above s.
 func (kp *kronPrecond) sweep(y, r []float64) {
 	ones := len(r) - 1
 	for s := ones; s >= 0; s-- {
@@ -223,24 +314,5 @@ func (kp *kronPrecond) sweep(y, r []float64) {
 			}
 		}
 		y[s] = v / kp.diag[s]
-	}
-}
-
-// coarse adds P·Ac⁻¹·R·src to dst.
-func (kp *kronPrecond) coarse(dst, src []float64) {
-	if kp.lu == nil {
-		return
-	}
-	for u := range kp.rc {
-		kp.rc[u] = 0
-	}
-	for s, v := range src {
-		kp.rc[bits.OnesCount(uint(s))] += v
-	}
-	if kp.lu.SolveInto(kp.ec, kp.rc) != nil {
-		return
-	}
-	for s := range dst {
-		dst[s] += kp.ec[bits.OnesCount(uint(s))]
 	}
 }

@@ -2,10 +2,12 @@ package rbmodel
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
 	"recoveryblocks/internal/linalg"
+	"recoveryblocks/internal/markov"
 )
 
 // gaussSeidelFactor assembles D + U for the cube from cubeRows, the
@@ -32,8 +34,8 @@ func gaussSeidelFactor(t testing.TB, p Params) [][]float64 {
 	return m
 }
 
-// checkGaussSeidelExact applies the sweep to (D + U)·x; it must give x back
-// to 1e-12.
+// checkGaussSeidelExact applies the sweep to (D + U)·x, once into a fresh
+// vector and once in place; both must give x back to 1e-12.
 func checkGaussSeidelExact(t testing.TB, p Params, rng *rand.Rand) {
 	t.Helper()
 	m := gaussSeidelFactor(t, p)
@@ -50,16 +52,19 @@ func checkGaussSeidelExact(t testing.TB, p Params, rng *rand.Rand) {
 		}
 	}
 	kp.sweep(y, b)
+	kp.sweep(b, b)
 	for s := range y {
-		if d := math.Abs(y[s] - x[s]); d > 1e-12 || math.IsNaN(y[s]) {
-			t.Fatalf("n=%d sweep: y[%d] = %.17g, want %.17g", p.N(), s, y[s], x[s])
+		for _, got := range []float64{y[s], b[s]} {
+			if d := math.Abs(got - x[s]); d > 1e-12 || math.IsNaN(got) {
+				t.Fatalf("n=%d sweep: y[%d] = %.17g, want %.17g", p.N(), s, got, x[s])
+			}
 		}
 	}
 }
 
 // TestKronGaussSeidelExact: the fine level of the preconditioner is the exact
 // inverse of D + U, for uniform λ (the exchange family) and per-pair λ (one
-// factor per pair).
+// factor per pair), also when it runs in place as the preconditioner runs it.
 func TestKronGaussSeidelExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for n := 2; n <= 7; n++ {
@@ -71,32 +76,94 @@ func TestKronGaussSeidelExact(t *testing.T) {
 // FuzzKronGaussSeidel drives fuzzed rates at n ≤ 8 through the same
 // exactness check.
 func FuzzKronGaussSeidel(f *testing.F) {
+	addRateSeeds(f)
+	f.Fuzz(func(t *testing.T, raw []byte, nRaw uint8, seed int64) {
+		p := fuzzParams(raw, 2+int(nRaw)%7) // 2..8
+		checkGaussSeidelExact(t, p, rand.New(rand.NewSource(seed)))
+	})
+}
+
+// addRateSeeds seeds a rate fuzzer: a spread of μ and λ bytes, a uniform
+// row (the exchange path) and a sparse one.
+func addRateSeeds(f *testing.F) {
 	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6}, uint8(3), int64(1))
 	f.Add([]byte{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}, uint8(4), int64(2)) // uniform → exchange path
 	f.Add([]byte{0, 0, 7}, uint8(0), int64(3))
 	f.Add([]byte{255, 1, 128, 64, 32, 200, 17, 5, 90, 250, 33, 2}, uint8(6), int64(4))
+}
+
+// fuzzParams reads n rates μ_i ∈ [0.05, 8] and then the C(n, 2) pair rates
+// λ_ij ∈ [0, 16) from the fuzzed bytes, cycling through them.
+func fuzzParams(raw []byte, n int) Params {
+	byteAt := func(k int) float64 {
+		if len(raw) == 0 {
+			return 0
+		}
+		return float64(raw[k%len(raw)])
+	}
+	p := Params{Mu: make([]float64, n), Lambda: make([][]float64, n)}
+	for i := range p.Mu {
+		p.Mu[i] = 0.05 + byteAt(i)/32
+		p.Lambda[i] = make([]float64, n)
+	}
+	k := n
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			v := byteAt(k) / 16
+			p.Lambda[i][j], p.Lambda[j][i] = v, v
+			k++
+		}
+	}
+	return p
+}
+
+// checkCoarseResidual compares coarseResidual's closed form for Q_T·P·c with
+// the operator applied to P·c, for level values c drawn from rng. Row s must
+// agree to 1e-13 of its absolute scale 2·|D[s]|·‖c‖∞ (the off-diagonal mass
+// of a generator row is at most |D[s]|).
+func checkCoarseResidual(t testing.TB, p Params, rng *rand.Rand) {
+	t.Helper()
+	e := newKronEngine(p)
+	kp := newKronPrecond(e.op, p)
+	n, dim := p.N(), e.op.Dim()
+	c := make([]float64, n+1)
+	normC := 0.0
+	for u := range c {
+		c[u] = 2*rng.Float64() - 1
+		normC = max(normC, math.Abs(c[u]))
+	}
+	pc, want, got := make([]float64, dim), make([]float64, dim), make([]float64, dim)
+	for s := range pc {
+		pc[s] = c[bits.OnesCount(uint(s))]
+	}
+	e.op.MulVecInto(want, pc)
+	kp.coarseResidual(got, make([]float64, dim), c) // −Q_T·P·c
+	for s := range got {
+		if d := math.Abs(got[s] + want[s]); !(d <= 1e-13*2*math.Abs(kp.diag[s])*normC) {
+			t.Fatalf("n=%d: row %b of Q_T·P·c = %.17g, closed form %.17g", n, s, want[s], -got[s])
+		}
+	}
+}
+
+// TestKronCoarseResidualMatchesOperator: the closed-form Q_T·P·c of the
+// coarse-first preconditioner is the operator's, for n = 2..10 under uniform
+// λ (the exchange family), a hot pair and random per-pair λ.
+func TestKronCoarseResidualMatchesOperator(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for n := 2; n <= 10; n++ {
+		for _, p := range []Params{wallRamp(n, 1.5), hotPairRamp(n, 4), randomParams(rng, n)} {
+			checkCoarseResidual(t, p, rng)
+		}
+	}
+}
+
+// FuzzKronCoarseResidual drives fuzzed rates at n ≤ 10 through the same
+// check.
+func FuzzKronCoarseResidual(f *testing.F) {
+	addRateSeeds(f)
 	f.Fuzz(func(t *testing.T, raw []byte, nRaw uint8, seed int64) {
-		n := 2 + int(nRaw)%7 // 2..8
-		byteAt := func(k int) float64 {
-			if len(raw) == 0 {
-				return 0
-			}
-			return float64(raw[k%len(raw)])
-		}
-		p := Params{Mu: make([]float64, n), Lambda: make([][]float64, n)}
-		for i := range p.Mu {
-			p.Mu[i] = 0.05 + byteAt(i)/32
-			p.Lambda[i] = make([]float64, n)
-		}
-		k := n
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				v := byteAt(k) / 16
-				p.Lambda[i][j], p.Lambda[j][i] = v, v
-				k++
-			}
-		}
-		checkGaussSeidelExact(t, p, rand.New(rand.NewSource(seed)))
+		p := fuzzParams(raw, 2+int(nRaw)%9) // 2..10
+		checkCoarseResidual(t, p, rand.New(rand.NewSource(seed)))
 	})
 }
 
@@ -127,7 +194,7 @@ func momentIterations(t *testing.T, p Params) (it1, it2 int) {
 	opts := linalg.GMRESOpts{
 		Restart:  40,
 		MaxIters: 4000,
-		Tol:      1e-12,
+		Tol:      markov.KronMomentTol,
 		NormA:    2 * p.TotalEventRate(),
 		Precond:  newKronPrecond(e.op, p).forward,
 	}
@@ -151,19 +218,17 @@ func momentIterations(t *testing.T, p Params) (it1, it2 int) {
 
 // TestKronPrecondIterationsPinned pins the Krylov iterations of both moment
 // solves at n = 14 across interaction intensities, for uniform λ and a hot
-// pair. Under the Jacobi fine level this grid took 39–62 per solve. Now 23
-// of the 24 solves take 20–33. The second hot-pair solve at ρ = 8 takes 52
-// without a restart: its residual stays within a factor of 300 of the
-// stopping threshold for its last 22 iterations. That is BiCGSTAB's
-// irregular convergence on the high-ρ chain, where a rounding-level change
-// to the preconditioner (multiplying by 1/D instead of dividing by D) moves
-// single counts by up to 25. Over 128 seeded moment pairs at n = 12 and 14,
-// ρ = 0.5..8, one pair went past 40 with the division and three with the
-// multiplication.
+// pair, and bounds every solve at 40. Under the Jacobi fine level this grid
+// took 39–62 per solve, and under the additive two-level form 20–33 but 52
+// for the second hot-pair solve at ρ = 8, where BiCGSTAB's residual wandered
+// near the threshold. The coarse-first form takes 13–24 at the tighter
+// KronMomentTol. Over 128 seeded moment pairs at n = 12 and 14,
+// ρ ∈ {0.5, 1, 2, 8}, uniform and hot-pair λ, no solve went past 26 (the
+// additive form: two pairs past 40, at most 50).
 func TestKronPrecondIterationsPinned(t *testing.T) {
 	want := map[string][6][2]int{
-		"uniform":  {{20, 21}, {30, 31}, {32, 32}, {31, 31}, {27, 32}, {22, 20}},
-		"hot-pair": {{20, 21}, {32, 30}, {31, 32}, {27, 31}, {28, 33}, {25, 52}},
+		"uniform":  {{14, 14}, {21, 21}, {24, 24}, {19, 19}, {18, 19}, {16, 18}},
+		"hot-pair": {{13, 13}, {20, 21}, {23, 23}, {21, 21}, {20, 20}, {17, 15}},
 	}
 	for _, family := range []string{"uniform", "hot-pair"} {
 		for k, rho := range []float64{0.1, 0.5, 1, 2, 4, 8} {
@@ -175,6 +240,9 @@ func TestKronPrecondIterationsPinned(t *testing.T) {
 				t.Fatalf("%s: ρ = %g, want %g", family, p.Rho(), rho)
 			}
 			it1, it2 := momentIterations(t, p)
+			if it1 > 40 || it2 > 40 {
+				t.Errorf("%s ρ=%g: moment solves took %d and %d iterations, bound 40", family, rho, it1, it2)
+			}
 			if got := [2]int{it1, it2}; got != want[family][k] {
 				t.Errorf("%s ρ=%g: moment solves took %v iterations, pinned %v", family, rho, got, want[family][k])
 			}
@@ -205,12 +273,13 @@ func TestKronMomentsMatchEnumeratedAcrossRho(t *testing.T) {
 	}
 }
 
-// TestKronApplicationsDoNotAllocate: the operator in both directions and the
-// preconditioner run inside every Krylov iteration and allocate nothing once
-// the operator's scratch exists.
+// TestKronApplicationsDoNotAllocate: the operator in both directions, the
+// preconditioner and its in-place sweep run inside every Krylov iteration and
+// allocate nothing once the operator's scratch exists, below blockBits
+// (n = 9) and past it (n = 16).
 func TestKronApplicationsDoNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, p := range []Params{wallRamp(9, 1), randomParams(rng, 9)} {
+	for _, p := range []Params{wallRamp(9, 1), randomParams(rng, 9), wallRamp(16, 1)} {
 		e := newKronEngine(p)
 		kp := newKronPrecond(e.op, p)
 		x, y := make([]float64, e.op.Dim()), make([]float64, e.op.Dim())
@@ -224,10 +293,11 @@ func TestKronApplicationsDoNotAllocate(t *testing.T) {
 			{"MulVecInto", e.op.MulVecInto},
 			{"MulVecTransInto", e.op.MulVecTransInto},
 			{"precond forward", kp.forward},
+			{"in-place sweep", func(dst, _ []float64) { kp.sweep(dst, dst) }},
 		} {
 			if a := testing.AllocsPerRun(5, func() { c.apply(y, x) }); a != 0 {
 				_, pairs, _, exchange := e.op.NNZTerms()
-				t.Errorf("%s (pairs %d, exchange %v): %v allocations per application", c.name, pairs, exchange, a)
+				t.Errorf("n=%d %s (pairs %d, exchange %v): %v allocations per application", p.N(), c.name, pairs, exchange, a)
 			}
 		}
 	}

@@ -84,9 +84,11 @@ func matvecsOf(t *testing.T, fn func() error) int64 {
 }
 
 // TestQuantileCostsAboutOneCDF: every bisection probe reads one absorption
-// sequence, so a 0.99 quantile costs at most twice the matvecs of one
-// deadline-miss evaluation at its own answer (the bracket's upper end is at
-// most twice the quantile).
+// sequence, and the bracket's upper end is at most 1.25 times the quantile,
+// so a 0.99 quantile costs at most 1.3 times the uniformization matvecs of
+// one deadline-miss evaluation at its own answer, on the enumerated, orbit
+// and kron routes. A bracket doubled from E[X] took 1.49 times on the
+// benchmark's n = 12 kron chain and 1.77 on its paper-table chains.
 func TestQuantileCostsAboutOneCDF(t *testing.T) {
 	models := []*AsyncModel{
 		mustAsync(t, Uniform(4, 1, 0.5)),
@@ -99,7 +101,7 @@ func TestQuantileCostsAboutOneCDF(t *testing.T) {
 		var x float64
 		quantile := matvecsOf(t, func() (err error) { x, err = m.QuantileX(0.99); return })
 		miss := matvecsOf(t, func() error { _, err := m.DeadlineMissProb(x); return err })
-		if miss == 0 || quantile > 2*miss {
+		if miss == 0 || float64(quantile) > 1.3*float64(miss) {
 			t.Errorf("%s n=%d: QuantileX(0.99) took %d matvecs, one CDF at its answer %d", m.Route(), m.P.N(), quantile, miss)
 		}
 	}

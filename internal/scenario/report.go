@@ -16,9 +16,6 @@ import (
 type CheckKind = strategy.CheckKind
 
 const (
-	// KindZ is a one-sample z-test of a Monte Carlo mean against an exact
-	// model value; the tolerance is crit × the estimator's standard error.
-	KindZ = strategy.KindZ
 	// KindBinomZ is a score test for a Bernoulli proportion: the standard
 	// error comes from the model probability, √(p(1−p)/n), not from the
 	// sample. Essential for rare events — a generous deadline can make

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"recoveryblocks/internal/strategy"
 )
 
 // testBatch is a small two-scenario batch covering every check family.
@@ -139,7 +141,7 @@ func TestRunStrategySubsetLimitsChecks(t *testing.T) {
 		t.Fatalf("sync-only scenario has %d checks, want 3", got)
 	}
 	for _, c := range rep.Scenarios[0].Checks {
-		if c.Kind != KindZ {
+		if c.Kind != strategy.KindZ {
 			t.Fatalf("sync-only check %s has kind %s", c.Name, c.Kind)
 		}
 	}

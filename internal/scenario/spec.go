@@ -33,12 +33,6 @@ const (
 	DefaultSyncInterval = 1.0
 )
 
-// DefaultSyncEveryK is the block period substituted when a scenario requests
-// the sync-every-k strategy but gives no "sync_every_k" (it equals
-// strategy.DefaultEveryK; re-stated here because spec defaults are part of
-// the version-1 schema contract).
-const DefaultSyncEveryK = strategy.DefaultEveryK
-
 // SyncSpec is the decoded "sync_interval" field: either a positive request
 // interval τ, or the string "optimal", meaning the runner resolves τ with
 // synch.OptimalInterval from the scenario's error rate.
@@ -126,7 +120,7 @@ type Scenario struct {
 	// false, SyncInterval is the interval τ.
 	OptimalSync  bool
 	SyncInterval float64
-	// EveryK is the sync-every-k block period; 0 means DefaultSyncEveryK.
+	// EveryK is the sync-every-k block period; 0 means strategy.DefaultEveryK.
 	EveryK int
 	// CheckpointCost is t_r, the time to record one process state.
 	CheckpointCost float64

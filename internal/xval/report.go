@@ -17,9 +17,6 @@ import (
 type CheckKind = strategy.CheckKind
 
 const (
-	// KindZ is a one-sample z-test of a Monte Carlo mean against an exact
-	// model value; the tolerance is crit × (the estimator's standard error).
-	KindZ = strategy.KindZ
 	// KindTwoSampleZ compares two independent Monte Carlo means (both sides
 	// carry sampling error).
 	KindTwoSampleZ = strategy.KindTwoSampleZ

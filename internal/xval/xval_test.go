@@ -101,7 +101,7 @@ func welfordWith(mean, se float64) stats.Welford {
 func TestJudgeFlagsDisagreement(t *testing.T) {
 	// A simulated mean 10 standard errors away from the model must fail the
 	// z-test (and, at this distance, the CI-overlap check too).
-	m := strategy.Measurement{Scenario: "s", Name: "c", Kind: KindZ, Ref: 1.0, W: welfordWith(1.1, 0.01)}
+	m := strategy.Measurement{Scenario: "s", Name: "c", Kind: strategy.KindZ, Ref: 1.0, W: welfordWith(1.1, 0.01)}
 	c := judgeMeasurement(m, 4, 1e-9)
 	if c.Pass || c.Overlap {
 		t.Fatalf("10-sigma discrepancy passed: %+v", c)
@@ -134,7 +134,7 @@ func TestJudgeFlagsDisagreement(t *testing.T) {
 }
 
 func TestDegenerateSamplesDoNotPoisonJSON(t *testing.T) {
-	m := strategy.Measurement{Scenario: "s", Name: "flat", Kind: KindZ, Ref: 1, W: welfordWith(2, 0)}
+	m := strategy.Measurement{Scenario: "s", Name: "flat", Kind: strategy.KindZ, Ref: 1, W: welfordWith(2, 0)}
 	c := judgeMeasurement(m, 4, 1e-9)
 	if c.Pass {
 		t.Fatal("zero-spread mismatch passed")
