@@ -207,9 +207,6 @@ func AliasAccept(u, thresh uint64) uint64 {
 	return borrow
 }
 
-// K returns the number of categories (excluding internal padding).
-func (a *Alias) K() int { return a.k }
-
 // Pick maps one 64-bit uniform word to a category index: the top bits
 // choose the column (exactly uniform — the padded table size is a power of
 // two), and the low 48 bits run the acceptance test against the column

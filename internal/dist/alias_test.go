@@ -15,8 +15,8 @@ func TestAliasMatchesWeights(t *testing.T) {
 		total += w
 	}
 	a := NewAlias(weights)
-	if a.K() != len(weights) {
-		t.Fatalf("K = %d, want %d", a.K(), len(weights))
+	if a.k != len(weights) {
+		t.Fatalf("k = %d, want %d", a.k, len(weights))
 	}
 	rng := NewStream(42)
 	const draws = 2_000_000

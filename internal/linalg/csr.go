@@ -92,9 +92,6 @@ func (b *CSRBuilder) Build() *CSR {
 	return &CSR{n: b.n, rowPtr: b.rowPtr, col: b.col, val: b.val}
 }
 
-// N returns the dimension.
-func (m *CSR) N() int { return m.n }
-
 // MulVecInto computes dst = M·x. dst and x must not alias.
 func (m *CSR) MulVecInto(dst, x []float64) {
 	if len(dst) != m.n || len(x) != m.n {

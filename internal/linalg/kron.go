@@ -26,8 +26,11 @@ import "math/bits"
 //
 // A KronOp is built once (AddSite/AddPair/AddExchange/AddFixup) and then
 // applied; it is not safe to add terms concurrently with applications.
-// Applications reuse internal scratch, so a single KronOp must not be applied
-// from multiple goroutines at once.
+// Past shardDim states an application splits each of its passes between the
+// caller and a shared helper goroutine (see Shard), bit for bit the
+// one-goroutine result. That is internal: applications reuse the operator's
+// scratch and pass state, so a single KronOp must still not be applied from
+// multiple goroutines at once.
 type KronOp struct {
 	bits int
 	dim  int
@@ -46,6 +49,8 @@ type KronOp struct {
 	// and reused across applications.
 	shiftA, shiftB    []float64
 	exW1, exW1T, exW0 []float64
+
+	job applyJob
 }
 
 type pairTerm struct {
@@ -190,9 +195,10 @@ func (op *KronOp) apply(dst, x []float64, trans bool) {
 		panic("linalg: KronOp dimension mismatch")
 	}
 	ex := op.exchange != 0
-	var shA, shB []float64
+	j := &op.job
+	j.op, j.dst, j.x, j.trans = op, dst, x, trans
 	if ex {
-		shA, shB = op.scratch()
+		j.shA, j.shB = op.scratch()
 	}
 
 	// The site factors and, when the exchange family is on, the prefix
@@ -216,51 +222,100 @@ func (op *KronOp) apply(dst, x []float64, trans bool) {
 	// Bits still apply in ascending order and every element sees the same
 	// floating-point operations in the same order as a one-bit-per-pass sweep
 	// from zeroed arrays, so the result does not depend on the pass layout.
+	// Nor does it depend on the core count: every pass but the fixups writes
+	// each element from one index of its range only, so Shard may split the
+	// blocks, pairs or quads of a pass between two goroutines.
 	low := min(op.bits, blockBits)
-	tiled := low >= 2 && op.twoBits(0, trans)
-	if !tiled {
-		clear(dst)
-		if ex {
-			clear(shA)
-			clear(shB)
-		}
-	}
-	bsize := 1 << low
-	for base := 0; base < op.dim; base += bsize {
-		d, xs := dst[base:base+bsize], x[base:base+bsize]
-		var sa, sb []float64
-		if ex {
-			sa, sb = shA[base:base+bsize], shB[base:base+bsize]
-		}
-		bit := 0
-		if tiled {
-			op.tilePass(d, sa, sb, xs, trans)
-			bit = 2
-		}
-		for ; bit < low; bit++ {
-			if bit+1 < low && op.twoBits(bit, trans) {
-				op.twoBitPass(d, sa, sb, xs, bit, trans)
-				bit++
-				continue
-			}
-			op.oneBitPass(d, sa, sb, xs, bit, trans)
-		}
-	}
-	for bit := low; bit < op.bits; bit++ {
-		op.oneBitPass(dst, shA, shB, x, bit, trans)
+	j.tiled = low >= 2 && op.twoBits(0, trans)
+	j.pass = passBlocks
+	Shard(j, op.dim, op.dim>>low)
+	j.pass = passBit
+	for j.bit = low; j.bit < op.bits; j.bit++ {
+		Shard(j, op.dim, op.dim/2)
 	}
 	if ex {
-		op.exchangeCombine(dst, x, shA, shB, trans)
+		j.pass = passCombine
+		Shard(j, op.dim, op.dim)
 	}
-
+	j.pass = passPair
 	for i := range op.pairs {
-		op.pairSweep(dst, x, &op.pairs[i], trans)
+		j.pair = &op.pairs[i]
+		Shard(j, op.dim, op.dim/4)
 	}
 	for _, f := range op.fixups {
 		if trans {
 			dst[f.col] += f.v * x[f.row]
 		} else {
 			dst[f.row] += f.v * x[f.col]
+		}
+	}
+	*j = applyJob{} // keep no caller's vectors alive between applications
+}
+
+// The passes of one application, in the order apply runs them.
+const (
+	passBlocks  = iota // every bit below blockBits, by cache block
+	passBit            // one bit at or past blockBits, by bit pair
+	passCombine        // the exchange combine, by state
+	passPair           // one pair term, by quad
+)
+
+// applyJob is one application's operands and current pass, the Ranger that
+// apply hands to Shard. It lives in its KronOp, so applications allocate
+// nothing.
+type applyJob struct {
+	op           *KronOp
+	dst, x       []float64
+	shA, shB     []float64
+	trans, tiled bool
+	pass, bit    int
+	pair         *pairTerm
+}
+
+// RunRange runs the current pass over its index range [lo, hi).
+func (j *applyJob) RunRange(lo, hi int) {
+	op := j.op
+	switch j.pass {
+	case passBlocks:
+		j.lowBits(lo, hi)
+	case passBit:
+		op.oneBitPass(j.dst, j.shA, j.shB, j.x, j.bit, j.trans, lo, hi)
+	case passCombine:
+		op.exchangeCombine(j.dst, j.x, j.shA, j.shB, j.trans, lo, hi)
+	case passPair:
+		op.pairSweep(j.dst, j.x, j.pair, j.trans, lo, hi)
+	}
+}
+
+// lowBits applies every bit below blockBits to the cache blocks [lo, hi),
+// one block at a time, zero-filling each block first unless the tile pass
+// starts it from zero.
+func (j *applyJob) lowBits(lo, hi int) {
+	op := j.op
+	low := min(op.bits, blockBits)
+	bsize := 1 << low
+	for base := lo * bsize; base < hi*bsize; base += bsize {
+		d, xs := j.dst[base:base+bsize], j.x[base:base+bsize]
+		var sa, sb []float64
+		if j.shA != nil {
+			sa, sb = j.shA[base:base+bsize], j.shB[base:base+bsize]
+		}
+		bit := 0
+		if j.tiled {
+			op.tilePass(d, sa, sb, xs, j.trans)
+			bit = 2
+		} else {
+			clear(d)
+			clear(sa)
+			clear(sb)
+		}
+		for ; bit < low; bit++ {
+			if bit+1 < low && op.twoBits(bit, j.trans) {
+				op.twoBitPass(d, sa, sb, xs, bit, j.trans)
+				bit++
+				continue
+			}
+			op.oneBitPass(d, sa, sb, xs, bit, j.trans, 0, bsize/2)
 		}
 	}
 }
@@ -304,20 +359,26 @@ func (op *KronOp) twoBits(b int, trans bool) bool {
 	return k0 && !k1 && m0 && !m1
 }
 
-// oneBitPass applies one bit's site factor and shift accumulation to each
-// pair (s0, s1 = s0|step): dst[s0] += k00·x[s0] + k01·x[s1] and
+// oneBitPass applies one bit's site factor and shift accumulation to the
+// pairs (s0, s1 = s0|step) numbered [lo, hi), pair p having s0 = p with a
+// zero inserted at the bit: dst[s0] += k00·x[s0] + k01·x[s1] and
 // dst[s1] += k10·x[s0] + k11·x[s1]. The forward shift step (down-shift D,
 // lowering) is shB[s1] += shA[s0] then shA[s1] += x[s0]; after all bits
 // shA = D·x and shB = D²x/2, each unordered pair {i, j} ⊆ s contributing
 // x[s∖i∖j] exactly once, via its larger bit sweeping the smaller bit's
 // accumulation. The transposed step mirrors it with the up-shift U = Dᵀ.
-func (op *KronOp) oneBitPass(dst, shA, shB, x []float64, bit int, trans bool) {
+func (op *KronOp) oneBitPass(dst, shA, shB, x []float64, bit int, trans bool, lo, hi int) {
 	k, w0, w1 := op.siteFactor(bit, trans)
 	ex := op.exchange != 0
 	step := 1 << bit
-	for base := 0; base < len(dst); base += 2 * step {
-		x0s := x[base : base+step]
-		n := len(x0s)
+	// Pairs p and p+1 have adjacent s0 except across a multiple of step, so
+	// the range runs as contiguous stretches ending at those multiples.
+	for p := lo; p < hi; {
+		off := p & (step - 1)
+		base := (p-off)<<1 + off
+		n := min(step-off, hi-p)
+		p += n
+		x0s := x[base:][:n]
 		x1s, d0s, d1s := x[base+step:][:n], dst[base:][:n], dst[base+step:][:n]
 		if ex && !trans && w0 && !w1 {
 			// The recovery-block raising factor with the forward shift.
@@ -455,25 +516,27 @@ func (op *KronOp) twoBitPass(dst, shA, shB, x []float64, lo int, trans bool) {
 }
 
 // exchangeCombine folds the shift accumulators into dst with the popcount
-// diagonal. Forward: dst[s] += λ·(D²x/2 + (n−u)·(Dx) − (C(u,2)+u(n−u))·x)[s].
+// diagonal, on the states [lo, hi).
+// Forward: dst[s] += λ·(D²x/2 + (n−u)·(Dx) − (C(u,2)+u(n−u))·x)[s].
 // Transposed: dst[s] += λ·(U²x/2 + (n−u−1)·(Ux) − (C(u,2)+u(n−u))·x)[s]
 // (the (n−u−1) weight is diag(n−u) commuted past U: every up-neighbor of s
 // has u+1 bits set).
-func (op *KronOp) exchangeCombine(dst, x, shA, shB []float64, trans bool) {
+func (op *KronOp) exchangeCombine(dst, x, shA, shB []float64, trans bool, lo, hi int) {
 	rate := op.exchange
 	w1 := op.exW1
 	if trans {
 		w1 = op.exW1T
 	}
-	for s := range dst {
+	for s := lo; s < hi; s++ {
 		u := bits.OnesCount32(uint32(s))
 		dst[s] += rate * (shB[s] + w1[u]*shA[s] - op.exW0[u]*x[s])
 	}
 }
 
-// pairSweep applies one 4×4 factor over the quads (s00, s10, s01, s11)
-// spanned by the pair's two bits.
-func (op *KronOp) pairSweep(dst, x []float64, p *pairTerm, trans bool) {
+// pairSweep applies one 4×4 factor to the quads (s00, s10, s01, s11)
+// spanned by the pair's two bits, numbered [lo, hi): quad q has s00 = q with
+// zeros inserted at both bits.
+func (op *KronOp) pairSweep(dst, x []float64, p *pairTerm, trans bool, lo, hi int) {
 	var k [16]float64
 	if trans {
 		for r := 0; r < 4; r++ {
@@ -485,18 +548,21 @@ func (op *KronOp) pairSweep(dst, x []float64, p *pairTerm, trans bool) {
 		k = p.k
 	}
 	stepL, stepH := 1<<p.lo, 1<<p.hi
-	for baseH := 0; baseH < op.dim; baseH += 2 * stepH {
-		for baseL := baseH; baseL < baseH+stepH; baseL += 2 * stepL {
-			for s00 := baseL; s00 < baseL+stepL; s00++ {
-				s10 := s00 | stepL
-				s01 := s00 | stepH
-				s11 := s10 | stepH
-				x0, x1, x2, x3 := x[s00], x[s10], x[s01], x[s11]
-				dst[s00] += k[0]*x0 + k[1]*x1 + k[2]*x2 + k[3]*x3
-				dst[s10] += k[4]*x0 + k[5]*x1 + k[6]*x2 + k[7]*x3
-				dst[s01] += k[8]*x0 + k[9]*x1 + k[10]*x2 + k[11]*x3
-				dst[s11] += k[12]*x0 + k[13]*x1 + k[14]*x2 + k[15]*x3
-			}
+	for q := lo; q < hi; {
+		off := q & (stepL - 1)
+		base := (q-off)<<1 + off
+		base = (base&^(stepH-1))<<1 | base&(stepH-1)
+		n := min(stepL-off, hi-q)
+		q += n
+		for s00 := base; s00 < base+n; s00++ {
+			s10 := s00 | stepL
+			s01 := s00 | stepH
+			s11 := s10 | stepH
+			x0, x1, x2, x3 := x[s00], x[s10], x[s01], x[s11]
+			dst[s00] += k[0]*x0 + k[1]*x1 + k[2]*x2 + k[3]*x3
+			dst[s10] += k[4]*x0 + k[5]*x1 + k[6]*x2 + k[7]*x3
+			dst[s01] += k[8]*x0 + k[9]*x1 + k[10]*x2 + k[11]*x3
+			dst[s11] += k[12]*x0 + k[13]*x1 + k[14]*x2 + k[15]*x3
 		}
 	}
 }

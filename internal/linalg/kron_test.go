@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -258,10 +259,10 @@ func refApply(op *KronOp, dst, x []float64, trans bool) {
 	}
 	if ex {
 		op.scratch()
-		op.exchangeCombine(dst, x, shA, shB, trans)
+		op.exchangeCombine(dst, x, shA, shB, trans, 0, op.dim)
 	}
 	for i := range op.pairs {
-		op.pairSweep(dst, x, &op.pairs[i], trans)
+		op.pairSweep(dst, x, &op.pairs[i], trans, 0, op.dim/4)
 	}
 	for _, f := range op.fixups {
 		if trans {
@@ -321,6 +322,67 @@ func TestKronApplyMatchesPerBitReference(t *testing.T) {
 				for i := range got {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 						t.Fatalf("n=%d %s trans=%v: element %d = %v, per-bit reference %v", nbits, name, trans, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// recoveryBlockKron is the recovery-block operator shape at n bits: raising
+// site factors, the interaction family (the exchange family, or one
+// lowering factor per pair at a random rate) and the all-ones fixups.
+func recoveryBlockKron(rng *rand.Rand, nbits int, exchange bool) *KronOp {
+	op := NewKronOp(nbits)
+	ones := op.Dim() - 1
+	for b := 0; b < nbits; b++ {
+		mu := rng.Float64() + 0.5
+		op.AddSite(b, -mu, mu, 0, 0)
+		op.AddFixup(ones&^(1<<b), ones, -mu)
+	}
+	if exchange {
+		op.AddExchange(0.3)
+	} else {
+		for i := 0; i < nbits; i++ {
+			for j := i + 1; j < nbits; j++ {
+				lam := 0.1 + rng.Float64()
+				var k [16]float64
+				for _, r := range []int{1, 2, 3} {
+					k[r*4], k[r*4+r] = lam, -lam
+				}
+				op.AddPair(i, j, k)
+			}
+		}
+	}
+	op.AddFixup(ones, ones, -1)
+	return op
+}
+
+// TestKronApplyIsCoreCountInvariant: past shardDim both directions of the
+// operator split their passes between two goroutines at GOMAXPROCS 2, and
+// every element must come out bit for bit as on one.
+func TestKronApplyIsCoreCountInvariant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(23))
+	for _, nbits := range []int{16, 17} {
+		for _, exchange := range []bool{true, false} {
+			op := recoveryBlockKron(rng, nbits, exchange)
+			x := make([]float64, op.Dim())
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			one, two := make([]float64, op.Dim()), make([]float64, op.Dim())
+			for _, c := range []struct {
+				name  string
+				apply func(dst, x []float64)
+			}{{"MulVecInto", op.MulVecInto}, {"MulVecTransInto", op.MulVecTransInto}} {
+				runtime.GOMAXPROCS(1)
+				c.apply(one, x)
+				runtime.GOMAXPROCS(2)
+				c.apply(two, x)
+				for i := range one {
+					if math.Float64bits(one[i]) != math.Float64bits(two[i]) {
+						t.Fatalf("n=%d exchange=%v %s: element %d = %v on two cores, %v on one", nbits, exchange, c.name, i, two[i], one[i])
 					}
 				}
 			}

@@ -51,9 +51,6 @@ func (c *CTMC) ReserveDegree(deg int) {
 	}
 }
 
-// N returns the number of states.
-func (c *CTMC) N() int { return c.n }
-
 // AddRate adds an exponential transition from→to with the given rate.
 // Multiple calls accumulate. Rates must be nonnegative; self-transitions and
 // transitions out of absorbing states are rejected.

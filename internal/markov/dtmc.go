@@ -2,7 +2,6 @@ package markov
 
 import (
 	"errors"
-	"math"
 
 	"recoveryblocks/internal/linalg"
 )
@@ -24,9 +23,6 @@ func NewDTMC(n int) *DTMC {
 	}
 	return &DTMC{n: n, rows: make([][]Entry, n), absorbing: make([]bool, n)}
 }
-
-// N returns the number of states.
-func (d *DTMC) N() int { return d.n }
 
 // AddProb adds transition probability mass from→to. Multiple calls
 // accumulate.
@@ -59,28 +55,6 @@ func (d *DTMC) IsAbsorbing(state int) bool { return d.absorbing[state] }
 
 // Transitions returns the outgoing transitions of state (shared; read-only).
 func (d *DTMC) Transitions(state int) []Entry { return d.rows[state] }
-
-// RowSum returns the outgoing probability mass of a state.
-func (d *DTMC) RowSum(state int) float64 {
-	s := 0.0
-	for _, e := range d.rows[state] {
-		s += e.Rate
-	}
-	return s
-}
-
-// Validate checks that every non-absorbing row sums to 1 within tol.
-func (d *DTMC) Validate(tol float64) error {
-	for u := 0; u < d.n; u++ {
-		if d.absorbing[u] {
-			continue
-		}
-		if math.Abs(d.RowSum(u)-1) > tol {
-			return errors.New("markov: DTMC row does not sum to 1")
-		}
-	}
-	return nil
-}
 
 // ExpectedVisits returns, for each transient state, the expected number of
 // epochs spent there (counting the initial epoch) before absorption when

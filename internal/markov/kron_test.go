@@ -15,7 +15,7 @@ import (
 // the enumerated ones on one chain.
 func matrixFreeFromChain(c *CTMC, start int) *MatrixFree {
 	nt := 0
-	for u := 0; u < c.N(); u++ {
+	for u := 0; u < c.n; u++ {
 		if !c.IsAbsorbing(u) {
 			nt++
 		}
@@ -79,7 +79,7 @@ func TestMatrixFreeMatchesEnumerated(t *testing.T) {
 	}
 
 	times := []float64{0, 5, 20, 50, 100}
-	pi0 := make([]float64, c.N())
+	pi0 := make([]float64, c.n)
 	pi0[0] = 1
 	cdf := c.AbsorptionCDF(pi0, times, 1e-12)
 	den := c.AbsorptionDensity(pi0, times, 1e-12)

@@ -344,8 +344,8 @@ func TestPoissonWeightsMatchLogSpace(t *testing.T) {
 // denseGenerator assembles the generator Q the chain's rows imply: the
 // transition rates off the diagonal and −OutRate on it.
 func denseGenerator(c *CTMC) *linalg.Matrix {
-	q := linalg.NewMatrix(c.N(), c.N())
-	for u := 0; u < c.N(); u++ {
+	q := linalg.NewMatrix(c.n, c.n)
+	for u := 0; u < c.n; u++ {
 		q.Add(u, u, -c.OutRate(u))
 		for _, e := range c.Transitions(u) {
 			q.Add(u, e.To, e.Rate)

@@ -369,7 +369,7 @@ func TestDOTRendersEveryRoute(t *testing.T) {
 			t.Fatal(err)
 		}
 		edges := 0
-		for u := 0; u < c.N(); u++ {
+		for u := 0; u < 1<<p.N(); u++ { // the absorbing state has none
 			edges += len(c.Transitions(u))
 		}
 		if got := strings.Count(dot, " -> "); got != edges {

@@ -1,7 +1,10 @@
 package rbmodel
 
 import (
+	"math"
 	"math/bits"
+	"runtime"
+	"sync/atomic"
 
 	"recoveryblocks/internal/linalg"
 	"recoveryblocks/internal/markov"
@@ -139,6 +142,13 @@ func uniformPairRate(p Params) (float64, bool) {
 // P injecting a level value back into every vertex of the level. Q_T·P·c
 // costs no operator application (see coarseResidual). The additive form
 // (D + U)⁻¹·r + P·c took about half again as many Krylov iterations.
+//
+// Past 2^16 vertices every pass but the level sums splits between two
+// goroutines through linalg.Shard: the coarse residual and the final
+// level add by vertex range, the sweep by a pipeline across the top bit (see
+// sweep). Each vertex keeps its operations and their order, so the result
+// does not depend on the core count. A kronPrecond reuses its buffers and
+// must not be applied from two goroutines at once.
 type kronPrecond struct {
 	diag []float64
 	mu   []float64
@@ -153,6 +163,8 @@ type kronPrecond struct {
 	// its higher bits (the 2^(n−8)-entry tables).
 	muLo, lamLo [256]float64
 	muHi, lamHi []float64
+
+	job precondJob
 }
 
 func newKronPrecond(op *linalg.KronOp, p Params) *kronPrecond {
@@ -173,6 +185,7 @@ func newKronPrecond(op *linalg.KronOp, p Params) *kronPrecond {
 		lv:    make([][5]float64, n+1),
 		sumMu: p.SumMu(),
 	}
+	kp.job.kp = kp
 	op.DiagInto(kp.diag)
 	lo := min(n, 8)
 	setSums(kp.muLo[:1<<lo], p.Mu[:lo])
@@ -240,7 +253,8 @@ func choose(n, k int) float64 {
 
 // forward computes dst = M⁻¹·src for the coarse-first two-level M: three
 // passes over the cube after the level sums, the sweep running in place on
-// the residual in dst.
+// the residual in dst. The level sums are a reduction and stay on one
+// goroutine; the three passes shard (see sweep).
 func (kp *kronPrecond) forward(dst, src []float64) {
 	if kp.lu == nil {
 		kp.sweep(dst, src)
@@ -256,9 +270,7 @@ func (kp *kronPrecond) forward(dst, src []float64) {
 	}
 	kp.coarseResidual(dst, src, kp.ec)
 	kp.sweep(dst, dst)
-	for s := range dst {
-		dst[s] += kp.ec[bits.OnesCount(uint(s))]
-	}
+	kp.job.shard(stageLift, dst, nil)
 }
 
 // coarseResidual writes t = r − Q_T·P·c from the level values c. P·c is
@@ -288,8 +300,15 @@ func (kp *kronPrecond) coarseResidual(t, r, c []float64) {
 		}
 	}
 	kp.lv[n][4] = kp.sumMu
+	kp.job.shard(stageResidual, t, r)
+}
+
+// residualRange is coarseResidual on the vertices [lo, hi), with the level
+// weights already in kp.lv.
+func (kp *kronPrecond) residualRange(t, r []float64, lo, hi int) {
 	ones := len(r) - 1
-	for s, d := range kp.diag[:len(r)] {
+	for s := lo; s < hi; s++ {
+		d := kp.diag[s]
 		w := &kp.lv[bits.OnesCount(uint(s))]
 		z := ones &^ s
 		up := kp.muLo[z&0xff] + kp.muHi[z>>8]
@@ -300,12 +319,28 @@ func (kp *kronPrecond) coarseResidual(t, r, c []float64) {
 }
 
 // sweep solves (D + U)·y = r into y, s descending:
-// y[s] = (r[s] − Σ_{i∉s} μ_i·y[s|1<<i]) / D[s]. A vertex one bit short of
-// all-ones (and all-ones itself) has no raising edge left in U. y may alias
-// r: each step reads r[s] before it writes y[s], and reads only y above s.
+// y[s] = (r[s] − Σ_{i∉s} μ_i·y[s|1<<i]) / D[s]. y may alias r: each step
+// reads r[s] before it writes y[s], and reads only y above s.
+//
+// When linalg.Shard splits it between two goroutines, the sweep pipelines
+// across the top bit t = 2^(n−1). An upper vertex (t set) reads only upper
+// supersets, so the upper half is a sweep of its own; a lower vertex s reads
+// its own half's supersets and s|t, which sits as far below the top of the
+// cube as s sits below t. So the lower half can run in step with the upper
+// one, sweepChunk vertices behind it: before each chunk it waits until the
+// upper half has finished the chunk the same distance from the top. Every
+// vertex still reads final values only, so y is bit for bit the
+// one-goroutine sweep, which runs the same chunks top down and never waits.
 func (kp *kronPrecond) sweep(y, r []float64) {
+	kp.job.shard(stageSweep, y, r)
+}
+
+// sweepRange runs the sweep over the vertices [lo, hi), s descending. A
+// vertex one bit short of all-ones (and all-ones itself) has no raising
+// edge left in U.
+func (kp *kronPrecond) sweepRange(y, r []float64, lo, hi int) {
 	ones := len(r) - 1
-	for s := ones; s >= 0; s-- {
+	for s := hi - 1; s >= lo; s-- {
 		v := r[s]
 		if z := ones &^ s; z&(z-1) != 0 {
 			for ; z != 0; z &= z - 1 {
@@ -314,5 +349,68 @@ func (kp *kronPrecond) sweep(y, r []float64) {
 			}
 		}
 		y[s] = v / kp.diag[s]
+	}
+}
+
+// sweepChunk is the grain of the sweep's top-bit pipeline, and how far the
+// lower half runs behind the upper one: 1/16 of a half at n = 16.
+const sweepChunk = 1 << 11
+
+// The passes of one preconditioner application that shard.
+const (
+	stageResidual = iota // coarseResidual into y from r
+	stageSweep           // the Gauss–Seidel sweep, y from r
+	stageLift            // y[s] += ec[|s|]
+)
+
+// precondJob is the Ranger the preconditioner hands to linalg.Shard. It
+// lives in its kronPrecond, so applications allocate nothing.
+type precondJob struct {
+	kp    *kronPrecond
+	y, r  []float64
+	stage int
+	// upper counts the sweep's finished upper-half chunks, top down.
+	upper atomic.Int64
+}
+
+// shard runs one stage over every vertex through linalg.Shard, then drops
+// y and r so the preconditioner keeps no solve's vectors alive.
+func (j *precondJob) shard(stage int, y, r []float64) {
+	j.stage, j.y, j.r = stage, y, r
+	j.upper.Store(0)
+	linalg.Shard(j, len(y), len(y))
+	j.y, j.r = nil, nil
+}
+
+// RunRange runs the current stage over the vertices [lo, hi).
+func (j *precondJob) RunRange(lo, hi int) {
+	kp := j.kp
+	switch j.stage {
+	case stageResidual:
+		kp.residualRange(j.y, j.r, lo, hi)
+	case stageLift:
+		for s := lo; s < hi; s++ {
+			j.y[s] += kp.ec[bits.OnesCount(uint(s))]
+		}
+	case stageSweep:
+		top := len(j.r) / 2
+		if hi > top {
+			// Whatever stops the upper half, a panic included, must not
+			// leave the lower half waiting for it.
+			defer j.upper.Store(math.MaxInt64)
+		}
+		for c := hi; c > lo; c -= sweepChunk {
+			if c <= top {
+				// The lower chunk below c reads y[s|top] from the upper
+				// chunk below c+top, number (top−c)/sweepChunk from the top.
+				for j.upper.Load() <= int64((top-c)/sweepChunk) {
+					runtime.Gosched()
+				}
+			}
+			kp.sweepRange(j.y, j.r, max(c-sweepChunk, lo), c)
+			if c > top {
+				j.upper.Add(1)
+			}
+		}
 	}
 }

@@ -4,7 +4,10 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"recoveryblocks/internal/linalg"
 	"recoveryblocks/internal/markov"
@@ -276,10 +279,12 @@ func TestKronMomentsMatchEnumeratedAcrossRho(t *testing.T) {
 // TestKronApplicationsDoNotAllocate: the operator in both directions, the
 // preconditioner and its in-place sweep run inside every Krylov iteration and
 // allocate nothing once the operator's scratch exists, below blockBits
-// (n = 9) and past it (n = 16).
+// (n = 9) and past it (n = 16, 17), where they split their passes between
+// two goroutines: GOMAXPROCS is 2 here whatever the machine's core count.
 func TestKronApplicationsDoNotAllocate(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	rng := rand.New(rand.NewSource(7))
-	for _, p := range []Params{wallRamp(9, 1), randomParams(rng, 9), wallRamp(16, 1)} {
+	for _, p := range []Params{wallRamp(9, 1), randomParams(rng, 9), wallRamp(16, 1), wallRamp(17, 1), hotPairRamp(17, 1)} {
 		e := newKronEngine(p)
 		kp := newKronPrecond(e.op, p)
 		x, y := make([]float64, e.op.Dim()), make([]float64, e.op.Dim())
@@ -300,5 +305,137 @@ func TestKronApplicationsDoNotAllocate(t *testing.T) {
 				t.Errorf("n=%d %s (pairs %d, exchange %v): %v allocations per application", p.N(), c.name, pairs, exchange, a)
 			}
 		}
+	}
+}
+
+// TestKronIsCoreCountInvariant: past 2^16 states the preconditioner
+// splits its passes between two goroutines and pipelines its sweep across
+// the top bit, and the operator shards its passes; the preconditioner (for
+// uniform and hot-pair λ) and the whole n = 16 moment pair must come out bit
+// for bit as on one goroutine. Two solves on distinct operators at once
+// share one helper, so one of them runs its passes inline; both must still
+// match.
+func TestKronIsCoreCountInvariant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(16))
+	type engine struct {
+		name string
+		op   *linalg.KronOp
+		kp   *kronPrecond
+		x    []float64
+	}
+	var engines []engine
+	for _, c := range []struct {
+		name string
+		p    Params
+	}{{"uniform", wallRamp(16, 1)}, {"hot pair", hotPairRamp(16, 4)}, {"uniform n=17", wallRamp(17, 2)}} {
+		e := newKronEngine(c.p)
+		x := make([]float64, e.op.Dim())
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		engines = append(engines, engine{c.name, e.op, newKronPrecond(e.op, c.p), x})
+	}
+	// apply runs the operator and the preconditioner on x, one after the
+	// other, as a Krylov step does.
+	apply := func(e engine) (av, mv []float64) {
+		av, mv = make([]float64, len(e.x)), make([]float64, len(e.x))
+		e.op.MulVecInto(av, e.x)
+		e.kp.forward(mv, e.x)
+		return av, mv
+	}
+	same := func(a, b []float64) int {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return i
+			}
+		}
+		return -1
+	}
+
+	runtime.GOMAXPROCS(1)
+	wantA, wantM := make([][]float64, len(engines)), make([][]float64, len(engines))
+	for i, e := range engines {
+		wantA[i], wantM[i] = apply(e)
+	}
+	m1, m2, err := forceKron(wallRamp(16, 1)).MomentsX()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	runtime.GOMAXPROCS(2)
+	for i, e := range engines {
+		av, mv := apply(e)
+		if k := same(wantA[i], av); k >= 0 {
+			t.Errorf("%s: operator element %d = %v on two cores, %v on one", e.name, k, av[k], wantA[i][k])
+		}
+		if k := same(wantM[i], mv); k >= 0 {
+			t.Errorf("%s: preconditioner element %d = %v on two cores, %v on one", e.name, k, mv[k], wantM[i][k])
+		}
+	}
+	if g1, g2, err := forceKron(wallRamp(16, 1)).MomentsX(); err != nil {
+		t.Fatal(err)
+	} else if math.Float64bits(g1) != math.Float64bits(m1) || math.Float64bits(g2) != math.Float64bits(m2) {
+		t.Errorf("n=16 moment pair (%.17g, %.17g) on two cores, (%.17g, %.17g) on one", g1, g2, m1, m2)
+	}
+
+	var wg sync.WaitGroup
+	for _, i := range []int{0, 1} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 10 {
+				av, mv := apply(engines[i])
+				if k := same(wantA[i], av); k >= 0 {
+					t.Errorf("%s beside another solve: operator element %d differs", engines[i].name, k)
+					return
+				}
+				if k := same(wantM[i], mv); k >= 0 {
+					t.Errorf("%s beside another solve: preconditioner element %d differs", engines[i].name, k)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestKronSweepPanicReleasesTheLowerHalf: the lower half of a split sweep
+// waits on the upper half's progress, so an upper half that panics must let
+// it go. The diagonal is cut to the lower half here, so the upper half
+// panics at its first vertex while the lower half runs on another
+// goroutine.
+func TestKronSweepPanicReleasesTheLowerHalf(t *testing.T) {
+	p := wallRamp(16, 1)
+	kp := newKronPrecond(newKronEngine(p).op, p)
+	dim := 1 << 16
+	r := make([]float64, dim)
+	for i := range r {
+		r[i] = 1
+	}
+	j := &kp.job
+	j.stage, j.y, j.r = stageSweep, make([]float64, dim), r
+	j.upper.Store(0)
+	kp.diag = kp.diag[:dim/2]
+	lower := make(chan any, 1)
+	go func() {
+		defer func() { lower <- recover() }()
+		j.RunRange(0, dim/2)
+	}()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the upper half did not panic")
+			}
+		}()
+		j.RunRange(dim/2, dim)
+	}()
+	select {
+	case v := <-lower:
+		if v != nil {
+			t.Errorf("the lower half panicked: %v", v)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("the lower half still waits on an upper half that panicked")
 	}
 }

@@ -20,17 +20,17 @@ import (
 // routes, with and without interactions, and against the n = 1 closed form.
 func TestTransientGridMatchesTransientDistribution(t *testing.T) {
 	type gridCase struct {
-		m     *AsyncModel
-		chain *markov.CTMC
-		entry int
+		m             *AsyncModel
+		chain         *markov.CTMC
+		entry, states int
 	}
 	var cases []gridCase
 	for _, p := range []Params{Uniform(3, 1, 1), Uniform(3, 1, 0), Uniform(1, 2, 0)} {
 		m := mustAsync(t, p)
-		cases = append(cases, gridCase{m, m.Chain(), m.Entry()})
+		cases = append(cases, gridCase{m, m.Chain(), m.Entry(), m.NumStates()})
 	}
 	orb := forceOrbit(t, twoClassParams(3, 2, 1.0, 2.5, 0.3, 0.8, 0.5))
-	cases = append(cases, gridCase{orb, orb.orbit.Chain(), orb.orbit.Entry()})
+	cases = append(cases, gridCase{orb, orb.orbit.Chain(), orb.orbit.Entry(), orb.orbit.NumStates()})
 
 	const gridN = 16384
 	for _, c := range cases {
@@ -43,7 +43,7 @@ func TestTransientGridMatchesTransientDistribution(t *testing.T) {
 			times[i] = 4 * mean * float64(i) / gridN
 		}
 		cdf, dens := c.m.CDFX(times), c.m.DensityX(times)
-		pi0 := make([]float64, c.chain.N())
+		pi0 := make([]float64, c.states)
 		pi0[c.entry] = 1
 		for i, tt := range times {
 			pi := c.chain.TransientDistribution(pi0, tt, transientEps)

@@ -76,18 +76,6 @@ func (w *Welford) StdErr() float64 {
 // interval for the mean. Valid for the large replication counts used here.
 func (w *Welford) CI95() float64 { return 1.96 * w.StdErr() }
 
-// Mean returns the mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
 // Histogram bins observations over [Min, Max) into equal-width bins;
 // observations outside the range are counted in Under/Over.
 type Histogram struct {
@@ -121,9 +109,6 @@ func (h *Histogram) Add(x float64) {
 		h.Counts[i]++
 	}
 }
-
-// N returns the total number of observations including out-of-range ones.
-func (h *Histogram) N() int { return h.total }
 
 // Merge adds another histogram's counts into h. The two must have identical
 // shape (range and bin count); integer counts make the merge exact, so the
@@ -172,19 +157,6 @@ func NewECDF(xs []float64) *ECDF {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
 	return &ECDF{sorted: s}
-}
-
-// At returns the fraction of the sample <= x.
-func (e *ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(e.sorted, x)
-	// SearchFloat64s finds the first index >= x; advance over equal values.
-	for i < len(e.sorted) && e.sorted[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(e.sorted))
 }
 
 // KSAgainst returns the Kolmogorov–Smirnov statistic sup|ECDF - cdf| against

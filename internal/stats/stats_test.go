@@ -15,7 +15,11 @@ func TestWelfordAgainstDirect(t *testing.T) {
 		xs[i] = rng.NormFloat64()*3 + 5
 		w.Add(xs[i])
 	}
-	mean := Mean(xs)
+	mean := 0.0
+	for _, x := range xs {
+		mean += x
+	}
+	mean /= float64(len(xs))
 	if math.Abs(w.Mean()-mean) > 1e-10 {
 		t.Fatalf("Welford mean %v vs direct %v", w.Mean(), mean)
 	}
@@ -70,8 +74,8 @@ func TestHistogramBinning(t *testing.T) {
 	if h.Under != 1 || h.Over != 2 {
 		t.Fatalf("out-of-range: under %d over %d", h.Under, h.Over)
 	}
-	if h.N() != 13 {
-		t.Fatalf("N = %d", h.N())
+	if h.total != 13 {
+		t.Fatalf("total = %d", h.total)
 	}
 }
 
@@ -97,13 +101,17 @@ func TestHistogramDensityIntegratesToInRangeFraction(t *testing.T) {
 }
 
 func TestECDFBasics(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 2, 3})
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {1.5, 0.25}, {2, 0.75}, {3, 1}, {9, 1},
-	}
-	for _, c := range cases {
-		if got := e.At(c.x); math.Abs(got-c.want) > 1e-12 {
-			t.Fatalf("ECDF(%v) = %v, want %v", c.x, got, c.want)
+	// The sample {1, 2, 2, 3} steps by 1/4, 1/2 and 1/4 at 1, 2 and 3; its
+	// largest gap to F(x) = x/4 is 1/4 at every point, and to F(x) = x/3 it
+	// is 2/3 − 1/4 just below 2.
+	for _, xs := range [][]float64{{1, 2, 2, 3}, {3, 2, 1, 2}} {
+		e := NewECDF(xs)
+		for _, c := range []struct {
+			scale, want float64
+		}{{4, 0.25}, {3, 2.0/3 - 0.25}} {
+			if got := e.KSAgainst(func(x float64) float64 { return x / c.scale }); math.Abs(got-c.want) > 1e-12 {
+				t.Fatalf("sample %v against x/%g: KS = %v, want %v", xs, c.scale, got, c.want)
+			}
 		}
 	}
 }
@@ -236,22 +244,22 @@ func TestIntegrateToInfMaxExpTail(t *testing.T) {
 }
 
 func TestECDFMonotoneProperty(t *testing.T) {
+	// The ECDF's steps sit at its stored sample points, which ascend, and
+	// building it leaves the caller's sample as it was.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		xs := make([]float64, 30)
 		for i := range xs {
 			xs[i] = rng.NormFloat64()
 		}
+		orig := append([]float64(nil), xs...)
 		e := NewECDF(xs)
-		prev := -1.0
-		for x := -4.0; x <= 4; x += 0.1 {
-			v := e.At(x)
-			if v < prev {
+		for i := range xs {
+			if xs[i] != orig[i] || (i > 0 && e.sorted[i] < e.sorted[i-1]) {
 				return false
 			}
-			prev = v
 		}
-		return prev <= 1
+		return len(e.sorted) == len(xs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -354,9 +362,9 @@ func TestHistogramMergeEqualsWhole(t *testing.T) {
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
-	if a.N() != whole.N() || a.Under != whole.Under || a.Over != whole.Over {
+	if a.total != whole.total || a.Under != whole.Under || a.Over != whole.Over {
 		t.Fatalf("merged totals differ: %d/%d/%d vs %d/%d/%d",
-			a.N(), a.Under, a.Over, whole.N(), whole.Under, whole.Over)
+			a.total, a.Under, a.Over, whole.total, whole.Under, whole.Over)
 	}
 	for i := range whole.Counts {
 		if a.Counts[i] != whole.Counts[i] {

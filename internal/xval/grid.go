@@ -69,8 +69,10 @@ func EveryKGrid() []Scenario {
 	}
 }
 
-// KronGrid is the matrix-free proof grid: cells past the enumerated chain's
-// n = 16 bound, which no materialized chain reaches. The per-process μ ramps
+// KronGrid is the matrix-free proof grid: cells past n = 16, far past the
+// enumerated route's bound (rbmodel.MaxEnumeratedProcesses = 7) and past
+// even the test-only rbmodel.EnumerateAsync, so no materialized chain
+// reaches them. The per-process μ ramps
 // are pairwise distinct, so orbit lumping
 // refuses every cell and the async model takes the Kronecker–Krylov route —
 // the grid is the end-to-end evidence that the O(n·2^n) matrix-free engine
