@@ -60,7 +60,7 @@
 // rare-event overlap grid: variance-reduced deadline-miss estimates judged
 // against the exact solvers in the ≤ 1e−6 regime. -kron swaps in the
 // matrix-free proof grid (n ∈ {18, 20, 24}, async family by default): exact
-// Kronecker–Krylov answers at sizes no materialized chain reaches, judged
+// Kronecker answers at sizes no materialized chain reaches, judged
 // against the event-driven simulator.
 //
 // rare runs the rare-event engine over a scenario batch (default: the

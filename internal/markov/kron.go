@@ -5,10 +5,11 @@ package markov
 // lumped chains above it, but the 2^n-vertex cube of the full model is never
 // enumerated past that size: 2^n states × O(n²) entries each. MatrixFree runs
 // the same absorption solves against a linalg.Operator (in practice a
-// linalg.KronOp built by rbmodel from the per-process factor structure), with
-// BiCGSTAB for the moment systems, restarted GMRES, matrix-free
-// uniformization and a jump-chain estimate as fallback rungs, and an
-// operator-stepped absorption sequence for the transient questions.
+// linalg.KronOp built by rbmodel from the per-process factor structure). The
+// moment pair comes from the caller's closed form when it has one, with
+// BiCGSTAB, restarted GMRES, matrix-free uniformization and a jump-chain
+// estimate as fallback rungs; the transient questions step an
+// operator-driven absorption sequence.
 
 import (
 	"context"
@@ -30,7 +31,7 @@ const KronCutoff = 1 << 17
 const (
 	// kronRestart is the Krylov dimension of the kron-gmres alternate and
 	// the Krylov sweep (memory = kronRestart+1 state-space basis vectors);
-	// the BiCGSTAB primary ignores it.
+	// the BiCGSTAB rung ignores it.
 	// kronMaxIters is every Krylov solve's operator-application budget,
 	// shared by the two moment systems.
 	kronRestart  = 40
@@ -48,7 +49,11 @@ const (
 // ‖b‖∞ + 2γ·‖x‖∞. It sits an order below the CSR solver's gsTol because the
 // relative forward error it certifies is about tol·κ, with κ ≤ 2γ·‖h‖∞
 // near 2e4 at n = 16 and 2e5 at n = 20 on the ρ = 1 μ ramps; the extra
-// digit costs about one BiCGSTAB step per solve.
+// digit costs about one BiCGSTAB step per solve. It binds only when the
+// ladder falls past a closed-form kron-renewal rung, or has none: κ grows
+// with E[X], so at high ρ a normwise-accepted Krylov answer can sit far from
+// the closed form (1.3 % at n = 18, ρ = 8 on the μ ramp, and a factor 120
+// on kron-gmres at n = 20).
 const KronMomentTol = 1e-13
 
 // MatrixFreeSpec assembles a MatrixFree engine. Op is the transient
@@ -69,8 +74,13 @@ type MatrixFreeSpec struct {
 	// n+1 such states out of 2^n).
 	AbsorbIdx  []int
 	AbsorbRate []float64
+	// ClosedForm optionally returns the moment pair E[T], E[T²] in closed
+	// form, with no solve: the kron-renewal rung, run ahead of the Krylov
+	// rungs. nil leaves it out, and the ladder starts at kron-krylov.
+	ClosedForm func() (m1, m2 float64)
 	// Precond optionally right-preconditions the Krylov moment solves
-	// (dst = M⁻¹·src); nil runs unpreconditioned.
+	// (dst = M⁻¹·src); nil runs unpreconditioned. Only the kron-krylov and
+	// kron-gmres rungs call it.
 	Precond func(dst, src []float64)
 	// PrecondT is not read: the engine solves no transposed system. It
 	// stays because callers still set it (perfbench's Jacobi reference).
@@ -149,28 +159,41 @@ func (m *MatrixFree) AbsorptionMoments() (m1, m2 float64, err error) {
 
 // AbsorptionMomentsCtx returns E[T] and E[T²] of the absorption time from
 // Start, run as a recovery block like the enumerated ladder: the rungs are
-// kron-krylov (BiCGSTAB on Q_T·h = −1 and Q_T·h2 = −2·h, eight state-space
-// vectors) → kron-gmres (restarted GMRES on the same systems, kronRestart+6
-// vectors) → kron-uniformization (transient-mass sums on the matrix-free
-// uniformized chain) → kron-mc (on-the-fly jump-chain estimate, Degraded),
-// each candidate vetted by the same NaN/Inf + Jensen + normwise-residual
-// acceptance test — the residuals evaluated with two extra operator
-// applications, since there are no rows to sweep.
+// kron-renewal (the spec's ClosedForm, when it has one) → kron-krylov
+// (BiCGSTAB on Q_T·h = −1 and Q_T·h2 = −2·h, eight state-space vectors) →
+// kron-gmres (restarted GMRES on the same systems, kronRestart+6 vectors) →
+// kron-uniformization (transient-mass sums on the matrix-free uniformized
+// chain) → kron-mc (on-the-fly jump-chain estimate, Degraded). Each candidate
+// is vetted by the same acceptance test: NaN/Inf and Jensen for every rung,
+// and for the Krylov rungs, which return their solution vectors, the
+// normwise residuals too, evaluated with two extra operator applications
+// since there are no rows to sweep. The rungs past the first are the
+// block's alternates and the independent routes the tests judge the closed
+// form against.
 func (m *MatrixFree) AbsorptionMomentsCtx(ctx context.Context) (m1, m2 float64, err error) {
 	m.solves.Inc()
-	krylov := guard.Attempt[momentSolution]{Name: "kron-krylov", Run: func(ctx context.Context) (momentSolution, error) {
-		return m.momentsKrylov(ctx, "BiCGSTAB", linalg.SolveBiCGSTAB)
-	}}
-	gmres := guard.Attempt[momentSolution]{Name: "kron-gmres", Run: func(ctx context.Context) (momentSolution, error) {
-		return m.momentsKrylov(ctx, "GMRES", linalg.SolveGMRES)
-	}}
-	unif := guard.Attempt[momentSolution]{Name: "kron-uniformization", Run: m.momentsUniformized}
-	mcEst := guard.Attempt[momentSolution]{Name: "kron-mc", Degraded: true, Run: m.momentsMC}
+	rungs := []guard.Attempt[momentSolution]{
+		{Name: "kron-krylov", Run: func(ctx context.Context) (momentSolution, error) {
+			return m.momentsKrylov(ctx, "BiCGSTAB", linalg.SolveBiCGSTAB)
+		}},
+		{Name: "kron-gmres", Run: func(ctx context.Context) (momentSolution, error) {
+			return m.momentsKrylov(ctx, "GMRES", linalg.SolveGMRES)
+		}},
+		{Name: "kron-uniformization", Run: m.momentsUniformized},
+		{Name: "kron-mc", Degraded: true, Run: m.momentsMC},
+	}
+	if cf := m.spec.ClosedForm; cf != nil {
+		renewal := guard.Attempt[momentSolution]{Name: "kron-renewal", Run: func(context.Context) (momentSolution, error) {
+			m1, m2 := cf()
+			return momentSolution{m1: m1, m2: m2}, nil
+		}}
+		rungs = append([]guard.Attempt[momentSolution]{renewal}, rungs...)
+	}
 	b := guard.Block[momentSolution]{
 		Name:       "markov/absorption-moments",
 		Accept:     m.acceptMoments,
-		Primary:    krylov,
-		Alternates: []guard.Attempt[momentSolution]{gmres, unif, mcEst},
+		Primary:    rungs[0],
+		Alternates: rungs[1:],
 	}
 	res, err := b.Do(ctx)
 	if err != nil {

@@ -118,47 +118,65 @@ func TestMatrixFreeMatchesEnumerated(t *testing.T) {
 }
 
 // TestMatrixFreeLadderFallbacks forces each rung of the matrix-free moment
-// ladder and checks the fallback reproduces the healthy answer: depth 1 lands
-// on the GMRES rung and depth 2 on the uniformization rung, both exact to
-// solver tolerance; deeper faults land on the on-the-fly MC rung, within a few
-// standard errors with the Degraded flag set. Saturating depths clamp to the
-// last rung (the recovery-block contract: some alternate always runs).
+// ladder and checks the fallback reproduces the healthy answer, on a spec
+// without a closed form (the ladder starts at kron-krylov) and on one whose
+// ClosedForm returns the dense-LU pair (a kron-renewal rung ahead of it).
+// The Krylov and uniformization rungs are exact to solver tolerance; deeper
+// faults land on the on-the-fly MC rung, within a few standard errors with
+// the Degraded flag set. Saturating depths clamp to the last rung (the
+// recovery-block contract: some alternate always runs).
 func TestMatrixFreeLadderFallbacks(t *testing.T) {
 	c := ladderChain(40)
-	mf := matrixFreeFromChain(c, 0)
-	m1, m2, err := mf.AbsorptionMoments()
+	plain := matrixFreeFromChain(c, 0)
+	d1, d2, err := c.AbsorptionMomentsDense(0)
 	if err != nil {
-		t.Fatalf("healthy solve: %v", err)
+		t.Fatal(err)
 	}
+	spec := plain.spec
+	spec.ClosedForm = func() (float64, float64) { return d1, d2 }
+	closed := NewMatrixFree(spec)
 
-	rungs := []string{"kron-krylov", "kron-gmres", "kron-uniformization", "kron-mc"}
-	for _, depth := range []int{1, 2, 3, 9, 16} {
-		ctx := guard.WithFaults(context.Background(), guard.FaultSpec{Depth: depth})
-		rec := &guard.Recorder{}
-		ctx = guard.WithRecorder(ctx, rec)
-		f1, f2, err := mf.AbsorptionMomentsCtx(ctx)
+	for _, lc := range []struct {
+		mf    *MatrixFree
+		rungs []string
+	}{
+		{plain, []string{"kron-krylov", "kron-gmres", "kron-uniformization", "kron-mc"}},
+		{closed, []string{"kron-renewal", "kron-krylov", "kron-gmres", "kron-uniformization", "kron-mc"}},
+	} {
+		mf, rungs := lc.mf, lc.rungs
+		last := len(rungs) - 1
+		m1, m2, err := mf.AbsorptionMoments()
 		if err != nil {
-			t.Fatalf("depth %d: %v", depth, err)
+			t.Fatalf("%s: healthy solve: %v", rungs[0], err)
 		}
-		ev := rec.Events()
-		wantRung := min(depth, 3)
-		if len(ev) != 1 || ev[0].Attempt != wantRung || ev[0].Route != rungs[wantRung] {
-			t.Fatalf("depth %d: events = %+v, want one fallback at rung %d (%s)", depth, ev, wantRung, rungs[wantRung])
-		}
-		if wantRung < 3 {
-			if ev[0].Degraded {
-				t.Fatalf("depth %d: exact rung flagged degraded", depth)
+		for _, depth := range []int{1, 2, 3, 4, 9, 16} {
+			ctx := guard.WithFaults(context.Background(), guard.FaultSpec{Depth: depth})
+			rec := &guard.Recorder{}
+			ctx = guard.WithRecorder(ctx, rec)
+			f1, f2, err := mf.AbsorptionMomentsCtx(ctx)
+			if err != nil {
+				t.Fatalf("%s depth %d: %v", rungs[0], depth, err)
 			}
-			if math.Abs(f1-m1) > 1e-6*m1 || math.Abs(f2-m2) > 1e-6*m2 {
-				t.Fatalf("depth %d: fallback moments (%g, %g) deviate from (%g, %g)", depth, f1, f2, m1, m2)
+			ev := rec.Events()
+			wantRung := min(depth, last)
+			if len(ev) != 1 || ev[0].Attempt != wantRung || ev[0].Route != rungs[wantRung] {
+				t.Fatalf("%s depth %d: events = %+v, want one fallback at rung %d (%s)", rungs[0], depth, ev, wantRung, rungs[wantRung])
 			}
-		} else {
-			if !ev[0].Degraded {
-				t.Fatalf("depth %d: MC rung not flagged degraded", depth)
-			}
-			se1 := math.Sqrt((m2 - m1*m1) / kronMCReps)
-			if math.Abs(f1-m1) > 6*se1 {
-				t.Fatalf("depth %d: MC mean %g is %g SE from exact %g", depth, f1, math.Abs(f1-m1)/se1, m1)
+			if wantRung < last {
+				if ev[0].Degraded {
+					t.Fatalf("%s depth %d: exact rung flagged degraded", rungs[0], depth)
+				}
+				if math.Abs(f1-m1) > 1e-6*m1 || math.Abs(f2-m2) > 1e-6*m2 {
+					t.Fatalf("%s depth %d: fallback moments (%g, %g) deviate from (%g, %g)", rungs[0], depth, f1, f2, m1, m2)
+				}
+			} else {
+				if !ev[0].Degraded {
+					t.Fatalf("%s depth %d: MC rung not flagged degraded", rungs[0], depth)
+				}
+				se1 := math.Sqrt((m2 - m1*m1) / kronMCReps)
+				if math.Abs(f1-m1) > 6*se1 {
+					t.Fatalf("%s depth %d: MC mean %g is %g SE from exact %g", rungs[0], depth, f1, math.Abs(f1-m1)/se1, m1)
+				}
 			}
 		}
 	}

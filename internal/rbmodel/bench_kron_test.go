@@ -1,10 +1,11 @@
 package rbmodel
 
 // BenchmarkKron is the matrix-free engine's perf baseline: the raw Kronecker
-// operator application, the moment solve on the ladder's primary rung, and
+// operator application, the moment pair on the ladder's primary rung, and
 // the end-to-end MeanX through NewAsync's router, at n = 16, 20 and 24, all
 // on the matrix-free route. The moment rows keep the name gmres/n=*, which
-// the committed baseline keys on, though the primary rung is BiCGSTAB. CI
+// the committed baseline keys on, though the primary rung is the closed
+// form kron-renewal (BenchmarkMomentRungs prices the Krylov rungs). CI
 // converts a fresh run to BENCH_kron.new.json and enforces
 // `benchjson -compare` against the committed BENCH_kron.json. The 2^20/2^24-vector sizes cost seconds to
 // minutes per op, so they are opt-in: set RB_BENCH_KRON=1 (the CI kron job
@@ -93,7 +94,7 @@ func BenchmarkKron(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := orb.MomentsX(); err != nil {
+					if _, _, err := orb.Chain().AbsorptionMoments(orb.Entry()); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -188,12 +189,15 @@ func BenchmarkAsyncRoutes(b *testing.B) {
 	}
 }
 
-// BenchmarkMomentRungs prices the two Krylov rungs of the matrix-free moment
-// ladder on the exact-wall ramp (wallRamp): kron-krylov (BiCGSTAB, eight
-// state-space vectors) and kron-gmres (GMRES(40), 46 vectors), the latter
-// reached by forcing the primary off with fault depth 1. Each op is one
-// moment pair through AbsorptionMomentsCtx, acceptance residuals included;
-// matvecs/op counts every operator application. n = 17 and 20 are opt-in
+// BenchmarkMomentRungs prices the first three rungs of the matrix-free
+// moment ladder on the exact-wall ramp (wallRamp): the closed form
+// kron-renewal (two state-space vectors, no operator application),
+// kron-krylov (BiCGSTAB, eight vectors) and kron-gmres (GMRES(40), 46
+// vectors), the last two reached by forcing the rungs ahead of them off with
+// fault depths 1 and 2. Each op is one moment pair through
+// AbsorptionMomentsCtx, acceptance residuals included, and the first op of a
+// Krylov rung builds its preconditioner; matvecs/op counts every operator
+// application. n = 17 and 20 are opt-in
 // via RB_BENCH_KRON=1. Not part of any committed baseline; the table in
 // EXPERIMENTS.md comes from
 //
@@ -208,7 +212,7 @@ func BenchmarkMomentRungs(b *testing.B) {
 			for _, rung := range []struct {
 				name  string
 				depth int
-			}{{"bicgstab", 0}, {"gmres", 1}} {
+			}{{"renewal", 0}, {"bicgstab", 1}, {"gmres", 2}} {
 				b.Run(fmt.Sprintf("%s/n=%d/rho=%g", rung.name, n, rho), func(b *testing.B) {
 					// The engine resolves its counters at construction.
 					reg := obs.Enable()

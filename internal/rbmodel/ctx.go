@@ -10,8 +10,7 @@ import (
 // boundary), an injected guard.FaultSpec (the chaos solver-fault
 // perturbation), and a guard.Recorder (how the advisor learns that a number
 // it is about to rank came from a fallback route). The context-free methods
-// remain the common path and are byte-identical to these under a background
-// context.
+// call these under a background context.
 
 // MeanXCtx is MeanX under an explicit context.
 func (m *AsyncModel) MeanXCtx(ctx context.Context) (float64, error) {
@@ -19,10 +18,12 @@ func (m *AsyncModel) MeanXCtx(ctx context.Context) (float64, error) {
 	return m1, err
 }
 
-// MomentsXCtx is MomentsX under an explicit context. Every backend runs its
-// moment ladder under the same guard contract: the enumerated and orbit
-// chains through the dense/CSR rungs, the kron engine through the
-// kron-krylov/kron-gmres/kron-uniformization/kron-mc rungs.
+// MomentsXCtx is MomentsX under an explicit context, and the one route
+// switch of the moment pair. Every backend runs its moment ladder under the
+// same guard contract: the enumerated and orbit chains through the dense/CSR
+// rungs, the kron engine through kron-renewal (the closed form of
+// renewalMoments) and then its kron-krylov/kron-gmres/kron-uniformization/
+// kron-mc alternates.
 func (m *AsyncModel) MomentsXCtx(ctx context.Context) (m1, m2 float64, err error) {
 	switch {
 	case m.chain != nil:

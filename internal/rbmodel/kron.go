@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"recoveryblocks/internal/linalg"
@@ -17,7 +18,8 @@ import (
 // generator is a Kronecker sum of 2×2 per-process recovery-point factors plus
 // the pairwise interaction family and n+1 boundary fixups — a linalg.KronOp
 // applied in O(n·2^n) flops with O(2^n) memory, never materialized. The
-// markov.MatrixFree engine runs the moment and transient solves against it.
+// markov.MatrixFree engine runs the transient solves against it, and the
+// moment pair's Krylov alternates behind the closed form of renewalMoments.
 type kronEngine struct {
 	op *linalg.KronOp
 	mf *markov.MatrixFree
@@ -82,14 +84,17 @@ func newKronEngine(p Params) *kronEngine {
 	absIdx = append(absIdx, ones)
 	absRate = append(absRate, sumMu)
 
-	pre := newKronPrecond(op, p)
+	// The preconditioner holds a 2^n diagonal and serves only the Krylov
+	// alternates, so it is built on their first application.
+	pre := sync.OnceValue(func() *kronPrecond { return newKronPrecond(op, p) })
 	return &kronEngine{op: op, mf: markov.NewMatrixFree(markov.MatrixFreeSpec{
 		Op:         op,
 		Gamma:      p.TotalEventRate(),
 		Start:      ones,
 		AbsorbIdx:  absIdx,
 		AbsorbRate: absRate,
-		Precond:    pre.forward,
+		ClosedForm: func() (float64, float64) { return renewalMoments(p) },
+		Precond:    func(dst, src []float64) { pre().forward(dst, src) },
 		Rows:       func(u int, yield func(int, float64)) { cubeRows(p, u, yield) },
 	})}
 }

@@ -328,10 +328,10 @@ func TestLargeNKronMatchesOrbit(t *testing.T) {
 }
 
 // TestKronLadderFaultInjection forces the matrix-free moment ladder off its
-// kron-krylov rung through the model surface: depth 1 lands on kron-gmres and
-// depth 2 on kron-uniformization (both exact, not degraded), deeper and
-// saturating depths clamp onto the degraded kron-mc rung, and the healthy
-// answer is reproduced within each rung's tolerance.
+// kron-renewal rung through the model surface: depth 1 lands on kron-krylov,
+// depth 2 on kron-gmres and depth 3 on kron-uniformization (all exact, not
+// degraded), deeper and saturating depths clamp onto the degraded kron-mc
+// rung, and the healthy answer is reproduced within each rung's tolerance.
 func TestKronLadderFaultInjection(t *testing.T) {
 	p := randomParams(rand.New(rand.NewSource(41)), 6)
 	m := forceKron(p)
@@ -339,8 +339,9 @@ func TestKronLadderFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rungs := []string{"kron-krylov", "kron-gmres", "kron-uniformization", "kron-mc"}
-	for _, depth := range []int{1, 2, 3, 9} {
+	rungs := []string{"kron-renewal", "kron-krylov", "kron-gmres", "kron-uniformization", "kron-mc"}
+	last := len(rungs) - 1
+	for _, depth := range []int{1, 2, 3, 4, 9} {
 		rec := &guard.Recorder{}
 		ctx := guard.WithRecorder(guard.WithFaults(context.Background(), guard.FaultSpec{Depth: depth}), rec)
 		f1, f2, err := m.MomentsXCtx(ctx)
@@ -351,12 +352,12 @@ func TestKronLadderFaultInjection(t *testing.T) {
 		if len(ev) != 1 || ev[0].Block != "markov/absorption-moments" {
 			t.Fatalf("depth %d: events = %+v", depth, ev)
 		}
-		wantRung := min(depth, 3)
-		if ev[0].Attempt != wantRung || ev[0].Route != rungs[wantRung] || ev[0].Degraded != (wantRung == 3) {
+		wantRung := min(depth, last)
+		if ev[0].Attempt != wantRung || ev[0].Route != rungs[wantRung] || ev[0].Degraded != (wantRung == last) {
 			t.Fatalf("depth %d: landed on rung %d %s (degraded %v)", depth, ev[0].Attempt, ev[0].Route, ev[0].Degraded)
 		}
 		switch {
-		case wantRung < 3:
+		case wantRung < last:
 			if math.Abs(f1-h1) > 1e-6*h1 || math.Abs(f2-h2) > 1e-6*h2 {
 				t.Fatalf("depth %d: fallback moments (%g, %g) deviate from healthy (%g, %g)", depth, f1, f2, h1, h2)
 			}

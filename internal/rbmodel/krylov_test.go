@@ -32,10 +32,29 @@ func jitteredRamp(n int, rho float64, seed uint64) Params {
 	return p
 }
 
+// krylovRungMoments answers m's moment pair from the kron-krylov rung: the
+// kron-renewal primary is forced to fail, and the pair must come from the
+// next rung with no further fallback.
+func krylovRungMoments(t testing.TB, m *AsyncModel) (m1, m2 float64) {
+	t.Helper()
+	rec := &guard.Recorder{}
+	ctx := guard.WithRecorder(guard.WithFaults(context.Background(), guard.FaultSpec{Depth: 1}), rec)
+	m1, m2, err := m.MomentsXCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev := rec.Events(); len(ev) != 1 || ev[0].Route != "kron-krylov" {
+		t.Fatalf("a fault on kron-renewal landed on %+v, want kron-krylov", ev)
+	}
+	return m1, m2
+}
+
 // TestExactWallMomentsStayOnPrimary: every moment pair of the exact-wall
 // ramp at n = 8..14, ρ ∈ {0.25, 1, 4}, seeds 1–3 is answered by the
-// kron-krylov rung (BiCGSTAB) with no fallback event. An answer taken from a
-// fallback rung is a failed answer to the benchmark.
+// kron-renewal rung with no fallback event. An answer taken from a fallback
+// rung is a failed answer to the benchmark. With the closed form forced to
+// fail, each pair must be answered by the first alternate, kron-krylov
+// (BiCGSTAB), with no further fallback.
 func TestExactWallMomentsStayOnPrimary(t *testing.T) {
 	for n := MaxEnumeratedProcesses + 1; n <= 14; n++ {
 		for _, rho := range []float64{0.25, 1, 4} {
@@ -51,38 +70,48 @@ func TestExactWallMomentsStayOnPrimary(t *testing.T) {
 				if ev := rec.Events(); len(ev) != 0 {
 					t.Errorf("n=%d ρ=%g seed %d: moment pair fell back: %+v", n, rho, seed, ev)
 				}
+				krylovRungMoments(t, m)
 			}
 		}
 	}
 }
 
 // TestKronMomentMatvecsPinned pins the operator applications and the answer
-// of one moment pair on the primary rung, acceptance residuals included. The
-// GMRES(40) rung this replaced took 86 applications here, but each of them
-// paid a Gram–Schmidt sweep over up to 41 basis vectors; under the Jacobi
-// fine level BiCGSTAB took 100, and under the additive two-level
-// preconditioner 64. The enumerated chain gives
-// (45.527911392830198, 13002.299813325539): the pinned pair lies 2.8e-10 and
-// 5.5e-10 relative from it, the additive form's 2.6e-10 and 5.2e-10.
+// of one moment pair: none on the kron-renewal primary, and 48 on the
+// kron-krylov rung behind it, acceptance residuals included. The GMRES(40)
+// rung took 86 applications here, but each of them paid a Gram–Schmidt
+// sweep over up to 41 basis vectors; under the Jacobi fine level BiCGSTAB
+// took 100, and under the additive two-level preconditioner 64. The pinned
+// pair is the kron-krylov rung's, bit for bit; the closed form lies 1.8e-13
+// and 3.5e-13 relative from it. The enumerated chain's CSR route gives
+// (45.527911392830198, 13002.299813325539), 2.8e-10 and 5.5e-10 away.
 func TestKronMomentMatvecsPinned(t *testing.T) {
 	const (
-		wantMatvecs = 48
-		wantM1      = 45.527911405408069
-		wantM2      = 13002.299820508273
+		wantMatvecs       = 0
+		wantKrylovMatvecs = 48
+		wantM1            = 45.527911405408069
+		wantM2            = 13002.299820508273
 	)
 	reg := obs.Enable()
 	defer obs.Disable()
 	m := mustAsync(t, wallRamp(12, 1))
+	matvecs := reg.Counter("markov_kron_matvecs_total")
 	m1, m2, err := m.MomentsX()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := reg.Counter("markov_kron_matvecs_total").Value()
-	if m.Route() != "kron" || got != wantMatvecs {
+	if got := matvecs.Value(); m.Route() != "kron" || got != wantMatvecs {
 		t.Errorf("%s n=12: moment pair took %d operator applications, want %d on kron", m.Route(), got, wantMatvecs)
 	}
 	if math.Abs(m1-wantM1) > 1e-12*wantM1 || math.Abs(m2-wantM2) > 1e-12*wantM2 {
 		t.Errorf("n=12 moments = (%.17g, %.17g), want (%.17g, %.17g)", m1, m2, wantM1, wantM2)
+	}
+	k1, k2 := krylovRungMoments(t, m)
+	if got := matvecs.Value(); got != wantKrylovMatvecs {
+		t.Errorf("n=12: kron-krylov moment pair took %d operator applications, want %d", got, wantKrylovMatvecs)
+	}
+	if k1 != wantM1 || k2 != wantM2 {
+		t.Errorf("n=12 kron-krylov moments = (%.17g, %.17g), want (%.17g, %.17g)", k1, k2, wantM1, wantM2)
 	}
 }
 
@@ -146,8 +175,9 @@ func krylovMoments(t *testing.T, p Params, solve func(linalg.Operator, []float64
 // n = 12, ρ = 4 the two rungs differ by 5e-8 relative in E[X²] under a
 // bound of 1.2e-4, against 2e-14 at ρ = 0.25. So agreement is judged against the a-posteriori bounds of krylovMoments, not against a
 // fixed tolerance: the BiCGSTAB and GMRES moments must lie within the sum of
-// their bounds. The BiCGSTAB answer must also be the ladder's answer, bit for
-// bit, so the check covers the rung the program runs.
+// their bounds, and the ladder's closed-form answer within the BiCGSTAB
+// bound. The BiCGSTAB answer must also be the ladder's kron-krylov rung's,
+// bit for bit, so the check covers the alternate the program falls onto.
 func TestKrylovRungsForwardErrorAgree(t *testing.T) {
 	var cases []Params
 	for _, n := range []int{10, 12} {
@@ -170,12 +200,16 @@ func TestKrylovRungsForwardErrorAgree(t *testing.T) {
 		if d := math.Abs(bh2[start] - gh2[start]); d > be2+ge2 {
 			t.Errorf("%s: E[X²] BiCGSTAB %.17g, GMRES %.17g differ by %g > bounds %g + %g", name, bh2[start], gh2[start], d, be2, ge2)
 		}
-		m1, m2, err := forceKron(p).MomentsX()
+		m := forceKron(p)
+		m1, m2, err := m.MomentsX()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m1 != bh[start] || m2 != bh2[start] {
-			t.Errorf("%s: ladder moments (%.17g, %.17g), BiCGSTAB rung (%.17g, %.17g)", name, m1, m2, bh[start], bh2[start])
+		if math.Abs(m1-bh[start]) > be1 || math.Abs(m2-bh2[start]) > be2 {
+			t.Errorf("%s: ladder moments (%.17g, %.17g), BiCGSTAB (%.17g, %.17g) ± (%.2g, %.2g)", name, m1, m2, bh[start], bh2[start], be1, be2)
+		}
+		if k1, k2 := krylovRungMoments(t, m); k1 != bh[start] || k2 != bh2[start] {
+			t.Errorf("%s: kron-krylov rung moments (%.17g, %.17g), BiCGSTAB (%.17g, %.17g)", name, k1, k2, bh[start], bh2[start])
 		}
 		t.Logf("%s: E[X] rel diff %.2e (bound %.2e), E[X²] rel diff %.2e (bound %.2e)", name,
 			math.Abs(bh[start]-gh[start])/gh[start], (be1+ge1)/gh[start],

@@ -186,8 +186,3 @@ func (m *OrbitModel) NumStates() int { return m.cells + 1 }
 
 // Chain exposes the lumped CTMC.
 func (m *OrbitModel) Chain() *markov.CTMC { return m.chain }
-
-// MomentsX returns E[X] and E[X²] from the lumped chain.
-func (m *OrbitModel) MomentsX() (m1, m2 float64, err error) {
-	return m.chain.AbsorptionMoments(m.Entry())
-}

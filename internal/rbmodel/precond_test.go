@@ -253,10 +253,12 @@ func TestKronPrecondIterationsPinned(t *testing.T) {
 	}
 }
 
-// TestKronMomentsMatchEnumeratedAcrossRho judges the kron moment pair against
-// the enumerated chain at 1e-6 relative up to ρ = 8. The coarse level is
-// what holds the forward error there: Gauss–Seidel alone stops on the same
-// residual 2.6e-6 away in E[X] and 4.1e-6 in E[X²] at n = 12, ρ = 8.
+// TestKronMomentsMatchEnumeratedAcrossRho judges the kron moment pair, from
+// the kron-renewal primary and from the kron-krylov rung behind it, against
+// the enumerated chain at 1e-6 relative up to ρ = 8. On the Krylov rung the
+// coarse level is what holds the forward error there: Gauss–Seidel alone
+// stops on the same residual 2.6e-6 away in E[X] and 4.1e-6 in E[X²] at
+// n = 12, ρ = 8.
 func TestKronMomentsMatchEnumeratedAcrossRho(t *testing.T) {
 	for _, n := range []int{10, 12} {
 		for _, rho := range []float64{1, 4, 8} {
@@ -265,12 +267,16 @@ func TestKronMomentsMatchEnumeratedAcrossRho(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			k1, k2, err := forceKron(p).MomentsX()
+			m := forceKron(p)
+			r1, r2, err := m.MomentsX()
 			if err != nil {
 				t.Fatalf("n=%d ρ=%g: %v", n, rho, err)
 			}
-			if math.Abs(k1-e1) > 1e-6*e1 || math.Abs(k2-e2) > 1e-6*e2 {
-				t.Errorf("n=%d ρ=%g: kron moments (%.17g, %.17g), enumerated (%.17g, %.17g)", n, rho, k1, k2, e1, e2)
+			k1, k2 := krylovRungMoments(t, m)
+			for _, got := range [][2]float64{{r1, r2}, {k1, k2}} {
+				if math.Abs(got[0]-e1) > 1e-6*e1 || math.Abs(got[1]-e2) > 1e-6*e2 {
+					t.Errorf("n=%d ρ=%g: kron moments (%.17g, %.17g), enumerated (%.17g, %.17g)", n, rho, got[0], got[1], e1, e2)
+				}
 			}
 		}
 	}
@@ -311,8 +317,8 @@ func TestKronApplicationsDoNotAllocate(t *testing.T) {
 // TestKronIsCoreCountInvariant: past 2^16 states the preconditioner
 // splits its passes between two goroutines and pipelines its sweep across
 // the top bit, and the operator shards its passes; the preconditioner (for
-// uniform and hot-pair λ) and the whole n = 16 moment pair must come out bit
-// for bit as on one goroutine. Two solves on distinct operators at once
+// uniform and hot-pair λ) and the whole n = 16 moment pair on the
+// kron-krylov rung must come out bit for bit as on one goroutine. Two solves on distinct operators at once
 // share one helper, so one of them runs its passes inline; both must still
 // match.
 func TestKronIsCoreCountInvariant(t *testing.T) {
@@ -358,10 +364,7 @@ func TestKronIsCoreCountInvariant(t *testing.T) {
 	for i, e := range engines {
 		wantA[i], wantM[i] = apply(e)
 	}
-	m1, m2, err := forceKron(wallRamp(16, 1)).MomentsX()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m1, m2 := krylovRungMoments(t, forceKron(wallRamp(16, 1)))
 
 	runtime.GOMAXPROCS(2)
 	for i, e := range engines {
@@ -373,9 +376,7 @@ func TestKronIsCoreCountInvariant(t *testing.T) {
 			t.Errorf("%s: preconditioner element %d = %v on two cores, %v on one", e.name, k, mv[k], wantM[i][k])
 		}
 	}
-	if g1, g2, err := forceKron(wallRamp(16, 1)).MomentsX(); err != nil {
-		t.Fatal(err)
-	} else if math.Float64bits(g1) != math.Float64bits(m1) || math.Float64bits(g2) != math.Float64bits(m2) {
+	if g1, g2 := krylovRungMoments(t, forceKron(wallRamp(16, 1))); math.Float64bits(g1) != math.Float64bits(m1) || math.Float64bits(g2) != math.Float64bits(m2) {
 		t.Errorf("n=16 moment pair (%.17g, %.17g) on two cores, (%.17g, %.17g) on one", g1, g2, m1, m2)
 	}
 

@@ -74,14 +74,14 @@ func EveryKGrid() []Scenario {
 // even the test-only rbmodel.EnumerateAsync, so no materialized chain
 // reaches them. The per-process μ ramps
 // are pairwise distinct, so orbit lumping
-// refuses every cell and the async model takes the Kronecker–Krylov route —
-// the grid is the end-to-end evidence that the O(n·2^n) matrix-free engine
-// agrees with the event-driven simulator where no materialized chain can be
-// built. λ is sized for ρ = 2λ·C(n,2)/Σμ ≈ 1, the regime where interactions
+// refuses every cell and the async model takes the Kronecker route — the
+// grid is the end-to-end evidence that its O(n·2^n) answers (the moment
+// pair's closed form and the operator-stepped transients) agree with the
+// event-driven simulator where no materialized chain can be built. λ is sized for ρ = 2λ·C(n,2)/Σμ ≈ 1, the regime where interactions
 // matter but recovery lines still form at observable frequency. Only the
 // n = 18 cell carries a deadline (the transient sweep is the costliest
-// surface); replication budgets are modest because each cell also pays an
-// exact 2^n-vector solve. Run by `go test ./internal/xval` (n = 18 only,
+// surface); replication budgets are modest because each cell also pays
+// exact 2^n-vector passes. Run by `go test ./internal/xval` (n = 18 only,
 // not -short) and `rbrepro xval -kron` (all cells).
 func KronGrid() []Scenario {
 	return []Scenario{

@@ -572,7 +572,7 @@ func XValEveryKGrid() []XValScenario { return xval.EveryKGrid() }
 
 // XValKronGrid returns the matrix-free proof grid: n ∈ {18, 20, 24} cells,
 // past every materialized chain, whose distinct-μ ramps force the
-// Kronecker–Krylov route — `rbrepro xval -kron` sweeps it.
+// Kronecker route — `rbrepro xval -kron` sweeps it.
 func XValKronGrid() []XValScenario { return xval.KronGrid() }
 
 // ---- Chaos harness (internal/chaos) ----
@@ -665,7 +665,7 @@ func MetricsCatalog() []MetricDef { return append([]MetricDef(nil), obs.Catalog.
 // the numbers that decide which route a given workload takes.
 type Limits struct {
 	// MaxExactProcesses bounds the full model's exact solve: the
-	// matrix-free Kronecker–Krylov engine carries the answer up to this n.
+	// matrix-free Kronecker engine carries the answer up to this n.
 	MaxExactProcesses int `json:"max_exact_processes"`
 	// MaxEnumeratedProcesses is the largest n whose 2^n+1-state chain the
 	// async model enumerates: 2^n stays below SparseCutoff, so every solve
