@@ -10,10 +10,12 @@ package recoveryblocks
 //     dispatch, panic capture, fault/recorder context lookups, disabled-obs
 //     nil checks). This is the pair behind the "healthy path pays ≈ nothing"
 //     claim: wrapped must stay within ~1% of direct.
-//   - guarded: the production ladder (AbsorptionMomentsCtx) — wrapper plus
-//     the acceptance test's normwise residual sweep over both moment
-//     systems. The gap over `wrapped` is the price of actually checking
-//     every solution before use, paid by design, not overhead.
+//   - guarded: the identical solve as the closed-form rung of the
+//     production moment ladder (markov.MatrixFree.AbsorptionMomentsCtx, over
+//     a CSR copy of the chain) — wrapper plus the acceptance test's
+//     finiteness and Jensen checks. The residual sweep over both moment
+//     systems runs only behind a rung that returns solution vectors, which
+//     a closed form does not.
 //
 // CI converts a fresh run to BENCH_guard.new.json and compares it against
 // the committed BENCH_guard.json with `benchjson -compare` (advisory).
@@ -25,27 +27,45 @@ import (
 	"testing"
 
 	"recoveryblocks/internal/guard"
+	"recoveryblocks/internal/linalg"
 	"recoveryblocks/internal/markov"
 )
 
 // guardBenchChain builds a 64-transient-state absorbing chain — a forward
-// path with per-state absorption leaks, below SparseCutoff so every route
-// below takes the dense LU solve.
-func guardBenchChain() *markov.CTMC {
+// path with per-state absorption leaks — and the production moment ladder
+// over a CSR copy of it, the chain's dense LU solve as its closed form.
+func guardBenchChain() (*markov.CTMC, *markov.MatrixFree) {
 	const n = 64
 	c := markov.NewCTMC(n + 1)
+	op := linalg.NewCSRBuilder(n, 2*n)
+	absIdx := make([]int, n)
+	absRate := make([]float64, n)
 	for i := 0; i < n; i++ {
+		leak := 0.05 + 0.001*float64(i)
 		if i+1 < n {
 			c.AddRate(i, i+1, 1.0)
 		}
-		c.AddRate(i, n, 0.05+0.001*float64(i))
+		c.AddRate(i, n, leak)
+		op.Add(i, i, -c.OutRate(i))
+		if i+1 < n {
+			op.Add(i, i+1, 1.0)
+		}
+		absIdx[i], absRate[i] = i, leak
 	}
 	c.SetAbsorbing(n)
-	return c
+	ladder := markov.NewMatrixFree(markov.MatrixFreeSpec{
+		Op: op.Build(), Gamma: c.MaxOutRate(), Start: 0,
+		AbsorbIdx: absIdx, AbsorbRate: absRate,
+		ClosedForm: func() (float64, float64) {
+			m1, m2, _ := c.AbsorptionMomentsDense(0)
+			return m1, m2
+		},
+	})
+	return c, ladder
 }
 
 func BenchmarkGuardOverhead(b *testing.B) {
-	c := guardBenchChain()
+	c, ladder := guardBenchChain()
 	b.Run("direct/dense-64", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -75,7 +95,7 @@ func BenchmarkGuardOverhead(b *testing.B) {
 		b.ReportAllocs()
 		ctx := context.Background()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := c.AbsorptionMomentsCtx(ctx, 0); err != nil {
+			if _, _, err := ladder.AbsorptionMomentsCtx(ctx); err != nil {
 				b.Fatal(err)
 			}
 		}

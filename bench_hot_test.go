@@ -137,18 +137,4 @@ func BenchmarkHotPaths(b *testing.B) {
 			}
 		})
 	}
-	for _, n := range []int{8, 10, 12} {
-		n := n
-		c, err := rbmodel.EnumerateAsync(hotParams(n))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run("solve/sparse/"+benchName("n", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := c.AbsorptionMomentsSparse(0); err != nil { // state 0 = S_r
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

@@ -13,7 +13,7 @@ func TestInfoText(t *testing.T) {
 	out := runOK(t, "info")
 	for _, want := range []string{
 		"build:", "go version", "limits:", "strategies:", "perturbations",
-		"metrics", "max exact processes", "max enumerated", "max split processes", "kron cutoff", "sparse cutoff",
+		"metrics", "max exact processes", "max enumerated", "max split processes", "kron cutoff",
 		"sync-every-k", "mc_runs_total", "[runtime]",
 	} {
 		if !strings.Contains(out, want) {
@@ -36,7 +36,6 @@ func TestInfoJSON(t *testing.T) {
 			MaxEnumerated     int `json:"max_enumerated_processes"`
 			MaxSplit          int `json:"max_split_processes"`
 			KronCutoff        int `json:"kron_cutoff"`
-			SparseCutoff      int `json:"sparse_cutoff"`
 			DefaultBlockSize  int `json:"default_block_size"`
 			MaxEveryK         int `json:"max_every_k"`
 			MaxAliasCats      int `json:"max_alias_categories"`
@@ -57,7 +56,7 @@ func TestInfoJSON(t *testing.T) {
 		t.Errorf("build facts missing: go_version=%q num_cpu=%d", rep.GoVersion, rep.NumCPU)
 	}
 	if rep.Limits.MaxExactProcesses != 24 || rep.Limits.MaxEnumerated != 7 || rep.Limits.MaxSplit != 10 ||
-		rep.Limits.KronCutoff != 1<<17 || rep.Limits.SparseCutoff != 256 ||
+		rep.Limits.KronCutoff != 1<<17 ||
 		rep.Limits.DefaultBlockSize != 1024 {
 		t.Errorf("unexpected limits: %+v", rep.Limits)
 	}

@@ -146,8 +146,8 @@ func TestRunIsWorkerCountInvariant(t *testing.T) {
 // TestRunSolvesEachRateStructureOnce pins the work the per-scenario memo
 // saves. Under the default stacks, error-spike and cost-inflate draws leave
 // μ, λ and d as they were, so only the clean advisement and the burst and
-// straggler draws solve the asynchronous chain: one dense moment solve each,
-// 1 + 2·Draws per scenario. The sweep runs twice: a memo that leaked across
+// straggler draws solve the asynchronous model: one pass through the moment
+// ladder each, 1 + 2·Draws per scenario. The sweep runs twice: a memo that leaked across
 // scenarios or runs would solve fewer; one that missed would solve all
 // 1 + 4·Draws.
 func TestRunSolvesEachRateStructureOnce(t *testing.T) {
@@ -162,8 +162,8 @@ func TestRunSolvesEachRateStructureOnce(t *testing.T) {
 		}
 		obs.Disable()
 		want := int64(len(scs) * (1 + 2*DefaultDraws))
-		if got := reg.Counter("markov_solve_dense_total").Value(); got != want {
-			t.Errorf("run %d: markov_solve_dense_total = %d, want %d (12 × 65)", run, got, want)
+		if got := reg.Counter("markov_solve_kron_total").Value(); got != want {
+			t.Errorf("run %d: markov_solve_kron_total = %d, want %d (12 × 65)", run, got, want)
 		}
 		if got, want := reg.Counter("scenario_advise_total").Value(), int64(len(scs)*(1+4*DefaultDraws)); got != want {
 			t.Errorf("run %d: scenario_advise_total = %d, want %d", run, got, want)

@@ -214,11 +214,9 @@ func Figure5(ns []int, rhos []float64, exactUpTo int, sz Sizes) (*Fig5Result, er
 				return nil, err
 			}
 			if n <= exactUpTo {
-				full, err := rbmodel.NewAsync(rbmodel.Uniform(n, 1, lambda))
-				if err != nil {
-					return nil, err
-				}
-				if pt.ExactEX, err = full.MeanX(); err != nil {
+				// The full side is the recursion over all 2^n subsets, not
+				// the class counts the lumped column reads.
+				if pt.ExactEX, _, err = rbmodel.CubeMoments(rbmodel.Uniform(n, 1, lambda)); err != nil {
 					return nil, err
 				}
 			}

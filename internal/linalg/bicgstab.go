@@ -2,13 +2,31 @@ package linalg
 
 import "math"
 
+// KrylovOpts configures SolveBiCGSTAB. The zero value picks the defaults
+// noted on each field.
+type KrylovOpts struct {
+	// MaxIters bounds the operator applications (default 2000).
+	MaxIters int
+	// Tol is the normwise backward-error tolerance (default 1e-12): the
+	// solve stops when ‖b − A·x‖∞ ≤ Tol·(‖b‖∞ + NormA·‖x‖∞), reachable
+	// even when ‖A‖·‖x‖ dwarfs ‖b‖.
+	Tol float64
+	// NormA is an upper bound on ‖A‖∞ for the stopping rule. Zero means no
+	// bound is known and the criterion degrades to ‖r‖∞ ≤ Tol·‖b‖∞.
+	NormA float64
+	// Precond applies a right preconditioner, dst = M⁻¹·src (dst and src do
+	// not alias). nil means identity. Right preconditioning keeps the
+	// residual of the original system, so the stopping rule needs no
+	// preconditioner norm.
+	Precond func(dst, src []float64)
+}
+
 // SolveBiCGSTAB solves A·x = b by right-preconditioned BiCGSTAB from a zero
-// initial guess. It shares SolveGMRES's options and stopping rule:
-// ‖b − A·x‖∞ ≤ Tol·(‖b‖∞ + NormA·‖x‖∞), judged on the explicit residual. The
-// recursive residual only decides when to compute it; when the two disagree
-// the iteration restarts from the explicit residual with a fresh shadow
-// vector. Restart is ignored and MaxIters (default 2000) bounds the operator
-// applications, two per iteration.
+// initial guess. It stops when ‖b − A·x‖∞ ≤ Tol·(‖b‖∞ + NormA·‖x‖∞), judged
+// on the explicit residual. The recursive residual only decides when to
+// compute it; when the two disagree the iteration restarts from the explicit
+// residual with a fresh shadow vector. MaxIters (default 2000) bounds the
+// operator applications, two per iteration.
 //
 // It returns the solution, the number of operator applications (excluding
 // the explicit residual checks), and ErrNoConvergence — never a non-finite
@@ -16,9 +34,13 @@ import "math"
 // ((r̂, r) = 0, (r̂, v) = 0 or ω = 0).
 //
 // Memory is eight vectors of the operator's dimension (x, r, r̂, p, v, p̂, ŝ,
-// t) against GMRES's Restart+6, at two operator and two preconditioner
-// applications per iteration and no orthogonalization.
-func SolveBiCGSTAB(op Operator, b []float64, opts GMRESOpts) ([]float64, int, error) {
+// t), at two operator and two preconditioner applications per iteration and
+// no orthogonalization.
+//
+// Matrix-free by construction: the operator is only ever applied to vectors,
+// so a 2^24-state Kronecker generator costs the same per iteration as its
+// matvec, with no materialization.
+func SolveBiCGSTAB(op Operator, b []float64, opts KrylovOpts) ([]float64, int, error) {
 	n := op.Dim()
 	if len(b) != n {
 		panic("linalg: SolveBiCGSTAB dimension mismatch")

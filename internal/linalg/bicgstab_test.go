@@ -74,7 +74,7 @@ func TestBiCGSTABMatchesLU(t *testing.T) {
 		}
 		normInv := normInfMatrix(inv)
 
-		opts := GMRESOpts{Tol: tol, NormA: normA}
+		opts := KrylovOpts{Tol: tol, NormA: normA}
 		if trial%4 >= 2 {
 			diag := make([]float64, n)
 			for i := range diag {
@@ -114,7 +114,7 @@ func TestBiCGSTABBudgetExhaustion(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	x, _, err := SolveBiCGSTAB(csrFromDense(a), b, GMRESOpts{MaxIters: 1, Tol: 1e-14})
+	x, _, err := SolveBiCGSTAB(csrFromDense(a), b, KrylovOpts{MaxIters: 1, Tol: 1e-14})
 	if !errors.Is(err, ErrNoConvergence) || x != nil {
 		t.Fatalf("want ErrNoConvergence and no iterate from a 1-application budget, got %v, %v", x, err)
 	}
@@ -129,7 +129,7 @@ func TestBiCGSTABBreakdown(t *testing.T) {
 	a.Set(0, 1, 1)
 	a.Set(1, 0, -1)
 	for _, sys := range []*Matrix{a, transpose(a)} {
-		x, _, err := SolveBiCGSTAB(csrFromDense(sys), []float64{1, 0}, GMRESOpts{})
+		x, _, err := SolveBiCGSTAB(csrFromDense(sys), []float64{1, 0}, KrylovOpts{})
 		if !errors.Is(err, ErrNoConvergence) {
 			t.Fatalf("A = %v: want ErrNoConvergence on breakdown, got %v (x = %v)", sys.Data, err, x)
 		}
@@ -150,12 +150,12 @@ func TestBiCGSTABDeterministic(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	first, it0, err := SolveBiCGSTAB(a, b, GMRESOpts{})
+	first, it0, err := SolveBiCGSTAB(a, b, KrylovOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for rep := 0; rep < 3; rep++ {
-		got, it, err := SolveBiCGSTAB(a, b, GMRESOpts{})
+		got, it, err := SolveBiCGSTAB(a, b, KrylovOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -38,91 +37,6 @@ func randomDiagDominant(rng *rand.Rand, n int) *Matrix {
 		a.Set(i, i, row+1+rng.Float64())
 	}
 	return a
-}
-
-func TestGMRESMatchesLU(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 10; trial++ {
-		n := 5 + rng.Intn(60)
-		a := randomDiagDominant(rng, n)
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		want, err := SolveLinear(a.Clone(), b)
-		if err != nil {
-			t.Fatalf("trial %d: LU failed: %v", trial, err)
-		}
-		normA := 0.0
-		for i := 0; i < n; i++ {
-			row := 0.0
-			for j := 0; j < n; j++ {
-				row += math.Abs(a.At(i, j))
-			}
-			normA = math.Max(normA, row)
-		}
-		got, iters, err := SolveGMRES(csrFromDense(a), b, GMRESOpts{Restart: 20, NormA: normA})
-		if err != nil {
-			t.Fatalf("trial %d: GMRES failed after %d iters: %v", trial, iters, err)
-		}
-		for i := range got {
-			if math.Abs(got[i]-want[i]) > 1e-8*(1+math.Abs(want[i])) {
-				t.Fatalf("trial %d: x[%d] = %g, LU says %g", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestGMRESTransposeAndPrecond(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n := 40
-	a := randomDiagDominant(rng, n)
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	// Jacobi-preconditioned solve on the explicit transpose, against LU.
-	at := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			at.Set(i, j, a.At(j, i))
-		}
-	}
-	want, err := SolveLinear(at, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diag := make([]float64, n)
-	for i := range diag {
-		diag[i] = a.At(i, i)
-	}
-	jacobi := func(dst, src []float64) {
-		for i := range dst {
-			dst[i] = src[i] / diag[i]
-		}
-	}
-	got, _, err := SolveGMRES(csrFromDense(at), b, GMRESOpts{Restart: 15, Precond: jacobi})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-8*(1+math.Abs(want[i])) {
-			t.Fatalf("x[%d] = %g, LU says %g", i, got[i], want[i])
-		}
-	}
-}
-
-func TestGMRESBudgetExhaustion(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randomDiagDominant(rng, 50)
-	b := make([]float64, 50)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	_, _, err := SolveGMRES(csrFromDense(a), b, GMRESOpts{Restart: 3, MaxIters: 2, Tol: 1e-14})
-	if !errors.Is(err, ErrNoConvergence) {
-		t.Fatalf("want ErrNoConvergence from a 2-iteration budget, got %v", err)
-	}
 }
 
 func TestExpmMatchesSeries(t *testing.T) {

@@ -1,17 +1,17 @@
 // Package linalg holds the linear algebra under the Markov-chain analyses,
 // from a few states to the 2^24-state cube of the full asynchronous model:
 //
-//   - dense row-major matrices and LU with partial pivoting, for chains
-//     below markov.SparseCutoff and the coarse level of the Kronecker
-//     preconditioner;
-//   - CSR matrices with a two-level Gauss–Seidel solver, for the larger
-//     enumerated and lumped orbit chains and their uniformized steps;
+//   - dense row-major matrices and LU with partial pivoting, for the
+//     coarse level of the Kronecker preconditioner and the dense moment
+//     solve the tests judge other routes by;
+//   - CSR matrices, for the uniformized steps of the enumerated and lumped
+//     orbit chains;
 //   - KronOp, the matrix-free Kronecker-structured operator of the
 //     asynchronous model's generator, applied in O(n·2^n) flops and O(2^n)
 //     memory;
-//   - the Krylov layer over any Operator: BiCGSTAB and restarted GMRES
-//     for linear systems, and KrylovExpv for e^{tA}·v (a Padé exponential
-//     of its small Hessenberg matrix);
+//   - the Krylov layer over any Operator: BiCGSTAB for linear systems, and
+//     KrylovExpv for e^{tA}·v (a Padé exponential of its small Hessenberg
+//     matrix);
 //   - the handful of vector operations the solvers share.
 package linalg
 

@@ -3,7 +3,7 @@ package linalg
 // Operator is a square linear operator exposed matrix-free: anything that can
 // apply itself (and its transpose) to a vector. CSR satisfies it with stored
 // entries; KronOp satisfies it with O(n·2^n) sweep kernels and never holds a
-// matrix at all. The Krylov layer (SolveBiCGSTAB, SolveGMRES, KrylovExpv) is
+// matrix at all. The Krylov layer (SolveBiCGSTAB, KrylovExpv) is
 // written against this interface so the same solvers serve both
 // representations.
 type Operator interface {

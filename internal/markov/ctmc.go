@@ -7,7 +7,6 @@
 package markov
 
 import (
-	"context"
 	"errors"
 	"math"
 
@@ -128,42 +127,13 @@ func (c *CTMC) transientIndex() ([]int, []int) {
 	return idx, order
 }
 
-// SparseCutoff is the transient-state count at and above which the
-// absorbing-chain solves switch from the dense LU route to the CSR
-// two-level Gauss–Seidel route. Below it the dense factorization is cheap,
-// trivially robust, and byte-for-byte reproducible against the historical
-// results; above it the O(nt³) dense cost explodes while the sparse route
-// stays proportional to the transition count (see AbsorptionMomentsSparse).
-// rbmodel enumerates the full model's 2^n-vertex cube only below it; past it
-// the cube runs matrix-free (MatrixFree) and only lumped chains take the CSR
-// route.
-const SparseCutoff = 256
-
-// sparse-solve accuracy knobs: tol is a normwise backward error (the same
-// class a backward-stable LU delivers), and the cycle budget is far above
-// anything the aggregated solver needs on chains whose level structure the
-// aggregation captures — it exists to turn pathological inputs into errors
-// instead of hangs.
-const (
-	gsTol     = 1e-12
-	gsMaxIter = 100000
-)
-
-// AbsorptionMoments returns the first and second moments of the absorption
-// time from the given start state, by solving Q_T·m1 = −1 and Q_T·m2 = −2·m1
-// on the transient generator. It fails if some transient state cannot reach
-// an absorbing state (singular system). State spaces below SparseCutoff take
-// the dense LU route; larger ones the sparse iterative route — and every
-// solve runs inside the recovery-block ladder of AbsorptionMomentsCtx, so a
-// rejected or failed route falls through to the next one instead of
-// propagating a bad number.
-func (c *CTMC) AbsorptionMoments(start int) (m1, m2 float64, err error) {
-	return c.AbsorptionMomentsCtx(context.Background(), start)
-}
-
-// AbsorptionMomentsDense is the direct route: build the dense transient
-// generator and LU-factor it. Exposed so tests and benchmarks can compare
-// it against the sparse route at any size.
+// AbsorptionMomentsDense returns the first and second moments of the
+// absorption time from the given start state, by solving Q_T·m1 = −1 and
+// Q_T·m2 = −2·m1 on the dense transient generator by LU. It fails with
+// guard.ErrInvalid if some transient state cannot reach an absorbing state
+// (singular system). No command reaches it: the program's moments come in
+// closed form (rbmodel), and this solve is the oracle the tests and
+// benchmarks judge them by.
 func (c *CTMC) AbsorptionMomentsDense(start int) (m1, m2 float64, err error) {
 	if c.absorbing[start] {
 		return 0, 0, nil
@@ -178,8 +148,7 @@ func (c *CTMC) AbsorptionMomentsDense(start int) (m1, m2 float64, err error) {
 }
 
 // momentVectorsDense solves both moment systems by dense LU and returns the
-// full solution vectors (indexed by transient order) so the guard's
-// acceptance test can bound their residuals.
+// full solution vectors, indexed by transient order.
 func (c *CTMC) momentVectorsDense(idx, order []int) (h, h2 []float64, err error) {
 	obs.C("markov_solve_dense_total").Inc()
 	nt := len(order)
@@ -214,135 +183,9 @@ func (c *CTMC) momentVectorsDense(idx, order []int) (h, h2 []float64, err error)
 	return h, h2, nil
 }
 
-// AbsorptionMomentsSparse solves the same two systems on a CSR copy of the
-// transient generator with the aggregated Gauss–Seidel solver, aggregating
-// states by their graph distance to the absorbing set. For the paper's
-// chains that distance recovers the popcount levels of the state vector —
-// exactly the partition under which uniform-rate chains lump — so the
-// coarse correction removes the slow quasi-stationary error mode and the
-// solve converges in a handful of sweeps where plain Gauss–Seidel needs
-// O(expected jumps to absorption) of them. Cost per sweep is O(transitions),
-// so the full solve scales like the transition count rather than the cube
-// of the state count.
-func (c *CTMC) AbsorptionMomentsSparse(start int) (m1, m2 float64, err error) {
-	if c.absorbing[start] {
-		return 0, 0, nil
-	}
-	idx, order := c.transientIndex()
-	h, h2, err := c.momentVectorsSparse(idx, order)
-	if err != nil {
-		return 0, 0, err
-	}
-	k := idx[start]
-	return h[k], h2[k], nil
-}
-
-// momentVectorsSparse is the iterative counterpart of momentVectorsDense:
-// both systems solved by the aggregated Gauss–Seidel route, full vectors out.
-func (c *CTMC) momentVectorsSparse(idx, order []int) (h, h2 []float64, err error) {
-	obs.C("markov_solve_sparse_total").Inc()
-	q, agg, nAgg, err := c.transientCSR(idx, order)
-	if err != nil {
-		return nil, nil, err
-	}
-	nt := len(order)
-	rhs := make([]float64, nt)
-	for i := range rhs {
-		rhs[i] = -1
-	}
-	h, _, err = q.SolveTwoLevelGS(rhs, agg, nAgg, gsTol, gsMaxIter)
-	if err != nil {
-		return nil, nil, guard.Numericalf("markov: sparse absorption solve: %v", err)
-	}
-	for i := range rhs {
-		rhs[i] = -2 * h[i]
-	}
-	h2, _, err = q.SolveTwoLevelGS(rhs, agg, nAgg, gsTol, gsMaxIter)
-	if err != nil {
-		return nil, nil, guard.Numericalf("markov: sparse absorption solve (second moment): %v", err)
-	}
-	return h, h2, nil
-}
-
-// transientCSR assembles the transient generator Q_T in CSR form together
-// with the distance-to-absorption aggregation the sparse solver uses as its
-// coarse level. It fails if some transient state cannot reach an absorbing
-// state — the same singularity the dense route reports.
-func (c *CTMC) transientCSR(idx, order []int) (q *linalg.CSR, agg []int, nAgg int, err error) {
-	nt := len(order)
-	nnz := 0
-	for _, u := range order {
-		nnz += len(c.rows[u]) + 1
-	}
-
-	// Aggregates: BFS distance to the absorbing set over reversed edges.
-	// (For the recovery-block chains this is n − popcount + 1 — the level
-	// structure of the last-action vector.)
-	rev := make([][]int32, nt)
-	for k, u := range order {
-		for _, e := range c.rows[u] {
-			if j := idx[e.To]; j >= 0 {
-				rev[j] = append(rev[j], int32(k))
-			}
-		}
-	}
-	dist := make([]int, nt)
-	for i := range dist {
-		dist[i] = -1
-	}
-	var queue []int32
-	for k, u := range order {
-		for _, e := range c.rows[u] {
-			if c.absorbing[e.To] {
-				if dist[k] < 0 {
-					dist[k] = 0
-					queue = append(queue, int32(k))
-				}
-				break
-			}
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range rev[v] {
-			if dist[w] < 0 {
-				dist[w] = dist[v] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	for k, d := range dist {
-		if d < 0 {
-			return nil, nil, 0, guard.Invalidf("markov: absorption unreachable from state %d", order[k])
-		}
-		if d+1 > nAgg {
-			nAgg = d + 1
-		}
-	}
-
-	b := linalg.NewCSRBuilder(nt, nnz)
-	for k, u := range order {
-		b.Add(k, k, -c.OutRate(u))
-		for _, e := range c.rows[u] {
-			if j := idx[e.To]; j >= 0 {
-				b.Add(k, j, e.Rate)
-			}
-		}
-	}
-	return b.Build(), dist, nAgg, nil
-}
-
-// MeanAbsorptionTime returns E[time to absorption] from start.
-func (c *CTMC) MeanAbsorptionTime(start int) (float64, error) {
-	m1, _, err := c.AbsorptionMoments(start)
-	return m1, err
-}
-
-// MeanAbsorptionTimeIterative computes the same expectation by Gauss–Seidel
-// sweeps on h_u = (1 + Σ_v q_uv·h_v)/q_u, avoiding the dense factorization.
-// Used for state spaces too large for LU, and as an independent check of the
-// direct solver.
+// MeanAbsorptionTimeIterative returns E[time to absorption] from start by
+// Gauss–Seidel sweeps on h_u = (1 + Σ_v q_uv·h_v)/q_u, avoiding the dense
+// factorization: an independent check of the direct solver.
 func (c *CTMC) MeanAbsorptionTimeIterative(start int, tol float64, maxIter int) (float64, error) {
 	if c.absorbing[start] {
 		return 0, nil

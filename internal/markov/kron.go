@@ -1,15 +1,13 @@
 package markov
 
-// This file hosts the matrix-free Kronecker–Krylov engine. Dense LU handles
-// transient spaces below SparseCutoff and the CSR two-level solver the
-// lumped chains above it, but the 2^n-vertex cube of the full model is never
-// enumerated past that size: 2^n states × O(n²) entries each. MatrixFree runs
-// the same absorption solves against a linalg.Operator (in practice a
-// linalg.KronOp built by rbmodel from the per-process factor structure). The
-// moment pair comes from the caller's closed form when it has one, with
-// BiCGSTAB, restarted GMRES, matrix-free uniformization and a jump-chain
-// estimate as fallback rungs; the transient questions step an
-// operator-driven absorption sequence.
+// This file hosts the matrix-free Kronecker–Krylov engine: the absorbing
+// chain of the full model's 2^n-vertex cube, never enumerated (2^n states ×
+// O(n²) entries each), solved against a linalg.Operator (in practice a
+// linalg.KronOp built by rbmodel from the per-process factor structure).
+// Its moment pair runs as a recovery block: the caller's closed form first,
+// then BiCGSTAB, matrix-free uniformization and a jump-chain estimate as
+// fallback rungs. The transient questions step an operator-driven
+// absorption sequence.
 
 import (
 	"context"
@@ -22,38 +20,60 @@ import (
 	"recoveryblocks/internal/obs"
 )
 
-// KronCutoff is the state count at and above which rbmodel gives up on an
-// orbit-lumped chain and runs the matrix-free Kronecker engine on the full
-// cube instead. Lumping a partially-exchangeable rate vector may still leave
-// a chain of this size, whose CSR rows no longer fit a sane budget.
+// KronCutoff is the state count at and above which rbmodel steps the
+// transient questions of a lumpable model on the full cube's operator
+// instead of its orbit-lumped chain. Lumping a partially-exchangeable rate
+// vector may still leave a chain of this size, whose CSR rows no longer fit
+// a sane budget.
 const KronCutoff = 1 << 17
 
 const (
-	// kronRestart is the Krylov dimension of the kron-gmres alternate and
-	// the Krylov sweep (memory = kronRestart+1 state-space basis vectors);
-	// the BiCGSTAB rung ignores it.
+	// kronRestart is the Krylov dimension of the transient sweep's
+	// KrylovExpv (memory = kronRestart+1 state-space basis vectors).
 	// kronMaxIters is every Krylov solve's operator-application budget,
 	// shared by the two moment systems.
 	kronRestart  = 40
 	kronMaxIters = 4000
-	// kronMCReps sizes the last-resort jump-chain estimate. Far fewer
-	// replications than the enumerated ladder's mcMomentReps: each jump
-	// re-enumerates its row on the fly (the whole point is never holding
-	// 2^n rows), so a replication costs O(jumps·n²) instead of O(jumps·n).
-	// The route is flagged Degraded either way.
-	kronMCReps = 2048
+	// residualRelTol bounds the accepted normwise relative residual
+	// ‖Q_T·h − rhs‖∞ / (‖Q_T‖∞·‖h‖∞ + ‖rhs‖∞) of a rung that returns its
+	// solution vectors. A KronMomentTol-converged Krylov solve sits orders
+	// of magnitude below it; crossing it means the returned vector does not
+	// solve the system it claims to.
+	residualRelTol = 1e-8
+	// maxUnifSteps caps the uniformization rung's step count, turning a
+	// non-decaying transient mass (a structurally broken chain reached with
+	// earlier rungs force-skipped) into a typed error instead of a hang.
+	maxUnifSteps = 2_000_000
+	// unifMassTol is the relative transient-mass floor at which the
+	// uniformization sums are considered converged.
+	unifMassTol = 1e-13
+	// kronMCReps, mcMomentSeed and mcMomentJumps parameterize the
+	// last-resort jump-chain estimate. Each jump enumerates its row on the
+	// fly (the whole point is never holding 2^n rows), so a replication
+	// costs O(jumps·n²). The seed is a fixed internal constant: the rung
+	// draws from its own substreams, so the estimate is deterministic for a
+	// given chain regardless of caller RNG state or worker count.
+	kronMCReps    = 2048
+	mcMomentSeed  = 8_675_309
+	mcMomentJumps = 1 << 20 // per-replication jump budget
 )
 
-// KronMomentTol is the Krylov stopping tolerance of the moment solves on
-// both Krylov rungs, a normwise backward error relative to
-// ‖b‖∞ + 2γ·‖x‖∞. It sits an order below the CSR solver's gsTol because the
-// relative forward error it certifies is about tol·κ, with κ ≤ 2γ·‖h‖∞
-// near 2e4 at n = 16 and 2e5 at n = 20 on the ρ = 1 μ ramps; the extra
-// digit costs about one BiCGSTAB step per solve. It binds only when the
+// momentSolution is the value flowing through the absorption-moment ladder:
+// the two moments plus, for the Krylov rung, the full solution vectors the
+// acceptance test checks residuals on (nil for the scalar-only rungs).
+type momentSolution struct {
+	m1, m2 float64
+	h, h2  []float64
+}
+
+// KronMomentTol is the Krylov stopping tolerance of the moment solves, a
+// normwise backward error relative to ‖b‖∞ + 2γ·‖x‖∞. The relative forward
+// error it certifies is about tol·κ, with κ ≤ 2γ·‖h‖∞ near 2e4 at n = 16
+// and 2e5 at n = 20 on the ρ = 1 μ ramps; a tolerance one digit looser
+// costs about one BiCGSTAB step less per solve. It binds only when the
 // ladder falls past a closed-form kron-renewal rung, or has none: κ grows
 // with E[X], so at high ρ a normwise-accepted Krylov answer can sit far from
-// the closed form (1.3 % at n = 18, ρ = 8 on the μ ramp, and a factor 120
-// on kron-gmres at n = 20).
+// the closed form (1.3 % at n = 18, ρ = 8 on the μ ramp).
 const KronMomentTol = 1e-13
 
 // MatrixFreeSpec assembles a MatrixFree engine. Op is the transient
@@ -79,8 +99,8 @@ type MatrixFreeSpec struct {
 	// rungs. nil leaves it out, and the ladder starts at kron-krylov.
 	ClosedForm func() (m1, m2 float64)
 	// Precond optionally right-preconditions the Krylov moment solves
-	// (dst = M⁻¹·src); nil runs unpreconditioned. Only the kron-krylov and
-	// kron-gmres rungs call it.
+	// (dst = M⁻¹·src); nil runs unpreconditioned. Only the kron-krylov rung
+	// calls it.
 	Precond func(dst, src []float64)
 	// PrecondT is not read: the engine solves no transposed system. It
 	// stays because callers still set it (perfbench's Jacobi reference).
@@ -92,8 +112,7 @@ type MatrixFreeSpec struct {
 }
 
 // MatrixFree solves an absorbing chain whose transient generator exists only
-// as an operator. It mirrors CTMC's solve surface: the moments ladder and
-// the absorption sequence.
+// as an operator: the moment ladder and the absorption sequence.
 type MatrixFree struct {
 	spec  MatrixFreeSpec
 	op    *countedOp
@@ -158,27 +177,22 @@ func (m *MatrixFree) AbsorptionMoments() (m1, m2 float64, err error) {
 }
 
 // AbsorptionMomentsCtx returns E[T] and E[T²] of the absorption time from
-// Start, run as a recovery block like the enumerated ladder: the rungs are
-// kron-renewal (the spec's ClosedForm, when it has one) → kron-krylov
-// (BiCGSTAB on Q_T·h = −1 and Q_T·h2 = −2·h, eight state-space vectors) →
-// kron-gmres (restarted GMRES on the same systems, kronRestart+6 vectors) →
-// kron-uniformization (transient-mass sums on the matrix-free uniformized
-// chain) → kron-mc (on-the-fly jump-chain estimate, Degraded). Each candidate
-// is vetted by the same acceptance test: NaN/Inf and Jensen for every rung,
-// and for the Krylov rungs, which return their solution vectors, the
-// normwise residuals too, evaluated with two extra operator applications
-// since there are no rows to sweep. The rungs past the first are the
-// block's alternates and the independent routes the tests judge the closed
-// form against.
+// Start, run as a recovery block: the rungs are kron-renewal (the spec's
+// ClosedForm, when it has one) → kron-krylov (BiCGSTAB on Q_T·h = −1 and
+// Q_T·h2 = −2·h, eight state-space vectors) → kron-uniformization
+// (transient-mass sums on the matrix-free uniformized chain) → kron-mc
+// (on-the-fly jump-chain estimate, Degraded). The context carries
+// cancellation, any injected guard.FaultSpec and the fallback
+// guard.Recorder. Each candidate is vetted by the same acceptance test:
+// NaN/Inf and Jensen for every rung, and for the Krylov rung, which returns
+// its solution vectors, the normwise residuals too, evaluated with two
+// extra operator applications since there are no rows to sweep. The rungs
+// past the first are the block's alternates and the independent routes the
+// tests judge the closed form against.
 func (m *MatrixFree) AbsorptionMomentsCtx(ctx context.Context) (m1, m2 float64, err error) {
 	m.solves.Inc()
 	rungs := []guard.Attempt[momentSolution]{
-		{Name: "kron-krylov", Run: func(ctx context.Context) (momentSolution, error) {
-			return m.momentsKrylov(ctx, "BiCGSTAB", linalg.SolveBiCGSTAB)
-		}},
-		{Name: "kron-gmres", Run: func(ctx context.Context) (momentSolution, error) {
-			return m.momentsKrylov(ctx, "GMRES", linalg.SolveGMRES)
-		}},
+		{Name: "kron-krylov", Run: m.momentsKrylov},
 		{Name: "kron-uniformization", Run: m.momentsUniformized},
 		{Name: "kron-mc", Degraded: true, Run: m.momentsMC},
 	}
@@ -202,28 +216,24 @@ func (m *MatrixFree) AbsorptionMomentsCtx(ctx context.Context) (m1, m2 float64, 
 	return res.Value.m1, res.Value.m2, nil
 }
 
-// krylovSolver is the shape SolveBiCGSTAB and SolveGMRES share.
-type krylovSolver func(op linalg.Operator, b []float64, opts linalg.GMRESOpts) ([]float64, int, error)
-
-// momentsKrylov runs the two moment systems on one right-preconditioned
-// Krylov solver, the two solves sharing one iteration budget. It is the
-// kron-krylov rung on BiCGSTAB and the kron-gmres rung on GMRES.
-func (m *MatrixFree) momentsKrylov(ctx context.Context, name string, solve krylovSolver) (momentSolution, error) {
+// momentsKrylov is the kron-krylov rung: the two moment systems on
+// right-preconditioned BiCGSTAB, the two solves sharing one iteration
+// budget.
+func (m *MatrixFree) momentsKrylov(ctx context.Context) (momentSolution, error) {
 	rhs := make([]float64, m.dim)
 	for i := range rhs {
 		rhs[i] = -1
 	}
-	opts := linalg.GMRESOpts{
-		Restart:  kronRestart,
+	opts := linalg.KrylovOpts{
 		MaxIters: kronMaxIters,
 		Tol:      KronMomentTol,
 		NormA:    2 * m.gamma,
 		Precond:  m.spec.Precond,
 	}
-	h, it1, err := solve(m.op, rhs, opts)
+	h, it1, err := linalg.SolveBiCGSTAB(m.op, rhs, opts)
 	m.kiters.Add(int64(it1))
 	if err != nil {
-		return momentSolution{}, guard.Numericalf("markov: kron first-moment %s: %v", name, err)
+		return momentSolution{}, guard.Numericalf("markov: kron first-moment BiCGSTAB: %v", err)
 	}
 	if err := ctx.Err(); err != nil {
 		return momentSolution{}, err
@@ -232,19 +242,20 @@ func (m *MatrixFree) momentsKrylov(ctx context.Context, name string, solve krylo
 		rhs[i] = -2 * h[i]
 	}
 	opts.MaxIters = max(1, kronMaxIters-it1)
-	h2, it2, err := solve(m.op, rhs, opts)
+	h2, it2, err := linalg.SolveBiCGSTAB(m.op, rhs, opts)
 	m.kiters.Add(int64(it2))
 	if err != nil {
-		return momentSolution{}, guard.Numericalf("markov: kron second-moment %s: %v", name, err)
+		return momentSolution{}, guard.Numericalf("markov: kron second-moment BiCGSTAB: %v", err)
 	}
 	return momentSolution{m1: h[m.spec.Start], m2: h2[m.spec.Start], h: h, h2: h2}, nil
 }
 
-// acceptMoments mirrors the enumerated ladder's acceptance test on the
-// matrix-free operator: finiteness, Jensen consistency, and — when the rung
-// exposes its solution vectors — normwise residuals of both systems, with
-// ‖Q_T‖∞ bounded by 2γ (every row's diagonal and off-diagonal mass are each
-// at most the maximum out-rate).
+// acceptMoments is the ladder's acceptance test: finiteness, moment
+// consistency (E[T] ≥ 0 and E[T²] ≥ E[T]², Jensen, which holds for the exact
+// moments and every empirical estimate alike), and — when the rung exposes
+// its solution vectors — normwise residuals of both systems, with ‖Q_T‖∞
+// bounded by 2γ (every row's diagonal and off-diagonal mass are each at most
+// the maximum out-rate).
 func (m *MatrixFree) acceptMoments(s momentSolution) error {
 	if math.IsNaN(s.m1) || math.IsInf(s.m1, 0) || math.IsNaN(s.m2) || math.IsInf(s.m2, 0) {
 		return guard.Rejectedf("non-finite moments E[T]=%v, E[T²]=%v", s.m1, s.m2)
@@ -278,16 +289,49 @@ func (m *MatrixFree) acceptMoments(s momentSolution) error {
 	return nil
 }
 
-// momentsUniformized is the second rung: the enumerated ladder's
-// transient-mass sums, read off the operator-stepped absorption sequence.
+// momentsUniformized is the kron-uniformization rung: exact moments from
+// the transient-mass sums of the operator-stepped absorption sequence.
 func (m *MatrixFree) momentsUniformized(ctx context.Context) (momentSolution, error) {
 	return uniformizedMoments(ctx, m.NewAbsorptionSequence())
 }
 
+// uniformizedMoments sums the transient masses s_k of q. With P = I + Q/γ,
+// the absorption step count N satisfies E[N] = Σ_k s_k and
+// E[N(N+1)] = 2·Σ_k (k+1)·s_k, and the absorption time T (a random Exp(γ)
+// sum of N terms) has E[T] = E[N]/γ and E[T²] = E[N(N+1)]/γ². The route
+// checks probability-mass conservation as it sums: the transient mass must
+// stay in [0, 1] and never grow.
+func uniformizedMoments(ctx context.Context, q *AbsorptionSequence) (momentSolution, error) {
+	var eN, eNN float64
+	prev := math.Inf(1)
+	m := 0.0
+	for k := 0; k < maxUnifSteps; k++ {
+		if err := q.extend(ctx, k); err != nil {
+			return momentSolution{}, err
+		}
+		m = q.s[k]
+		if m > prev*(1+1e-12) || m > 1+1e-9 {
+			return momentSolution{}, guard.Numericalf("markov: uniformization lost probability-mass conservation at step %d (mass %v after %v)", k, m, prev)
+		}
+		prev = m
+		eN += m
+		eNN += float64(k+1) * m
+		if m < unifMassTol {
+			break
+		}
+	}
+	if m >= unifMassTol {
+		return momentSolution{}, guard.Numericalf("markov: uniformization moments did not converge in %d steps (residual mass %v)", maxUnifSteps, m)
+	}
+	g := q.gamma
+	return momentSolution{m1: eN / g, m2: 2 * eNN / (g * g)}, nil
+}
+
 // momentsMC is the last-resort rung: the deterministic jump-chain estimate
 // with rows enumerated on the fly — no per-state tables, O(1) memory beyond
-// the replication state. Same fixed internal seed family as the enumerated
-// ladder, so the estimate is reproducible for a given chain.
+// the replication state. It is an estimate, not a solve: results carry
+// O(1/√reps) noise and the rung is flagged Degraded so advice built on it is
+// labelled accordingly.
 func (m *MatrixFree) momentsMC(ctx context.Context) (momentSolution, error) {
 	rows := m.spec.Rows
 	if rows == nil {

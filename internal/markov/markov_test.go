@@ -20,7 +20,7 @@ func twoStateChain(r float64) *CTMC {
 func TestExponentialAbsorption(t *testing.T) {
 	for _, r := range []float64{0.5, 1, 4} {
 		c := twoStateChain(r)
-		m1, m2, err := c.AbsorptionMoments(0)
+		m1, m2, err := c.AbsorptionMomentsDense(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +41,7 @@ func TestErlangAbsorption(t *testing.T) {
 	c.AddRate(1, 2, r)
 	c.AddRate(2, 3, r)
 	c.SetAbsorbing(3)
-	m1, m2, err := c.AbsorptionMoments(0)
+	m1, m2, err := c.AbsorptionMomentsDense(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestCompetingRisks(t *testing.T) {
 	c.AddRate(0, 2, b)
 	c.SetAbsorbing(1)
 	c.SetAbsorbing(2)
-	m1, err := c.MeanAbsorptionTime(0)
+	m1, _, err := c.AbsorptionMomentsDense(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestIterativeMatchesDirect(t *testing.T) {
 		}
 	}
 	c.SetAbsorbing(5)
-	direct, err := c.MeanAbsorptionTime(0)
+	direct, _, err := c.AbsorptionMomentsDense(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestMeanFromDensityMatchesLinearSolve(t *testing.T) {
 	c.AddRate(2, 0, 0.4)
 	c.AddRate(2, 3, 2.2)
 	c.SetAbsorbing(3)
-	m1, err := c.MeanAbsorptionTime(0)
+	m1, _, err := c.AbsorptionMomentsDense(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestAbsorbingGuards(t *testing.T) {
 
 func TestAbsorptionMomentsFromAbsorbingStart(t *testing.T) {
 	c := twoStateChain(1)
-	m1, m2, err := c.AbsorptionMoments(1)
+	m1, m2, err := c.AbsorptionMomentsDense(1)
 	if err != nil || m1 != 0 || m2 != 0 {
 		t.Fatalf("absorbing start: %v %v %v", m1, m2, err)
 	}

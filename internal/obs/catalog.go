@@ -44,17 +44,16 @@ var Catalog = []Def{
 	{Name: "sim_prp_probes_total", Kind: KindCounter, Help: "error probes simulated by the pseudo-recovery-point simulator"},
 
 	// Exact solvers (internal/markov, internal/linalg).
-	{Name: "markov_solve_dense_total", Kind: KindCounter, Help: "absorbing-chain solves routed to the dense LU path"},
-	{Name: "markov_solve_sparse_total", Kind: KindCounter, Help: "absorbing-chain solves routed to the CSR two-level Gauss–Seidel path"},
+	{Name: "markov_solve_dense_total", Kind: KindCounter, Help: "dense LU moment solves (the oracle the tests and benchmarks judge the closed forms by; no command takes it)"},
+	{Name: "markov_solve_sparse_total", Kind: KindCounter, Help: "retired with the CSR two-level Gauss–Seidel moment route; always 0"},
 	{Name: "markov_uniformization_matvecs_total", Kind: KindCounter, Help: "uniformized transient-solve matrix–vector products"},
 	{Name: "markov_solve_mc_total", Kind: KindCounter, Help: "absorbing-chain solves that fell back to the last-resort jump-chain Monte Carlo estimate"},
-	{Name: "markov_solve_kron_total", Kind: KindCounter, Help: "moment solves routed to the matrix-free Kronecker engine"},
+	{Name: "markov_solve_kron_total", Kind: KindCounter, Help: "passes through the matrix-free engine's moment ladder (one per asynchronous moment pair) and its Krylov transient sweeps"},
 	{Name: "markov_kron_matvecs_total", Kind: KindCounter, Help: "matrix-free Kronecker operator applications (forward and transposed)"},
-	{Name: "markov_krylov_iters_total", Kind: KindCounter, Help: "operator applications inside the matrix-free Krylov solves: one per Arnoldi step of GMRES or a Krylov exponential, two per BiCGSTAB iteration; residual checks excluded"},
+	{Name: "markov_krylov_iters_total", Kind: KindCounter, Help: "operator applications inside the matrix-free Krylov solves: one per Arnoldi step of a Krylov exponential, two per BiCGSTAB iteration; residual checks excluded"},
 	{Name: "linalg_csr_builds_total", Kind: KindCounter, Help: "CSR matrices assembled"},
 	{Name: "linalg_csr_nnz", Kind: KindHistogram, Help: "nonzeros per assembled CSR matrix"},
-	{Name: "linalg_gs_sweeps_total", Kind: KindCounter, Help: "two-level Gauss–Seidel sweeps across all sparse solves"},
-	{Name: "linalg_gs_sweeps", Kind: KindHistogram, Help: "two-level Gauss–Seidel sweeps per sparse solve"},
+	{Name: "linalg_gs_sweeps_total", Kind: KindCounter, Help: "retired with the CSR two-level Gauss–Seidel solver; always 0"},
 
 	// Strategy registry and pipelines.
 	{Name: "strategy_crosschecks_total", Kind: KindCounter, Help: "model↔simulator cross-check runs through the strategy registry"},

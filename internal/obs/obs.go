@@ -4,7 +4,7 @@
 // report and a human-readable summary.
 //
 // The design contract is zero overhead when off. The package-level accessors
-// (C, G, H, StartSpan) load one atomic pointer; when no registry is installed
+// (C, StartSpan) load one atomic pointer; when no registry is installed
 // they return nil, and every method of Counter, Gauge, Histogram and Span is
 // nil-receiver-safe, so an instrumentation site is a pointer load, a nil
 // check, and nothing else. Hot loops are never instrumented per event:

@@ -3,32 +3,31 @@ package rbmodel
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"recoveryblocks/internal/markov"
 )
 
-// MaxEnumeratedProcesses is the largest n whose chain NewAsync enumerates
-// into markov.CTMC rows: its 2^n transient states stay below
-// markov.SparseCutoff, so every solve is a dense LU. Above it the model
-// lumps onto orbit counts when the rates allow, or runs the matrix-free
-// Kronecker engine, which already beats the enumerated CSR route from n = 8
-// (moment pair at n = 16 on a distinct-rate ramp: 1.5 ms in closed form and
-// 0.15 s on its BiCGSTAB alternate, against 4.4–4.7 s with the chain's
-// build, on a 2-vCPU Xeon).
+// MaxEnumeratedProcesses is the largest n whose transient questions
+// NewAsync answers on the enumerated chain: its 2^n+1 states as
+// markov.CTMC rows, stepped by CSR scatters. Above it the transient
+// questions step the orbit-lumped chain when the rates allow, or the
+// matrix-free Kronecker operator. The moment pair takes no chain on any
+// route (see NewAsync).
 const MaxEnumeratedProcesses = 7
 
-// MaxExactProcesses bounds the exact solvers overall. Past
-// MaxEnumeratedProcesses, orbit lumping collapses partially-exchangeable
-// rate vectors onto per-class counts (often a few hundred states), and the
-// general case runs the matrix-free Kronecker engine — the transient
-// generator applied as per-process 2×2 factors in O(n·2^n) flops with O(2^n)
-// vectors (markov.MatrixFree). Its moment pair comes in closed form from
-// renewalMoments (two such vectors, under a second at n = 24), with
-// preconditioned BiCGSTAB and restarted GMRES as fallbacks, and its
-// transient answers from an operator-stepped uniformization. The bound is
-// set by the memory and time of length-2^n vectors: n = 24 means 128 MiB per
-// vector and about a second per operator application. Beyond it, use
-// SymmetricModel (O(n) states) or the discrete-event simulator.
+// MaxExactProcesses bounds the exact solvers overall. The moment pair comes
+// in closed form at every size: the count form of the renewal recursion for
+// partially-exchangeable rates (countMoments, often a few hundred cells) and
+// the cube recursion cubeMoments otherwise (two length-2^n vectors, under a
+// second at n = 24). The transient questions run on the enumerated or
+// orbit-lumped chain or on the matrix-free Kronecker engine — the transient
+// generator applied as per-process 2×2 factors in O(n·2^n) flops with
+// O(2^n) vectors (markov.MatrixFree), stepped by an operator-driven
+// uniformization. The bound is set by the memory and time of length-2^n
+// vectors: n = 24 means 128 MiB per vector and about a second per operator
+// application. Beyond it, use SymmetricModel (O(n) states) or the
+// discrete-event simulator.
 const MaxExactProcesses = 24
 
 // AsyncModel is the paper's full continuous-time Markov model of
@@ -44,23 +43,38 @@ const MaxExactProcesses = 24
 // x_i = 1 means the previous action of P_i was establishing a recovery point;
 // x_i = 0 means it was an interaction.
 //
-// Three backends share this surface, picked at construction by n and the rate
-// structure (see Route): the enumerated chain (n ≤ MaxEnumeratedProcesses),
-// the orbit-lumped chain (partially-exchangeable rates), and the matrix-free
-// Kronecker engine (everything else up to MaxExactProcesses). Exactly one of
-// chain, orbit, kron is non-nil.
+// Every model holds the Kronecker engine over the cube, whose moment ladder
+// answers E[X] and E[X²]. The transient questions run on one of three
+// operators, picked at construction by n and the rate structure (see
+// Route): the enumerated chain (n ≤ MaxEnumeratedProcesses), the
+// orbit-lumped chain (partially-exchangeable rates), or the engine's own
+// operator (everything else up to MaxExactProcesses).
 type AsyncModel struct {
 	P     Params
-	chain *markov.CTMC
-	orbit *OrbitModel
 	kron  *kronEngine
-	ones  int
+	route string
+	// chain builds the enumerated or orbit chain on the first transient
+	// question; it is nil on the kron route. entry and states are that
+	// chain's entry state and state count.
+	chain         func() *markov.CTMC
+	entry, states int
+	ones          int
 }
 
-// NewAsync validates p and picks the backend: the enumerated chain while
-// dense LU answers, then orbit lumping when the rate structure allows and
-// actually shrinks the space, otherwise the matrix-free Kronecker engine on
-// the full cube.
+// The transient operators Route names.
+const (
+	routeEnumerated = "enumerated"
+	routeOrbit      = "orbit"
+	routeKron       = "kron"
+)
+
+// NewAsync validates p and builds the model. The moment pair's closed form
+// is picked by lumpability alone: the count form when the rates lump onto
+// class counts, the cube recursion otherwise, as the primary rung of the
+// Kronecker engine's moment ladder. The transient operator is the
+// enumerated chain up to MaxEnumeratedProcesses, then the orbit chain when
+// the rates lump onto fewer than markov.KronCutoff cells, otherwise the
+// engine's operator on the full cube.
 func NewAsync(p Params) (*AsyncModel, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -69,15 +83,32 @@ func NewAsync(p Params) (*AsyncModel, error) {
 	if n > MaxExactProcesses {
 		return nil, fmt.Errorf("rbmodel: n = %d exceeds MaxExactProcesses = %d (use SymmetricModel or the simulator)", n, MaxExactProcesses)
 	}
-	m := &AsyncModel{P: p, ones: (1 << n) - 1}
-	if n <= MaxEnumeratedProcesses {
-		m.chain = enumerate(p)
-	} else if orb, err := NewOrbit(p); err == nil && orb.NumStates() < markov.KronCutoff {
-		m.orbit = orb
-	} else {
-		m.kron = newKronEngine(p)
+	cls := lumpClasses(p)
+	route := routeKron
+	switch {
+	case n <= MaxEnumeratedProcesses:
+		route = routeEnumerated
+	case cls != nil && cls.cells+1 < markov.KronCutoff:
+		route = routeOrbit
 	}
-	return m, nil
+	return build(p, cls, route), nil
+}
+
+// build assembles a model of validated p on the given transient route, its
+// moment ladder led by cls's count form, or by the cube recursion when cls
+// is nil.
+func build(p Params, cls *classes, route string) *AsyncModel {
+	n := p.N()
+	m := &AsyncModel{P: p, kron: newKronEngine(p, cls), route: route, ones: 1<<n - 1}
+	switch route {
+	case routeEnumerated:
+		m.chain = sync.OnceValue(func() *markov.CTMC { return enumerate(p) })
+		m.entry, m.states = 0, 1<<n+1
+	case routeOrbit:
+		m.chain = sync.OnceValue(cls.chain)
+		m.entry, m.states = cls.cells-1, cls.cells+1
+	}
+	return m
 }
 
 // maxEnumerateProcesses bounds EnumerateAsync: the chain holds every
@@ -86,7 +117,7 @@ func NewAsync(p Params) (*AsyncModel, error) {
 const maxEnumerateProcesses = 16
 
 // EnumerateAsync builds the full model's 2^n+1-state chain as markov.CTMC
-// rows, in AsyncModel's state indexing: the chain NewAsync answers from for
+// rows, in AsyncModel's state indexing: the chain NewAsync steps for
 // n ≤ MaxEnumeratedProcesses, and the full-cube reference for the other
 // routes at any n up to maxEnumerateProcesses.
 func EnumerateAsync(p Params) (*markov.CTMC, error) {
@@ -175,18 +206,10 @@ func cubeRows(p Params, u int, yield func(to int, rate float64)) {
 	}
 }
 
-// Route reports which backend answers for this model: "enumerated", "orbit",
-// or "kron".
-func (m *AsyncModel) Route() string {
-	switch {
-	case m.chain != nil:
-		return "enumerated"
-	case m.orbit != nil:
-		return "orbit"
-	default:
-		return "kron"
-	}
-}
+// Route names the operator the transient questions (DensityX, CDFX,
+// DeadlineMissProb, QuantileX) run on: "enumerated", "orbit", or "kron".
+// The moment pair takes no operator on any route.
+func (m *AsyncModel) Route() string { return m.route }
 
 // Entry returns the entry state index (paper's state 0 = S_r).
 func (m *AsyncModel) Entry() int { return 0 }
@@ -206,11 +229,16 @@ func (m *AsyncModel) StateOf(mask int) int {
 	return mask + 1
 }
 
-// Chain exposes the underlying CTMC of the enumerated backend. It returns
-// nil on the orbit and kron routes, which never build one — their state
+// Chain exposes the enumerated chain of the enumerated route, building it
+// on first use. It returns nil on the orbit and kron routes, whose state
 // spaces are the lumped cells and the implicit cube. EnumerateAsync builds
 // the chain at any size a caller can afford.
-func (m *AsyncModel) Chain() *markov.CTMC { return m.chain }
+func (m *AsyncModel) Chain() *markov.CTMC {
+	if m.route != routeEnumerated {
+		return nil
+	}
+	return m.chain()
+}
 
 // MeanX returns E[X], the expected interval between two successive recovery
 // lines, exactly: MeanXCtx under a background context.

@@ -1,10 +1,14 @@
 package rbmodel
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"recoveryblocks/internal/guard"
 )
 
 func mustAsync(t *testing.T, p Params) *AsyncModel {
@@ -117,7 +121,8 @@ func TestCase1ExactMeanByHand(t *testing.T) {
 
 func TestLumpabilityFullVsSymmetric(t *testing.T) {
 	// The full chain with uniform rates must lump exactly to the Figure 3
-	// chain: equal E[X] and equal E[X²].
+	// chain: the symmetric model's one-class count form gives the E[X] and
+	// E[X²] that dense LU gives on the full enumerated chain.
 	for n := 2; n <= 7; n++ {
 		for _, rates := range [][2]float64{{1, 1}, {0.5, 2}, {2, 0.25}} {
 			mu, lambda := rates[0], rates[1]
@@ -126,7 +131,7 @@ func TestLumpabilityFullVsSymmetric(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f1, f2, err := full.MomentsX()
+			f1, f2, err := full.Chain().AbsorptionMomentsDense(full.Entry())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,6 +146,20 @@ func TestLumpabilityFullVsSymmetric(t *testing.T) {
 					n, mu, lambda, f1, f2, s1, s2)
 			}
 		}
+	}
+}
+
+// TestSymmetricMomentsCancellation: SymmetricModel answers with no ladder,
+// but a done context still fails it with the budget taxonomy.
+func TestSymmetricMomentsCancellation(t *testing.T) {
+	sym, err := NewSymmetric(5, 1, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := sym.MomentsXCtx(ctx); !errors.Is(err, guard.ErrBudget) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want ErrBudget wrapping Canceled", err)
 	}
 }
 

@@ -3,9 +3,10 @@ package rbmodel
 // BenchmarkKron is the matrix-free engine's perf baseline: the raw Kronecker
 // operator application, the moment pair on the ladder's primary rung, and
 // the end-to-end MeanX through NewAsync's router, at n = 16, 20 and 24, all
-// on the matrix-free route. The moment rows keep the name gmres/n=*, which
-// the committed baseline keys on, though the primary rung is the closed
-// form kron-renewal (BenchmarkMomentRungs prices the Krylov rungs). CI
+// on the matrix-free route, and from n = 20 the orbit route's count-form
+// moments. The moment rows keep the name gmres/n=*, which the committed
+// baseline keys on, though the primary rung is the closed form kron-renewal
+// (BenchmarkMomentRungs prices the Krylov rung). CI
 // converts a fresh run to BENCH_kron.new.json and enforces
 // `benchjson -compare` against the committed BENCH_kron.json. The 2^20/2^24-vector sizes cost seconds to
 // minutes per op, so they are opt-in: set RB_BENCH_KRON=1 (the CI kron job
@@ -50,7 +51,7 @@ func BenchmarkKron(b *testing.B) {
 		p := benchKronParams(n)
 
 		b.Run(fmt.Sprintf("matvec/n=%d", n), func(b *testing.B) {
-			e := newKronEngine(p)
+			e := newKronEngine(p, nil)
 			x := make([]float64, e.op.Dim())
 			y := make([]float64, e.op.Dim())
 			for i := range x {
@@ -64,7 +65,7 @@ func BenchmarkKron(b *testing.B) {
 		})
 
 		b.Run(fmt.Sprintf("gmres/n=%d", n), func(b *testing.B) {
-			e := newKronEngine(p)
+			e := newKronEngine(p, nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -76,9 +77,9 @@ func BenchmarkKron(b *testing.B) {
 
 		if n > 16 {
 			// The lumping contrast: two μ-classes at the same n collapse the
-			// 2^n cube to a mixed-radix orbit chain of ~(n/2+1)^2 cells; its
-			// materialized solve prices what exchangeability buys over the
-			// matrix-free route.
+			// 2^n cube onto ~(n/2+1)^2 class-count cells; the orbit route's
+			// moment pair, the count form of the recursion, prices what
+			// exchangeability buys over the cube recursion.
 			b.Run(fmt.Sprintf("orbit-moments/n=%d", n), func(b *testing.B) {
 				po := benchKronParams(n)
 				for i := range po.Mu {
@@ -87,14 +88,17 @@ func BenchmarkKron(b *testing.B) {
 						po.Mu[i] = 2.0
 					}
 				}
-				orb, err := NewOrbit(po)
+				m, err := NewAsync(po)
 				if err != nil {
 					b.Fatal(err)
+				}
+				if m.Route() != routeOrbit {
+					b.Fatalf("two-class n=%d routes to %s, want orbit", n, m.Route())
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := orb.Chain().AbsorptionMoments(orb.Entry()); err != nil {
+					if _, _, err := m.MomentsX(); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -136,12 +140,13 @@ func routeParams(n int, rho float64, spread bool) Params {
 	return p
 }
 
-// BenchmarkAsyncRoutes prices the two routes of the full model where both
-// exist: the enumerated chain (EnumerateAsync, then the CSR ladder and a CSR
+// BenchmarkAsyncRoutes prices the two transient operators of the full model
+// where both exist: the enumerated chain (EnumerateAsync's rows and a CSR
 // absorption sequence) against the matrix-free engine NewAsync picks past
-// MaxEnumeratedProcesses. Each op builds the model and answers one question:
-// the moment pair at ρ = 1, or the deadline miss at d = 2 plus the 0.99
-// quantile at ρ = 0.25. Not part of any committed baseline; the table in
+// MaxEnumeratedProcesses. Each op builds the model and answers the deadline
+// miss at d = 2 plus the 0.99 quantile at ρ = 0.25; the moment rows, on the
+// kron route alone since the moment pair takes no chain on either, answer
+// the pair at ρ = 1. Not part of any committed baseline; the table in
 // EXPERIMENTS.md comes from
 //
 //	go test -bench BenchmarkAsyncRoutes -benchtime 3x -run '^$' ./internal/rbmodel
@@ -165,14 +170,16 @@ func BenchmarkAsyncRoutes(b *testing.B) {
 				}
 				return m
 			}
-			b.Run(fmt.Sprintf("moments/%s/n=%d/%s", route, c.n, lam), func(b *testing.B) {
-				p := routeParams(c.n, 1, c.spread)
-				for i := 0; i < b.N; i++ {
-					if _, _, err := build(p).MomentsX(); err != nil {
-						b.Fatal(err)
+			if route == routeKron {
+				b.Run(fmt.Sprintf("moments/%s/n=%d/%s", route, c.n, lam), func(b *testing.B) {
+					p := routeParams(c.n, 1, c.spread)
+					for i := 0; i < b.N; i++ {
+						if _, _, err := build(p).MomentsX(); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-			})
+				})
+			}
 			b.Run(fmt.Sprintf("transient/%s/n=%d/%s", route, c.n, lam), func(b *testing.B) {
 				p := routeParams(c.n, 0.25, c.spread)
 				for i := 0; i < b.N; i++ {
@@ -189,15 +196,14 @@ func BenchmarkAsyncRoutes(b *testing.B) {
 	}
 }
 
-// BenchmarkMomentRungs prices the first three rungs of the matrix-free
-// moment ladder on the exact-wall ramp (wallRamp): the closed form
-// kron-renewal (two state-space vectors, no operator application),
-// kron-krylov (BiCGSTAB, eight vectors) and kron-gmres (GMRES(40), 46
-// vectors), the last two reached by forcing the rungs ahead of them off with
-// fault depths 1 and 2. Each op is one moment pair through
-// AbsorptionMomentsCtx, acceptance residuals included, and the first op of a
-// Krylov rung builds its preconditioner; matvecs/op counts every operator
-// application. n = 17 and 20 are opt-in
+// BenchmarkMomentRungs prices the first two rungs of the matrix-free moment
+// ladder on the exact-wall ramp (wallRamp): the closed form kron-renewal
+// (two state-space vectors, no operator application) and kron-krylov
+// (BiCGSTAB, eight vectors), the latter reached by forcing the closed form
+// off with fault depth 1. Each op is one moment pair through
+// AbsorptionMomentsCtx, acceptance residuals included, and the first op of
+// the Krylov rung builds its preconditioner; matvecs/op counts every
+// operator application. n = 17 and 20 are opt-in
 // via RB_BENCH_KRON=1. Not part of any committed baseline; the table in
 // EXPERIMENTS.md comes from
 //
@@ -212,12 +218,12 @@ func BenchmarkMomentRungs(b *testing.B) {
 			for _, rung := range []struct {
 				name  string
 				depth int
-			}{{"renewal", 0}, {"bicgstab", 1}, {"gmres", 2}} {
+			}{{"renewal", 0}, {"bicgstab", 1}} {
 				b.Run(fmt.Sprintf("%s/n=%d/rho=%g", rung.name, n, rho), func(b *testing.B) {
 					// The engine resolves its counters at construction.
 					reg := obs.Enable()
 					defer obs.Disable()
-					e := newKronEngine(wallRamp(n, rho))
+					e := newKronEngine(wallRamp(n, rho), nil)
 					ctx := guard.WithFaults(context.Background(), guard.FaultSpec{Depth: rung.depth})
 					b.ReportAllocs()
 					b.ResetTimer()

@@ -2,10 +2,14 @@ package rbmodel
 
 import (
 	"context"
+	"fmt"
+	"math"
+
+	"recoveryblocks/internal/guard"
 )
 
-// Context-aware variants of the chain-solving entry points. The context
-// carries three things through to the markov recovery-block ladder:
+// Context-aware variants of the moment entry points. The context carries
+// three things through to the markov recovery-block ladder:
 // cancellation (a -timeout or Ctrl-C stops the solve at the next rung
 // boundary), an injected guard.FaultSpec (the chaos solver-fault
 // perturbation), and a guard.Recorder (how the advisor learns that a number
@@ -18,30 +22,31 @@ func (m *AsyncModel) MeanXCtx(ctx context.Context) (float64, error) {
 	return m1, err
 }
 
-// MomentsXCtx is MomentsX under an explicit context, and the one route
-// switch of the moment pair. Every backend runs its moment ladder under the
-// same guard contract: the enumerated and orbit chains through the dense/CSR
-// rungs, the kron engine through kron-renewal (the closed form of
-// renewalMoments) and then its kron-krylov/kron-gmres/kron-uniformization/
-// kron-mc alternates.
+// MomentsXCtx is MomentsX under an explicit context: the Kronecker
+// engine's moment ladder, kron-renewal (the count form or the cube
+// recursion, see NewAsync) and then its kron-krylov/kron-uniformization/
+// kron-mc alternates, on every route.
 func (m *AsyncModel) MomentsXCtx(ctx context.Context) (m1, m2 float64, err error) {
-	switch {
-	case m.chain != nil:
-		return m.chain.AbsorptionMomentsCtx(ctx, m.Entry())
-	case m.orbit != nil:
-		return m.orbit.Chain().AbsorptionMomentsCtx(ctx, m.orbit.Entry())
-	default:
-		return m.kron.mf.AbsorptionMomentsCtx(ctx)
-	}
+	return m.kron.mf.AbsorptionMomentsCtx(ctx)
 }
 
 // MeanXCtx is MeanX under an explicit context.
 func (m *SymmetricModel) MeanXCtx(ctx context.Context) (float64, error) {
-	m1, _, err := m.chain.AbsorptionMomentsCtx(ctx, m.Entry())
+	m1, _, err := m.MomentsXCtx(ctx)
 	return m1, err
 }
 
-// MomentsXCtx is MomentsX under an explicit context.
+// MomentsXCtx is MomentsX under an explicit context: the one-class count
+// form, with no ladder. It fails with a guard.ErrBudget error wrapping
+// ctx's when ctx is done, and with a typed guard.ErrNumerical error when
+// the moments overflow.
 func (m *SymmetricModel) MomentsXCtx(ctx context.Context) (float64, float64, error) {
-	return m.chain.AbsorptionMomentsCtx(ctx, m.Entry())
+	if err := ctx.Err(); err != nil {
+		return 0, 0, fmt.Errorf("rbmodel: symmetric moments: %w: %w", guard.ErrBudget, err)
+	}
+	m1, m2 := oneClass(m.N, m.Mu, m.Lambda).countMoments()
+	if math.IsInf(m1, 0) || math.IsNaN(m1) || math.IsInf(m2, 0) || math.IsNaN(m2) {
+		return 0, 0, guard.Numericalf("rbmodel: symmetric moments E[X]=%v, E[X²]=%v are not finite", m1, m2)
+	}
+	return m1, m2, nil
 }

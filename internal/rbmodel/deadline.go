@@ -66,15 +66,10 @@ func missProb(d float64, cdf func(t float64) (float64, error)) (float64, error) 
 // on the enumerated and orbit chains, an operator application of 2^n-long
 // vectors on the kron route.
 func (m *AsyncModel) absorptionSequence() *markov.AbsorptionSequence {
-	switch {
-	case m.chain != nil:
-		return m.chain.NewAbsorptionSequence(pointMass(m.NumStates(), m.Entry()))
-	case m.orbit != nil:
-		c := m.orbit
-		return c.Chain().NewAbsorptionSequence(pointMass(c.NumStates(), c.Entry()))
-	default:
+	if m.chain == nil {
 		return m.kron.mf.NewAbsorptionSequence()
 	}
+	return m.chain().NewAbsorptionSequence(pointMass(m.states, m.entry))
 }
 
 // cdfAt returns P(X ≤ t) from the sequence q, failing when ctx is done.

@@ -38,9 +38,9 @@ func (m *AsyncModel) DOT() string {
 	for mask := 0; mask < m.ones; mask++ {
 		fmt.Fprintf(&b, "  s%d [label=\"%s\"];\n", m.StateOf(mask), vectorLabel(mask, n))
 	}
-	// The orbit and kron routes hold no chain: enumerate the cube's rows
-	// for the rendering alone.
-	c := m.chain
+	// The orbit and kron routes hold no enumerated chain: enumerate the
+	// cube's rows for the rendering alone.
+	c := m.Chain()
 	if c == nil {
 		c = enumerate(m.P)
 	}

@@ -11,15 +11,15 @@ import (
 	"recoveryblocks/internal/markov"
 )
 
-// The matrix-free backend for n past MaxEnumeratedProcesses. The transient
-// space of the full model is the n-cube with the entry state identified with
+// The matrix-free engine every AsyncModel holds. The transient space of the
+// full model is the n-cube with the entry state identified with
 // the all-ones vertex (the paper's S_r behaves exactly like (1,…,1) once the
 // raising transitions into it are redirected to absorption), so the transient
 // generator is a Kronecker sum of 2×2 per-process recovery-point factors plus
 // the pairwise interaction family and n+1 boundary fixups — a linalg.KronOp
 // applied in O(n·2^n) flops with O(2^n) memory, never materialized. The
-// markov.MatrixFree engine runs the transient solves against it, and the
-// moment pair's Krylov alternates behind the closed form of renewalMoments.
+// markov.MatrixFree engine runs the moment pair's alternates behind its
+// closed form against it, and on the kron route the transient questions.
 type kronEngine struct {
 	op *linalg.KronOp
 	mf *markov.MatrixFree
@@ -28,8 +28,9 @@ type kronEngine struct {
 // newKronEngine assembles the Kronecker factors directly from validated
 // Params. State s ∈ [0, 2^n) is the paper's vector (x_1..x_n) with bit i−1
 // carrying x_i; the entry state is the all-ones vertex and the absorbing
-// state is implicit (row deficits).
-func newKronEngine(p Params) *kronEngine {
+// state is implicit (row deficits). The moment ladder's closed form is
+// cls's count form, or the cube recursion when cls is nil.
+func newKronEngine(p Params, cls *classes) *kronEngine {
 	n := p.N()
 	ones, sumMu := 1<<n-1, p.SumMu()
 	op := linalg.NewKronOp(n)
@@ -85,15 +86,19 @@ func newKronEngine(p Params) *kronEngine {
 	absRate = append(absRate, sumMu)
 
 	// The preconditioner holds a 2^n diagonal and serves only the Krylov
-	// alternates, so it is built on their first application.
+	// alternate, so it is built on its first application.
 	pre := sync.OnceValue(func() *kronPrecond { return newKronPrecond(op, p) })
+	closed := func() (float64, float64) { return cubeMoments(p) }
+	if cls != nil {
+		closed = cls.countMoments
+	}
 	return &kronEngine{op: op, mf: markov.NewMatrixFree(markov.MatrixFreeSpec{
 		Op:         op,
 		Gamma:      p.TotalEventRate(),
 		Start:      ones,
 		AbsorbIdx:  absIdx,
 		AbsorbRate: absRate,
-		ClosedForm: func() (float64, float64) { return renewalMoments(p) },
+		ClosedForm: closed,
 		Precond:    func(dst, src []float64) { pre().forward(dst, src) },
 		Rows:       func(u int, yield func(int, float64)) { cubeRows(p, u, yield) },
 	})}
@@ -117,7 +122,7 @@ func uniformPairRate(p Params) (float64, bool) {
 	return rate, true
 }
 
-// kronPrecond is the two-level preconditioner of the Krylov rungs: a coarse
+// kronPrecond is the two-level preconditioner of the kron-krylov rung: a coarse
 // solve on the popcount-level aggregation of the cube, then an exact
 // Gauss–Seidel solve with D + U on the residual the coarse correction leaves.
 //

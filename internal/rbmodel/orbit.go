@@ -1,160 +1,162 @@
 package rbmodel
 
-import (
-	"errors"
-	"fmt"
-
-	"recoveryblocks/internal/markov"
-)
+import "recoveryblocks/internal/markov"
 
 // Orbit lumping generalizes SymmetricModel from fully-exchangeable processes
 // to partially-exchangeable ones: partition the processes into classes of
 // identical RP rate, and if the interaction rate between two processes
 // depends only on their classes (λ_ij = L[class(i)][class(j)]), the full
-// 2^n-vertex dynamics are strongly lumpable onto per-class marked counts.
-// A state is (u_1, …, u_k) with u_a ∈ [0, c_a]; the all-full cell is the
-// entry (it behaves exactly like the all-ones vertex: rule R4 plus the R2
-// interactions), and raising into the all-full cell absorbs. The cell count
-// Π(c_a+1) is often dozens where 2^n is millions, so the chain solves by the
-// ordinary enumerated ladder.
+// 2^n-vertex dynamics are strongly lumpable onto per-class marked counts
+// (the paper's Section 2.2 lumping, rules R1′–R4′, with one count per
+// class). A cell is a count vector (c_1, …, c_K) with c_k ∈ [0, C_k]; the
+// all-full cell is the entry (it behaves exactly like the all-ones vertex:
+// rule R4 plus the R2 interactions), and raising into the all-full cell
+// absorbs. The cell count Π(C_k+1) is often dozens where 2^n is millions.
+// The moment pair comes from the count form of the renewal recursion
+// (countMoments); the lumped chain serves the transient questions.
 
-// ErrNotLumpable reports that the rate structure does not collapse onto
-// per-class counts: either no two processes share a μ, or some pair rate
-// differs within a class block.
-var ErrNotLumpable = errors.New("rbmodel: rates are not class-lumpable")
-
-// OrbitModel is the count-lumped exact chain for partially-exchangeable
-// parameters.
-type OrbitModel struct {
-	P Params
-
-	class  []int       // process → class (classes ordered by first occurrence)
-	size   []int       // class → process count c_a
-	muC    []float64   // class → RP rate
-	lamC   [][]float64 // class block interaction rates L[a][b]
-	stride []int       // mixed-radix strides over (c_a+1) digits
-
-	chain *markov.CTMC
-	cells int // count-vector states, the all-full cell (= entry) included
-	entry int
+// classes is the class partition of a lumpable rate structure, its cells
+// indexed in mixed radix: cell s has digit c_k = (s / stride[k]) mod
+// (size[k]+1).
+type classes struct {
+	size   []int       // class → process count C_k
+	mu     []float64   // class → RP rate μ_k
+	lam    [][]float64 // class block interaction rates L[a][b]
+	stride []int       // mixed-radix strides over the (C_k+1) digits
+	cells  int         // Π(C_k+1), the all-full cell (= entry) included
 }
 
-// NewOrbit validates p, derives the class partition from the μ values, checks
-// block-constancy of λ, and builds the lumped chain. It returns
-// ErrNotLumpable (wrapped) when the partition does not reduce the state
-// space or λ is not block-constant.
-func NewOrbit(p Params) (*OrbitModel, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
+// lumpClasses derives the class partition from the μ values of validated
+// Params and checks that λ is constant on every class block. It returns
+// nil when the rates do not lump: no two processes share a μ, or some pair
+// rate differs within a class block.
+func lumpClasses(p Params) *classes {
 	n := p.N()
-	m := &OrbitModel{P: p, class: make([]int, n)}
+	c := &classes{}
+	class := make([]int, n)
 	for i, mu := range p.Mu {
 		found := -1
-		for a, muA := range m.muC {
+		for a, muA := range c.mu {
 			if muA == mu {
 				found = a
 				break
 			}
 		}
 		if found < 0 {
-			found = len(m.muC)
-			m.muC = append(m.muC, mu)
-			m.size = append(m.size, 0)
+			found = len(c.mu)
+			c.mu = append(c.mu, mu)
+			c.size = append(c.size, 0)
 		}
-		m.class[i] = found
-		m.size[found]++
+		class[i] = found
+		c.size[found]++
 	}
-	k := len(m.muC)
+	k := len(c.mu)
 	if k == n {
-		return nil, fmt.Errorf("%w: all %d processes have distinct RP rates", ErrNotLumpable, n)
+		return nil
 	}
-	m.lamC = make([][]float64, k)
-	for a := range m.lamC {
-		m.lamC[a] = make([]float64, k)
-		for b := range m.lamC[a] {
-			m.lamC[a][b] = -1 // unseen
+	c.lam = make([][]float64, k)
+	for a := range c.lam {
+		c.lam[a] = make([]float64, k)
+		for b := range c.lam[a] {
+			c.lam[a][b] = -1 // unseen
 		}
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			a, b := m.class[i], m.class[j]
+			a, b := class[i], class[j]
 			rate := p.Lambda[i][j]
-			if m.lamC[a][b] < 0 {
-				m.lamC[a][b] = rate
-				m.lamC[b][a] = rate
-			} else if m.lamC[a][b] != rate {
-				return nil, fmt.Errorf("%w: λ[%d][%d] = %v breaks class block (%d,%d) rate %v",
-					ErrNotLumpable, i+1, j+1, rate, a, b, m.lamC[a][b])
+			if c.lam[a][b] < 0 {
+				c.lam[a][b] = rate
+				c.lam[b][a] = rate
+			} else if c.lam[a][b] != rate {
+				return nil
 			}
 		}
 	}
-	for a := range m.lamC {
-		for b := range m.lamC[a] {
-			if m.lamC[a][b] < 0 {
-				m.lamC[a][b] = 0 // class pair with no cross pairs (both singletons a==b)
+	for a := range c.lam {
+		for b := range c.lam[a] {
+			if c.lam[a][b] < 0 {
+				c.lam[a][b] = 0 // class pair with no cross pairs (both singletons a==b)
 			}
 		}
 	}
+	c.setStrides()
+	return c
+}
 
-	m.stride = make([]int, k)
-	m.cells = 1
-	for a := 0; a < k; a++ {
-		m.stride[a] = m.cells
-		m.cells *= m.size[a] + 1
+// oneClass is the partition of n identical processes: the paper's symmetric
+// model.
+func oneClass(n int, mu, lambda float64) *classes {
+	c := &classes{size: []int{n}, mu: []float64{mu}, lam: [][]float64{{lambda}}}
+	c.setStrides()
+	return c
+}
+
+func (c *classes) setStrides() {
+	c.stride = make([]int, len(c.size))
+	c.cells = 1
+	for a, sz := range c.size {
+		c.stride[a] = c.cells
+		c.cells *= sz + 1
 	}
-	m.entry = m.cells - 1 // all digits at their maximum
-	m.chain = markov.NewCTMC(m.cells + 1)
-	m.chain.ReserveDegree(k + k*(k+1)/2 + 1)
-	m.chain.SetAbsorbing(m.Absorbing())
+}
+
+// chain builds the lumped chain: the cells in mixed-radix order, the
+// all-full cell (cells−1) the entry, and state cells the absorbing one.
+func (c *classes) chain() *markov.CTMC {
+	k := len(c.size)
+	ch := markov.NewCTMC(c.cells + 1)
+	ch.ReserveDegree(k + k*(k+1)/2 + 1)
+	ch.SetAbsorbing(c.cells)
 	counts := make([]int, k)
-	for s := 0; s < m.cells; s++ {
-		m.buildCell(s, counts)
+	for s := 0; s < c.cells; s++ {
+		c.buildCell(ch, s, counts)
 	}
-	return m, nil
+	return ch
 }
 
 // buildCell installs the transitions out of one count cell. counts is scratch
 // for the decoded digits.
-func (m *OrbitModel) buildCell(s int, counts []int) {
-	k := len(m.size)
+func (c *classes) buildCell(ch *markov.CTMC, s int, counts []int) {
+	k := len(c.size)
+	absorbing, entry := c.cells, c.cells-1
 	rem := s
 	for a := 0; a < k; a++ {
-		counts[a] = rem % (m.size[a] + 1)
-		rem /= m.size[a] + 1
+		counts[a] = rem % (c.size[a] + 1)
+		rem /= c.size[a] + 1
 	}
 	// R1: an unmarked process of class a establishes a recovery point.
 	// Raising into the all-full cell completes the recovery line.
 	for a := 0; a < k; a++ {
-		if counts[a] == m.size[a] {
+		if counts[a] == c.size[a] {
 			continue
 		}
-		rate := float64(m.size[a]-counts[a]) * m.muC[a]
-		if next := s + m.stride[a]; next == m.entry {
-			m.chain.AddRate(s, m.Absorbing(), rate)
+		rate := float64(c.size[a]-counts[a]) * c.mu[a]
+		if next := s + c.stride[a]; next == entry {
+			ch.AddRate(s, absorbing, rate)
 		} else {
-			m.chain.AddRate(s, next, rate)
+			ch.AddRate(s, next, rate)
 		}
 	}
 	// R4: out of the entry, any process's next RP forms the line.
-	if s == m.entry {
+	if s == entry {
 		total := 0.0
 		for a := 0; a < k; a++ {
-			total += float64(m.size[a]) * m.muC[a]
+			total += float64(c.size[a]) * c.mu[a]
 		}
-		m.chain.AddRate(s, m.Absorbing(), total)
+		ch.AddRate(s, absorbing, total)
 	}
 	// R2: an interaction between two marked processes clears both marks.
 	for a := 0; a < k; a++ {
 		if counts[a] >= 2 {
-			if rate := float64(counts[a]*(counts[a]-1)/2) * m.lamC[a][a]; rate > 0 {
-				m.chain.AddRate(s, s-2*m.stride[a], rate)
+			if rate := float64(counts[a]*(counts[a]-1)/2) * c.lam[a][a]; rate > 0 {
+				ch.AddRate(s, s-2*c.stride[a], rate)
 			}
 		}
 		for b := a + 1; b < k; b++ {
 			if counts[a] >= 1 && counts[b] >= 1 {
-				if rate := float64(counts[a]*counts[b]) * m.lamC[a][b]; rate > 0 {
-					m.chain.AddRate(s, s-m.stride[a]-m.stride[b], rate)
+				if rate := float64(counts[a]*counts[b]) * c.lam[a][b]; rate > 0 {
+					ch.AddRate(s, s-c.stride[a]-c.stride[b], rate)
 				}
 			}
 		}
@@ -167,22 +169,10 @@ func (m *OrbitModel) buildCell(s int, counts []int) {
 		}
 		rate := 0.0
 		for b := 0; b < k; b++ {
-			rate += float64(m.size[b]-counts[b]) * m.lamC[a][b]
+			rate += float64(c.size[b]-counts[b]) * c.lam[a][b]
 		}
 		if rate *= float64(counts[a]); rate > 0 {
-			m.chain.AddRate(s, s-m.stride[a], rate)
+			ch.AddRate(s, s-c.stride[a], rate)
 		}
 	}
 }
-
-// Entry returns the entry cell index (all classes fully marked ≡ S_r).
-func (m *OrbitModel) Entry() int { return m.entry }
-
-// Absorbing returns the absorbing state index.
-func (m *OrbitModel) Absorbing() int { return m.cells }
-
-// NumStates returns the lumped state count, absorbing state included.
-func (m *OrbitModel) NumStates() int { return m.cells + 1 }
-
-// Chain exposes the lumped CTMC.
-func (m *OrbitModel) Chain() *markov.CTMC { return m.chain }

@@ -1,8 +1,28 @@
 package rbmodel
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
-// renewalMoments returns E[X] and E[X²] of the full model in closed form,
+// CubeMoments returns E[X] and E[X²] of the full model by cubeMoments, the
+// recursion over all 2^n subsets of the processes, after validating p and
+// bounding n by MaxExactProcesses. NewAsync answers lumpable rates by the
+// count form instead (countMoments), so the checks that compare the full
+// model against a lumped one read this recursion for the full side: two
+// recursions over two different state spaces.
+func CubeMoments(p Params) (m1, m2 float64, err error) {
+	if err := p.Validate(); err != nil {
+		return 0, 0, err
+	}
+	if n := p.N(); n > MaxExactProcesses {
+		return 0, 0, fmt.Errorf("rbmodel: n = %d exceeds MaxExactProcesses = %d", n, MaxExactProcesses)
+	}
+	m1, m2 = cubeMoments(p)
+	return m1, m2, nil
+}
+
+// cubeMoments returns E[X] and E[X²] of the full model in closed form,
 // with no linear system. The recovery lines are the renewals of the
 // marked-set process: process i is marked while its last action was a
 // recovery point, its recovery point marks it (rule R1), and an interaction
@@ -43,7 +63,7 @@ import "math/bits"
 // of the same recursion (TestRenewalRounding: n ≤ 10, ρ from 1e-3 to 64,
 // uniform, hot-pair and random λ) the float64 moments differ by at most
 // 1.4e-15 relative in E[X] and 2.8e-15 in E[X²].
-func renewalMoments(p Params) (m1, m2 float64) {
+func cubeMoments(p Params) (m1, m2 float64) {
 	n := p.N()
 	ones := 1<<n - 1
 	P := make([]float64, ones+1)
@@ -85,6 +105,66 @@ func renewalMoments(p Params) (m1, m2 float64) {
 	for i, mu := range p.Mu {
 		rate += mu * P[ones&^(1<<i)]
 		sa += mu * A[ones&^(1<<i)]
+	}
+	m1 = 1 / rate
+	return m1, 2 * m1 * m1 * (1 + sa)
+}
+
+// countMoments is cubeMoments' recursion indexed by per-class counts
+// instead of subsets. For lumpable rates P_T and A_T depend on T only
+// through its count vector c (c_k processes of class k marked), and the sum
+// over i ∈ T collects c_k equal terms per class, so
+//
+//	P_0 = 1,  P_c = Σ_k c_k·μ_k·P_{c−e_k} / (μ(c) + Λ(c)),
+//	A_0 = 0,  A_c = (Σ_k c_k·μ_k·A_{c−e_k} + 1 − P_c) / (μ(c) + Λ(c)),
+//
+// with μ(c) = Σ_k c_k·μ_k, E[X] = 1 / Σ_k C_k·μ_k·P_{C−e_k} and
+// E[X²] = 2·E[X]²·(1 + Σ_k C_k·μ_k·A_{C−e_k}). Λ(c), the rate of the pairs
+// that meet the marked set, builds up from nonnegative sums as pairRates
+// builds it: with j the lowest nonzero digit of c, the one more marked
+// process of class j meets the C_b − c_b unmarked ones of every class b, so
+// Λ(c) = Λ(c−e_j) + Σ_b (C_b − c_b)·L_jb. A cell costs O(K) for K classes,
+// and since Π(C_k+1) ≤ 2^n and K ≤ n the count form never costs more than
+// the cube recursion. Its rounding is the cube recursion's: every term but
+// 1 − P_c is a nonnegative sum, product or quotient.
+func (c *classes) countMoments() (m1, m2 float64) {
+	k := len(c.size)
+	P := make([]float64, c.cells)
+	A := make([]float64, c.cells)
+	lam := make([]float64, c.cells)
+	digit := make([]int, k)
+	P[0] = 1
+	for s := 1; s < c.cells; s++ {
+		// Advance the mixed-radix odometer; the digit it raises is the lowest
+		// nonzero one, every digit below it having wrapped to 0.
+		j := 0
+		for digit[j] == c.size[j] {
+			digit[j] = 0
+			j++
+		}
+		digit[j]++
+		L := lam[s-c.stride[j]]
+		var muC, sp, sa float64
+		for b, cb := range digit {
+			L += float64(c.size[b]-cb) * c.lam[j][b]
+			if cb > 0 {
+				w := float64(cb) * c.mu[b]
+				muC += w
+				sp += w * P[s-c.stride[b]]
+				sa += w * A[s-c.stride[b]]
+			}
+		}
+		lam[s] = L
+		d := muC + L
+		P[s] = sp / d
+		A[s] = (sa + (1 - P[s])) / d
+	}
+	full := c.cells - 1
+	var rate, sa float64
+	for b, cb := range c.size {
+		w := float64(cb) * c.mu[b]
+		rate += w * P[full-c.stride[b]]
+		sa += w * A[full-c.stride[b]]
 	}
 	m1 = 1 / rate
 	return m1, 2 * m1 * m1 * (1 + sa)

@@ -7,14 +7,13 @@ import (
 	"math/rand"
 	"testing"
 
-	"recoveryblocks/internal/linalg"
 	"recoveryblocks/internal/markov"
 )
 
-// renewalMomentsBig evaluates renewalMoments' recursion in prec-bit
+// cubeMomentsBig evaluates cubeMoments' recursion in prec-bit
 // big.Float arithmetic, with Λ(T) summed pair by pair, as the reference its
 // float64 rounding is judged against.
-func renewalMomentsBig(p Params, prec uint) (m1, m2 float64) {
+func cubeMomentsBig(p Params, prec uint) (m1, m2 float64) {
 	n := p.N()
 	ones := 1<<n - 1
 	f := func(x float64) *big.Float { return new(big.Float).SetPrec(prec).SetFloat64(x) }
@@ -92,8 +91,8 @@ func TestRenewalRounding(t *testing.T) {
 	for n := 2; n <= 10; n++ {
 		for _, rho := range []float64{1e-3, 0.25, 1, 4, 8, 64} {
 			for _, p := range []Params{wallRamp(n, rho), hotPairRamp(n, rho), scaledRandom(rng, n, rho)} {
-				f1, f2 := renewalMoments(p)
-				b1, b2 := renewalMomentsBig(p, 256)
+				f1, f2 := cubeMoments(p)
+				b1, b2 := cubeMomentsBig(p, 256)
 				worst1 = max(worst1, relDiff(f1, b1))
 				worst2 = max(worst2, relDiff(f2, b2))
 			}
@@ -119,7 +118,7 @@ func TestRenewalMatchesDenseLU(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r1, r2 := renewalMoments(p)
+		r1, r2 := cubeMoments(p)
 		d := max(relDiff(r1, e1), relDiff(r2, e2))
 		worst[rho] = max(worst[rho], d)
 		if d > tol[rho] {
@@ -149,8 +148,8 @@ func TestRenewalMatchesKrylovAtHighRho(t *testing.T) {
 	for _, n := range []int{8, 10} {
 		for family, p := range rampFamilies(rng, n, 8) {
 			start := 1<<n - 1
-			h, h2, e1, e2 := krylovMoments(t, p, linalg.SolveBiCGSTAB)
-			r1, r2 := renewalMoments(p)
+			h, h2, e1, e2 := krylovMoments(t, p)
+			r1, r2 := cubeMoments(p)
 			d1, d2 := math.Abs(r1-h[start]), math.Abs(r2-h2[start])
 			worst = max(worst, d1/r1, d2/r2)
 			if d1 > 3e-8*r1 || d2 > 3e-8*r2 || d1 > e1 || d2 > e2 {
@@ -170,11 +169,11 @@ func TestRenewalMatchesEnumerated(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		n := 2 + trial%6
 		p := randomParams(rng, n)
-		e1, e2, err := forceEnumerated(t, p).MomentsX()
+		e1, e2, err := forceEnumerated(t, p).Chain().AbsorptionMomentsDense(0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r1, r2 := renewalMoments(p)
+		r1, r2 := cubeMoments(p)
 		worst = max(worst, relDiff(r1, e1), relDiff(r2, e2))
 		if relDiff(r1, e1) > 1e-10 || relDiff(r2, e2) > 1e-10 {
 			t.Errorf("trial %d n=%d: recursion (%.17g, %.17g), enumerated (%.17g, %.17g)", trial, n, r1, r2, e1, e2)
@@ -192,7 +191,7 @@ func TestRenewalWithoutInteractions(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 9} {
 		p := wallRamp(n, 0)
 		s := p.SumMu()
-		m1, m2 := renewalMoments(p)
+		m1, m2 := cubeMoments(p)
 		if m1 != 1/s || m2 != 2*m1*m1 || relDiff(m2, 2/(s*s)) > 1e-15 {
 			t.Errorf("n=%d: (%.17g, %.17g), want (%.17g, %.17g)", n, m1, m2, 1/s, 2/(s*s))
 		}
@@ -292,7 +291,7 @@ func TestRenewalMatchesSymmetricChain(t *testing.T) {
 				t.Fatal(err)
 			}
 			s1, s2 := absorptionMomentsBig(sym.Chain(), n+2, sym.Entry(), 512)
-			r1, r2 := renewalMoments(Uniform(n, 1, lambda))
+			r1, r2 := cubeMoments(Uniform(n, 1, lambda))
 			worst = max(worst, relDiff(r1, s1), relDiff(r2, s2))
 			if relDiff(r1, s1) > 2e-14 || relDiff(r2, s2) > 2e-14 {
 				t.Errorf("n=%d ρ=%g: recursion (%.17g, %.17g), 512-bit symmetric chain (%.17g, %.17g)", n, rho, r1, r2, s1, s2)
@@ -300,4 +299,157 @@ func TestRenewalMatchesSymmetricChain(t *testing.T) {
 		}
 	}
 	t.Logf("worst relative difference: %.2e", worst)
+}
+
+// classParams builds lumpable rates: process i in class of[i], with RP rate
+// mu[of[i]] and λ_ij = L[of[i]][of[j]], every λ then scaled to put the
+// interaction intensity at ρ.
+func classParams(of []int, mu []float64, L [][]float64, rho float64) Params {
+	n := len(of)
+	p := Params{Mu: make([]float64, n), Lambda: make([][]float64, n)}
+	for i, a := range of {
+		p.Mu[i] = mu[a]
+		p.Lambda[i] = make([]float64, n)
+		for j, b := range of {
+			if j != i {
+				p.Lambda[i][j] = L[a][b]
+			}
+		}
+	}
+	if p.SumLambdaPairs() > 0 {
+		s := rho / p.Rho()
+		for i := range p.Lambda {
+			for j := range p.Lambda[i] {
+				p.Lambda[i][j] *= s
+			}
+		}
+	}
+	return p
+}
+
+// TestCountFormMatchesSymmetricChain: at identical rates the count form has
+// one class, and the paper's (n+2)-state symmetric chain solved in 512-bit
+// arithmetic is an independent oracle at any n. Both one-class readings,
+// SymmetricModel's and NewAsync's, agree with it within 1e-14 relative at
+// n = 2..20 for ρ up to 16, where E[X] reaches 7e19 (worst measured
+// 1.4e-15).
+func TestCountFormMatchesSymmetricChain(t *testing.T) {
+	var worst float64
+	for _, n := range []int{2, 5, 8, 12, 16, 20} {
+		for _, rho := range []float64{0.25, 1, 4, 8, 16} {
+			lambda := rho / float64(n-1)
+			sym, err := NewSymmetric(n, 1, lambda)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b1, b2 := absorptionMomentsBig(sym.Chain(), n+2, sym.Entry(), 512)
+			s1, s2, err := sym.MomentsX()
+			if err != nil {
+				t.Fatal(err)
+			}
+			a1, a2, err := mustAsync(t, Uniform(n, 1, lambda)).MomentsX()
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := max(relDiff(s1, b1), relDiff(s2, b2), relDiff(a1, b1), relDiff(a2, b2))
+			worst = max(worst, d)
+			if d > 1e-14 {
+				t.Errorf("n=%d ρ=%g: symmetric (%.17g, %.17g), NewAsync (%.17g, %.17g), 512-bit chain (%.17g, %.17g)", n, rho, s1, s2, a1, a2, b1, b2)
+			}
+		}
+	}
+	t.Logf("worst relative difference: %.2e", worst)
+}
+
+// TestCountFormMatchesCube judges the count form against the cube
+// recursion over all 2^n subsets on lumpable rates: two interleaved
+// classes, three classes with one zero λ block, and a singleton class
+// beside a large one, at n = 4..20 and ρ from 0.25 to 16. The two agree
+// within 1e-13 relative (worst measured 6.7e-14), and NewAsync's moment
+// pair is the count form's, bit for bit.
+func TestCountFormMatchesCube(t *testing.T) {
+	var worst float64
+	for _, n := range []int{4, 9, 14, 17, 20} {
+		two, three, single := make([]int, n), make([]int, n), make([]int, n)
+		for i := range two {
+			two[i], three[i] = i%2, i%3
+			if i > 0 {
+				single[i] = 1
+			}
+		}
+		families := map[string]Params{}
+		for _, rho := range []float64{0.25, 1, 4, 16} {
+			families[fmt.Sprintf("two-class ρ=%g", rho)] = classParams(two, []float64{1, 2.5},
+				[][]float64{{0.3, 0.5}, {0.5, 0.8}}, rho)
+			families[fmt.Sprintf("three-class ρ=%g", rho)] = classParams(three, []float64{0.7, 1.3, 2},
+				[][]float64{{0.2, 0, 0.9}, {0, 1.1, 0.4}, {0.9, 0.4, 0.6}}, rho)
+			families[fmt.Sprintf("singleton ρ=%g", rho)] = classParams(single, []float64{3, 0.9},
+				[][]float64{{0, 0.7}, {0.7, 0.25}}, rho)
+		}
+		for name, p := range families {
+			cls := lumpClasses(p)
+			if cls == nil {
+				t.Fatalf("n=%d %s: rates do not lump", n, name)
+			}
+			c1, c2 := cls.countMoments()
+			r1, r2 := cubeMoments(p)
+			d := max(relDiff(c1, r1), relDiff(c2, r2))
+			worst = max(worst, d)
+			if d > 1e-13 {
+				t.Errorf("n=%d %s: count form (%.17g, %.17g), cube (%.17g, %.17g)", n, name, c1, c2, r1, r2)
+			}
+			if a1, a2, err := mustAsync(t, p).MomentsX(); err != nil || a1 != c1 || a2 != c2 {
+				t.Errorf("n=%d %s: NewAsync (%.17g, %.17g, %v), count form (%.17g, %.17g)", n, name, a1, a2, err, c1, c2)
+			}
+		}
+	}
+	t.Logf("worst relative difference: %.2e", worst)
+}
+
+// TestLumpedMomentsAtHighRho is the regression for the float64 LU solves of
+// the lumped chains the lumped routes once took: at n = 20, ρ = 8 the orbit
+// chain's LU gave E[X] = 3.32e14 for 5.86e14, and it was off by about 1 at
+// ρ = 16 and by 3.3e-3 at n = 24, ρ = 4. The orbit route of NewAsync and
+// SymmetricModel now agree with the 512-bit symmetric chain within 1e-14
+// there, and at n = 20 with the cube recursion within 2e-14 (worst measured
+// 1.6e-15 and 2.2e-15).
+func TestLumpedMomentsAtHighRho(t *testing.T) {
+	var worstBig, worstCube float64
+	for _, c := range []struct {
+		n   int
+		rho float64
+	}{{20, 8}, {20, 16}, {24, 4}} {
+		lambda := c.rho / float64(c.n-1)
+		m := mustAsync(t, Uniform(c.n, 1, lambda))
+		if m.Route() != routeOrbit {
+			t.Fatalf("n=%d: route %s, want orbit", c.n, m.Route())
+		}
+		o1, o2, err := m.MomentsX()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sym, err := NewSymmetric(c.n, 1, lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s1, s2, err := sym.MomentsX()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b1, b2 := absorptionMomentsBig(sym.Chain(), c.n+2, sym.Entry(), 512)
+		d := max(relDiff(o1, b1), relDiff(o2, b2), relDiff(s1, b1), relDiff(s2, b2))
+		worstBig = max(worstBig, d)
+		if d > 1e-14 {
+			t.Errorf("n=%d ρ=%g: orbit (%.17g, %.17g), symmetric (%.17g, %.17g), 512-bit chain (%.17g, %.17g)", c.n, c.rho, o1, o2, s1, s2, b1, b2)
+		}
+		if c.n <= 20 {
+			r1, r2 := cubeMoments(Uniform(c.n, 1, lambda))
+			d := max(relDiff(o1, r1), relDiff(o2, r2))
+			worstCube = max(worstCube, d)
+			if d > 2e-14 {
+				t.Errorf("n=%d ρ=%g: orbit (%.17g, %.17g), cube (%.17g, %.17g)", c.n, c.rho, o1, o2, r1, r2)
+			}
+		}
+	}
+	t.Logf("worst relative difference: %.2e from the 512-bit chain, %.2e from the cube", worstBig, worstCube)
 }

@@ -1,6 +1,7 @@
 package rbmodel
 
 import (
+	"context"
 	"errors"
 
 	"recoveryblocks/internal/markov"
@@ -10,7 +11,9 @@ import (
 // (μ_i = μ, λ_ij = λ), obtained by lumping all intermediate states with the
 // same number u of ones into a single state S_u (Section 2.2, Figure 3,
 // rules R1'–R4'). It has n + 2 states and therefore scales to large n, which
-// is what makes the Figure 5 sweep cheap.
+// is what makes the Figure 5 sweep cheap. Its moment pair is the one-class
+// count form of the renewal recursion, read with no solve and no ladder;
+// the chain serves the transient questions and the DOT rendering.
 //
 // State indexing: 0 = entry (S_r), 1+u = S_u for u = 0..n-1,
 // n+1 = absorbing (S_{r+1}).
@@ -85,14 +88,14 @@ func (m *SymmetricModel) StateOf(u int) int {
 // Chain exposes the underlying CTMC.
 func (m *SymmetricModel) Chain() *markov.CTMC { return m.chain }
 
-// MeanX returns E[X] for the lumped chain.
+// MeanX returns E[X]: MeanXCtx under a background context.
 func (m *SymmetricModel) MeanX() (float64, error) {
-	return m.chain.MeanAbsorptionTime(m.Entry())
+	return m.MeanXCtx(context.Background())
 }
 
-// MomentsX returns E[X] and E[X²].
+// MomentsX returns E[X] and E[X²]: MomentsXCtx under a background context.
 func (m *SymmetricModel) MomentsX() (float64, float64, error) {
-	return m.chain.AbsorptionMoments(m.Entry())
+	return m.MomentsXCtx(context.Background())
 }
 
 // DensityX evaluates f_X(t) at the given nondecreasing times.

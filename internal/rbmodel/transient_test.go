@@ -30,7 +30,7 @@ func TestTransientGridMatchesTransientDistribution(t *testing.T) {
 		cases = append(cases, gridCase{m, m.Chain(), m.Entry(), m.NumStates()})
 	}
 	orb := forceOrbit(t, twoClassParams(3, 2, 1.0, 2.5, 0.3, 0.8, 0.5))
-	cases = append(cases, gridCase{orb, orb.orbit.Chain(), orb.orbit.Entry(), orb.orbit.NumStates()})
+	cases = append(cases, gridCase{orb, orb.chain(), orb.entry, orb.states})
 
 	const gridN = 16384
 	for _, c := range cases {

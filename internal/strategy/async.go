@@ -206,7 +206,13 @@ func (asyncStrategy) XValChecks(w Workload, rec *Recorder) error {
 		if err != nil {
 			return err
 		}
-		rec.AddNumeric("symmetric.meanX", exactX, symX)
+		// The model's own E[X] reads the same class-count recursion as the
+		// symmetric one; the full side is the recursion over all 2^n subsets.
+		cubeX, _, err := rbmodel.CubeMoments(p)
+		if err != nil {
+			return err
+		}
+		rec.AddNumeric("symmetric.meanX", cubeX, symX)
 	}
 
 	if w.Deadline > 0 {

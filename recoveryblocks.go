@@ -664,23 +664,22 @@ func MetricsCatalog() []MetricDef { return append([]MetricDef(nil), obs.Catalog.
 // Limits reports the compiled-in structural bounds of the analysis stack —
 // the numbers that decide which route a given workload takes.
 type Limits struct {
-	// MaxExactProcesses bounds the full model's exact solve: the
-	// matrix-free Kronecker engine carries the answer up to this n.
+	// MaxExactProcesses bounds the full model's exact solve: the moment
+	// pair in closed form and the matrix-free Kronecker engine carry the
+	// answer up to this n.
 	MaxExactProcesses int `json:"max_exact_processes"`
-	// MaxEnumeratedProcesses is the largest n whose 2^n+1-state chain the
-	// async model enumerates: 2^n stays below SparseCutoff, so every solve
-	// is dense LU. Above it the model routes to orbit lumping or the
-	// matrix-free engine.
+	// MaxEnumeratedProcesses is the largest n whose transient questions the
+	// async model answers on its enumerated 2^n+1-state chain. Above it they
+	// run on the orbit-lumped chain or the matrix-free engine. The moment
+	// pair takes no chain at any n.
 	MaxEnumeratedProcesses int `json:"max_enumerated_processes"`
 	// MaxSplitProcesses bounds the split chain behind the per-process E[L_i]
 	// cross-check; it has no matrix-free counterpart.
 	MaxSplitProcesses int `json:"max_split_processes"`
 	// KronCutoff is the orbit-lumped state count at and above which the
-	// async model runs the matrix-free Kronecker route instead.
+	// async model steps its transient questions on the matrix-free
+	// Kronecker operator instead.
 	KronCutoff int `json:"kron_cutoff"`
-	// SparseCutoff is the transient-state count at and above which chain
-	// solves switch from dense LU to the CSR two-level Gauss–Seidel route.
-	SparseCutoff int `json:"sparse_cutoff"`
 	// DefaultBlockSize is the Monte Carlo replication-block granularity.
 	DefaultBlockSize int `json:"default_block_size"`
 	// MaxEveryK bounds the sync-every-k block period.
@@ -697,7 +696,6 @@ func EngineLimits() Limits {
 		MaxEnumeratedProcesses: rbmodel.MaxEnumeratedProcesses,
 		MaxSplitProcesses:      rbmodel.MaxSplitProcesses,
 		KronCutoff:             markov.KronCutoff,
-		SparseCutoff:           markov.SparseCutoff,
 		DefaultBlockSize:       mc.DefaultBlockSize,
 		MaxEveryK:              strategy.MaxEveryK,
 		MaxAliasCategories:     dist.MaxAliasCategories,

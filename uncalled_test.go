@@ -15,8 +15,8 @@ import (
 // that no program code calls but that stay: each is an independent
 // reference a test compares against, or a hook a test or perfbench reaches.
 var uncalledAllowed = map[string]string{
-	"AbsorptionMomentsDense":      "dense reference for the sparse moment solve; the root benchmarks behind BENCH_*.json call it",
-	"AbsorptionMomentsSparse":     "sparse moment solve the root benchmarks behind BENCH_*.json time",
+	"AbsorptionMomentsDense":      "dense LU oracle the closed-form moment tests judge against; the root benchmarks behind BENCH_*.json call it",
+	"ChoiceTotal":                 "linear-scan reference the alias sampler tests and the hot-path benchmark compare against",
 	"MeanAbsorptionTimeIterative": "Gauss-Seidel reference the root benchmarks behind BENCH_*.json time",
 	"TransientDistribution":       "dense uniformization reference for the transient tests",
 	"EnumerateAsync":              "builds the enumerated chain past the lumping cutoff for cross-route tests and benchmarks",
