@@ -11,8 +11,8 @@ package recoveryblocks
 //     nil checks). This is the pair behind the "healthy path pays ≈ nothing"
 //     claim: wrapped must stay within ~1% of direct.
 //   - guarded: the identical solve as the closed-form rung of the
-//     production moment ladder (markov.MatrixFree.AbsorptionMomentsCtx, over
-//     a CSR copy of the chain) — wrapper plus the acceptance test's
+//     production moment ladder (markov.AbsorptionMomentsLadder, over a CSR
+//     copy of the chain) — wrapper plus the acceptance test's
 //     finiteness and Jensen checks. The residual sweep over both moment
 //     systems runs only behind a rung that returns solution vectors, which
 //     a closed form does not.
@@ -34,7 +34,7 @@ import (
 // guardBenchChain builds a 64-transient-state absorbing chain — a forward
 // path with per-state absorption leaks — and the production moment ladder
 // over a CSR copy of it, the chain's dense LU solve as its closed form.
-func guardBenchChain() (*markov.CTMC, *markov.MatrixFree) {
+func guardBenchChain() (*markov.CTMC, func(context.Context) (float64, float64, error)) {
 	const n = 64
 	c := markov.NewCTMC(n + 1)
 	op := linalg.NewCSRBuilder(n, 2*n)
@@ -53,15 +53,18 @@ func guardBenchChain() (*markov.CTMC, *markov.MatrixFree) {
 		absIdx[i], absRate[i] = i, leak
 	}
 	c.SetAbsorbing(n)
-	ladder := markov.NewMatrixFree(markov.MatrixFreeSpec{
+	mf := markov.NewMatrixFree(markov.MatrixFreeSpec{
 		Op: op.Build(), Gamma: c.MaxOutRate(), Start: 0,
 		AbsorbIdx: absIdx, AbsorbRate: absRate,
-		ClosedForm: func() (float64, float64) {
-			m1, m2, _ := c.AbsorptionMomentsDense(0)
-			return m1, m2
-		},
 	})
-	return c, ladder
+	closed := func() (float64, float64) {
+		m1, m2, _ := c.AbsorptionMomentsDense(0)
+		return m1, m2
+	}
+	engine := func() *markov.MatrixFree { return mf }
+	return c, func(ctx context.Context) (float64, float64, error) {
+		return markov.AbsorptionMomentsLadder(ctx, closed, engine)
+	}
 }
 
 func BenchmarkGuardOverhead(b *testing.B) {
@@ -95,7 +98,7 @@ func BenchmarkGuardOverhead(b *testing.B) {
 		b.ReportAllocs()
 		ctx := context.Background()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := ladder.AbsorptionMomentsCtx(ctx); err != nil {
+			if _, _, err := ladder(ctx); err != nil {
 				b.Fatal(err)
 			}
 		}

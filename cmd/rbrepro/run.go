@@ -242,7 +242,7 @@ func RunContext(ctx context.Context, args []string, stdout io.Writer) error {
 				fmt.Fprintf(stdout, "  %6.3f           | %7.3f | %.4f\n", theta, tau, over)
 			}
 			fmt.Fprintln(stdout, "\nDeadline risk under asynchronous RBs (rho = 2, mu = 1, deadline d = 3):")
-			fmt.Fprintln(stdout, "n | P(X > d) | 99th percentile of X")
+			fmt.Fprintln(stdout, "n | P(X > d) | 99th percentile of X | eta*E[X] (tail decay rate)")
 			for n := 2; n <= 7; n++ {
 				m, err := rb.NewAsyncModel(rb.UniformParams(n, 1, 2/float64(n-1)))
 				if err != nil {
@@ -256,7 +256,15 @@ func RunContext(ctx context.Context, args []string, stdout io.Writer) error {
 				if err != nil {
 					return err
 				}
-				fmt.Fprintf(stdout, "%d | %.4f   | %8.2f\n", n, p, q)
+				eta, _, err := m.DecayRateXCtx(ctx)
+				if err != nil {
+					return err
+				}
+				mean, err := m.MeanXCtx(ctx)
+				if err != nil {
+					return err
+				}
+				fmt.Fprintf(stdout, "%d | %.4f   | %8.2f | %.4f\n", n, p, q, eta*mean)
 			}
 		case "xval":
 			return runXVal(ctx, stdout, *quick, *seed, *workers, *jsonOut, *strategyName, *rareGrid, *kronGrid)

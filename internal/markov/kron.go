@@ -6,8 +6,8 @@ package markov
 // linalg.KronOp built by rbmodel from the per-process factor structure).
 // Its moment pair runs as a recovery block: the caller's closed form first,
 // then BiCGSTAB, matrix-free uniformization and a jump-chain estimate as
-// fallback rungs. The transient questions step an operator-driven
-// absorption sequence.
+// fallback rungs. The transient grids step an operator-driven absorption
+// sequence.
 
 import (
 	"context"
@@ -21,8 +21,8 @@ import (
 )
 
 // KronCutoff is the state count at and above which rbmodel steps the
-// transient questions of a lumpable model on the full cube's operator
-// instead of its orbit-lumped chain. Lumping a partially-exchangeable rate
+// transient grids of a lumpable model on the full cube's operator instead
+// of its orbit-lumped chain. Lumping a partially-exchangeable rate
 // vector may still leave a chain of this size, whose CSR rows no longer fit
 // a sane budget.
 const KronCutoff = 1 << 17
@@ -94,10 +94,6 @@ type MatrixFreeSpec struct {
 	// n+1 such states out of 2^n).
 	AbsorbIdx  []int
 	AbsorbRate []float64
-	// ClosedForm optionally returns the moment pair E[T], E[T²] in closed
-	// form, with no solve: the kron-renewal rung, run ahead of the Krylov
-	// rungs. nil leaves it out, and the ladder starts at kron-krylov.
-	ClosedForm func() (m1, m2 float64)
 	// Precond optionally right-preconditions the Krylov moment solves
 	// (dst = M⁻¹·src); nil runs unpreconditioned. Only the kron-krylov rung
 	// calls it.
@@ -177,35 +173,50 @@ func (m *MatrixFree) AbsorptionMoments() (m1, m2 float64, err error) {
 }
 
 // AbsorptionMomentsCtx returns E[T] and E[T²] of the absorption time from
-// Start, run as a recovery block: the rungs are kron-renewal (the spec's
-// ClosedForm, when it has one) → kron-krylov (BiCGSTAB on Q_T·h = −1 and
-// Q_T·h2 = −2·h, eight state-space vectors) → kron-uniformization
-// (transient-mass sums on the matrix-free uniformized chain) → kron-mc
-// (on-the-fly jump-chain estimate, Degraded). The context carries
-// cancellation, any injected guard.FaultSpec and the fallback
-// guard.Recorder. Each candidate is vetted by the same acceptance test:
-// NaN/Inf and Jensen for every rung, and for the Krylov rung, which returns
-// its solution vectors, the normwise residuals too, evaluated with two
-// extra operator applications since there are no rows to sweep. The rungs
-// past the first are the block's alternates and the independent routes the
-// tests judge the closed form against.
+// Start: AbsorptionMomentsLadder with no closed form, so the ladder starts
+// at kron-krylov.
 func (m *MatrixFree) AbsorptionMomentsCtx(ctx context.Context) (m1, m2 float64, err error) {
-	m.solves.Inc()
+	return AbsorptionMomentsLadder(ctx, nil, func() *MatrixFree { return m })
+}
+
+// AbsorptionMomentsLadder returns E[T] and E[T²] of an absorption time, run
+// as the recovery block markov/absorption-moments: kron-renewal (closed,
+// when it is non-nil: the moment pair in closed form, with no solve) →
+// kron-krylov (BiCGSTAB on Q_T·h = −1 and Q_T·h2 = −2·h, eight state-space
+// vectors) → kron-uniformization (transient-mass sums on the matrix-free
+// uniformized chain) → kron-mc (on-the-fly jump-chain estimate, Degraded),
+// the last three on the engine engine returns. engine is called only when
+// one of them runs, so a caller whose closed form answers never assembles
+// its operator. The context carries cancellation, any injected
+// guard.FaultSpec and the fallback guard.Recorder. Each candidate is vetted
+// by the same acceptance test: NaN/Inf and Jensen for every rung, and for
+// the Krylov rung, which returns its solution vectors, the normwise
+// residuals too, evaluated with two extra operator applications since there
+// are no rows to sweep. The rungs past the first are the block's
+// alternates and the independent routes the tests judge the closed form
+// against.
+func AbsorptionMomentsLadder(ctx context.Context, closed func() (m1, m2 float64), engine func() *MatrixFree) (m1, m2 float64, err error) {
+	obs.C("markov_solve_kron_total").Inc()
 	rungs := []guard.Attempt[momentSolution]{
-		{Name: "kron-krylov", Run: m.momentsKrylov},
-		{Name: "kron-uniformization", Run: m.momentsUniformized},
-		{Name: "kron-mc", Degraded: true, Run: m.momentsMC},
+		{Name: "kron-krylov", Run: func(ctx context.Context) (momentSolution, error) { return engine().momentsKrylov(ctx) }},
+		{Name: "kron-uniformization", Run: func(ctx context.Context) (momentSolution, error) { return engine().momentsUniformized(ctx) }},
+		{Name: "kron-mc", Degraded: true, Run: func(ctx context.Context) (momentSolution, error) { return engine().momentsMC(ctx) }},
 	}
-	if cf := m.spec.ClosedForm; cf != nil {
+	if closed != nil {
 		renewal := guard.Attempt[momentSolution]{Name: "kron-renewal", Run: func(context.Context) (momentSolution, error) {
-			m1, m2 := cf()
+			m1, m2 := closed()
 			return momentSolution{m1: m1, m2: m2}, nil
 		}}
 		rungs = append([]guard.Attempt[momentSolution]{renewal}, rungs...)
 	}
 	b := guard.Block[momentSolution]{
-		Name:       "markov/absorption-moments",
-		Accept:     m.acceptMoments,
+		Name: "markov/absorption-moments",
+		Accept: func(s momentSolution) error {
+			if err := acceptMoments(s); err != nil || s.h == nil {
+				return err
+			}
+			return engine().acceptResiduals(s)
+		},
 		Primary:    rungs[0],
 		Alternates: rungs[1:],
 	}
@@ -250,22 +261,24 @@ func (m *MatrixFree) momentsKrylov(ctx context.Context) (momentSolution, error) 
 	return momentSolution{m1: h[m.spec.Start], m2: h2[m.spec.Start], h: h, h2: h2}, nil
 }
 
-// acceptMoments is the ladder's acceptance test: finiteness, moment
-// consistency (E[T] ≥ 0 and E[T²] ≥ E[T]², Jensen, which holds for the exact
-// moments and every empirical estimate alike), and — when the rung exposes
-// its solution vectors — normwise residuals of both systems, with ‖Q_T‖∞
-// bounded by 2γ (every row's diagonal and off-diagonal mass are each at most
-// the maximum out-rate).
-func (m *MatrixFree) acceptMoments(s momentSolution) error {
+// acceptMoments is the ladder's acceptance test on the moments themselves:
+// finiteness and moment consistency (E[T] ≥ 0 and E[T²] ≥ E[T]², Jensen,
+// which holds for the exact moments and every empirical estimate alike).
+func acceptMoments(s momentSolution) error {
 	if math.IsNaN(s.m1) || math.IsInf(s.m1, 0) || math.IsNaN(s.m2) || math.IsInf(s.m2, 0) {
 		return guard.Rejectedf("non-finite moments E[T]=%v, E[T²]=%v", s.m1, s.m2)
 	}
 	if s.m1 < 0 || s.m2 < s.m1*s.m1*(1-1e-9) {
 		return guard.Rejectedf("inconsistent moments E[T]=%v, E[T²]=%v", s.m1, s.m2)
 	}
-	if s.h == nil {
-		return nil
-	}
+	return nil
+}
+
+// acceptResiduals is the rest of the acceptance test for a rung that
+// exposes its solution vectors: the normwise residuals of both systems,
+// with ‖Q_T‖∞ bounded by 2γ (every row's diagonal and off-diagonal mass are
+// each at most the maximum out-rate).
+func (m *MatrixFree) acceptResiduals(s momentSolution) error {
 	normA := 2 * m.gamma
 	r := make([]float64, m.dim)
 	m.op.MulVecInto(r, s.h)
@@ -290,9 +303,52 @@ func (m *MatrixFree) acceptMoments(s momentSolution) error {
 }
 
 // momentsUniformized is the kron-uniformization rung: exact moments from
-// the transient-mass sums of the operator-stepped absorption sequence.
+// the transient-mass sums of the operator-stepped absorption sequence. A
+// start that cannot reach absorption fails the rung at once: its transient
+// mass never decays, and the sums would run to maxUnifSteps.
 func (m *MatrixFree) momentsUniformized(ctx context.Context) (momentSolution, error) {
+	ok, err := m.absorptionReachable(ctx)
+	if err != nil {
+		return momentSolution{}, err
+	}
+	if !ok {
+		return momentSolution{}, guard.Numericalf("markov: absorption is unreachable from state %d", m.spec.Start)
+	}
 	return uniformizedMoments(ctx, m.NewAbsorptionSequence())
+}
+
+// absorptionReachable reports whether Start reaches a state with a positive
+// absorption rate, by a breadth-first search over the operator's graph:
+// each round applies Q_Tᵀ to the indicator of the states reached so far,
+// and every unreached state whose entry comes out positive has an edge from
+// them. The vector stays an indicator, so no path probability is carried
+// and none can underflow on a long path. A round is one operator
+// application, and there are as many as the reachable set is deep; from
+// the cube's entry state, which absorbs directly, there are none.
+func (m *MatrixFree) absorptionReachable(ctx context.Context) (bool, error) {
+	reached := make([]float64, m.dim)
+	next := make([]float64, m.dim)
+	reached[m.spec.Start] = 1
+	for {
+		for i, u := range m.spec.AbsorbIdx {
+			if m.spec.AbsorbRate[i] > 0 && reached[u] > 0 {
+				return true, nil
+			}
+		}
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
+		m.op.MulVecTransInto(next, reached)
+		grew := false
+		for u, v := range next {
+			if reached[u] == 0 && v > 0 {
+				reached[u], grew = 1, true
+			}
+		}
+		if !grew {
+			return false, nil
+		}
+	}
 }
 
 // uniformizedMoments sums the transient masses s_k of q. With P = I + Q/γ,
@@ -382,8 +438,9 @@ func (m *MatrixFree) momentsMC(ctx context.Context) (momentSolution, error) {
 // ≥ 0) as 1 minus the surviving transient mass, the transient distribution
 // advanced by Krylov exponentials between consecutive times. eps is the
 // per-evaluation accuracy target. The program's transient questions read the
-// absorption sequence instead; this Krylov sweep stays as the independent
-// reference the tests and the benchmark's own assembly check it against.
+// Laplace transform and the absorption sequence instead; this Krylov sweep
+// stays as the independent reference the tests and the benchmark's own
+// assembly check them against.
 func (m *MatrixFree) AbsorptionCDF(times []float64, eps float64) ([]float64, error) {
 	return m.transientSweep(times, eps, func(pi []float64) float64 {
 		mass := linalg.Sum(pi)

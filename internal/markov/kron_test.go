@@ -77,9 +77,15 @@ func rampRates(n int, lo, hi float64) []float64 {
 // and returns the moments and the one fallback event the ladder recorded.
 func faulted(t *testing.T, mf *MatrixFree, depth int) (m1, m2 float64, ev guard.Event) {
 	t.Helper()
+	return faultedLadder(t, nil, mf, depth)
+}
+
+// faultedLadder is faulted on the ladder led by the closed form closed.
+func faultedLadder(t *testing.T, closed func() (float64, float64), mf *MatrixFree, depth int) (m1, m2 float64, ev guard.Event) {
+	t.Helper()
 	rec := &guard.Recorder{}
 	ctx := guard.WithRecorder(guard.WithFaults(context.Background(), guard.FaultSpec{Depth: depth}), rec)
-	m1, m2, err := mf.AbsorptionMomentsCtx(ctx)
+	m1, m2, err := AbsorptionMomentsLadder(ctx, closed, func() *MatrixFree { return mf })
 	if err != nil {
 		t.Fatalf("depth %d: %v", depth, err)
 	}
@@ -254,14 +260,17 @@ func TestMatrixFreeCancellation(t *testing.T) {
 // every asynchronous model runs, a canceled context aborts before the
 // closed form runs, with the same taxonomy.
 func TestMomentLadderCancellation(t *testing.T) {
-	spec := matrixFreeFromChain(ladderChain(8), 0).spec
-	spec.ClosedForm = func() (float64, float64) {
+	closed := func() (float64, float64) {
 		t.Fatal("closed form ran under a canceled context")
 		return 0, 0
 	}
+	engine := func() *MatrixFree {
+		t.Fatal("engine built under a canceled context")
+		return nil
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := NewMatrixFree(spec).AbsorptionMomentsCtx(ctx)
+	_, _, err := AbsorptionMomentsLadder(ctx, closed, engine)
 	if !errors.Is(err, guard.ErrBudget) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want ErrBudget wrapping Canceled", err)
 	}
@@ -312,11 +321,10 @@ func TestMomentLadderRouteAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := matrixFreeFromChain(c, 0).spec
-	spec.ClosedForm = func() (float64, float64) { return m1, m2 }
-	mf := NewMatrixFree(spec)
+	closed := func() (float64, float64) { return m1, m2 }
+	mf := matrixFreeFromChain(c, 0)
 	for depth, rung := range []string{"kron-krylov", "kron-uniformization", "kron-mc"} {
-		f1, f2, ev := faulted(t, mf, depth+1)
+		f1, f2, ev := faultedLadder(t, closed, mf, depth+1)
 		if ev.Route != rung || ev.Attempt != depth+1 {
 			t.Fatalf("depth %d: event %+v, want %s", depth+1, ev, rung)
 		}
@@ -364,7 +372,8 @@ func TestMomentLadderUnreachableAbsorptionAborts(t *testing.T) {
 // TestSparseSolveUnreachableAbsorption runs the same check on a long sparse
 // (CSR) chain: a 298-state birth–death walk that never reaches absorption
 // beside one state that does. The ladder must fail, not hang or return a
-// number.
+// number, and fail fast: the uniformization rung's reachability check
+// rejects the chain before summing a step.
 func TestSparseSolveUnreachableAbsorption(t *testing.T) {
 	c := NewCTMC(300)
 	c.SetAbsorbing(299)
@@ -377,6 +386,29 @@ func TestSparseSolveUnreachableAbsorption(t *testing.T) {
 	_, _, err := matrixFreeFromChain(c, 0).AbsorptionMoments()
 	if !errors.Is(err, guard.ErrNumerical) {
 		t.Fatalf("err = %v, want ErrNumerical: unreachable absorption must fail", err)
+	}
+}
+
+// TestUniformizedMomentsLongPath: the uniformization rung's reachability
+// check walks a 300-state path whose only exit to absorption is at its far
+// end, where a path probability after 300 uniformized steps is about 4^−300,
+// and the rung still answers: E[T] = 1/4 + 299 and Var[T] = 1/16 + 299 for
+// the sum of one Exp(4) and 299 Exp(1) stages.
+func TestUniformizedMomentsLongPath(t *testing.T) {
+	const n = 300
+	c := NewCTMC(n + 1)
+	c.SetAbsorbing(n)
+	c.AddRate(0, 1, 4)
+	for i := 1; i < n; i++ {
+		c.AddRate(i, i+1, 1)
+	}
+	s, err := matrixFreeFromChain(c, 0).momentsUniformized(context.Background())
+	if err != nil {
+		t.Fatalf("uniformized: %v", err)
+	}
+	m1, v := 0.25+299, 1.0/16+299
+	if math.Abs(s.m1-m1) > 1e-9*m1 || math.Abs(s.m2-(v+m1*m1)) > 1e-9*(v+m1*m1) {
+		t.Fatalf("moments (%v, %v), want (%v, %v)", s.m1, s.m2, m1, v+m1*m1)
 	}
 }
 

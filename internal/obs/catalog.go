@@ -51,6 +51,7 @@ var Catalog = []Def{
 	{Name: "markov_solve_kron_total", Kind: KindCounter, Help: "passes through the matrix-free engine's moment ladder (one per asynchronous moment pair) and its Krylov transient sweeps"},
 	{Name: "markov_kron_matvecs_total", Kind: KindCounter, Help: "matrix-free Kronecker operator applications (forward and transposed)"},
 	{Name: "markov_krylov_iters_total", Kind: KindCounter, Help: "operator applications inside the matrix-free Krylov solves: one per Arnoldi step of a Krylov exponential, two per BiCGSTAB iteration; residual checks excluded"},
+	{Name: "rbmodel_transform_passes_total", Kind: KindCounter, Help: "passes of the renewal recursion's Laplace transform of X (one O(n·2^n) sweep each, or one over class-count cells): the transform rung of the rbmodel/transient block, Talbot nodes and tail-root steps alike"},
 	{Name: "linalg_csr_builds_total", Kind: KindCounter, Help: "CSR matrices assembled"},
 	{Name: "linalg_csr_nnz", Kind: KindHistogram, Help: "nonzeros per assembled CSR matrix"},
 	{Name: "linalg_gs_sweeps_total", Kind: KindCounter, Help: "retired with the CSR two-level Gauss–Seidel solver; always 0"},

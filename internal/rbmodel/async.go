@@ -8,26 +8,27 @@ import (
 	"recoveryblocks/internal/markov"
 )
 
-// MaxEnumeratedProcesses is the largest n whose transient questions
-// NewAsync answers on the enumerated chain: its 2^n+1 states as
-// markov.CTMC rows, stepped by CSR scatters. Above it the transient
-// questions step the orbit-lumped chain when the rates allow, or the
-// matrix-free Kronecker operator. The moment pair takes no chain on any
-// route (see NewAsync).
+// MaxEnumeratedProcesses is the largest n whose grid operator (see Route)
+// is the enumerated chain: its 2^n+1 states as markov.CTMC rows, stepped by
+// CSR scatters. Above it the grids step the orbit-lumped chain when the
+// rates allow, or the matrix-free Kronecker operator. The moment pair and
+// the point transients take no chain on any route (see NewAsync).
 const MaxEnumeratedProcesses = 7
 
-// MaxExactProcesses bounds the exact solvers overall. The moment pair comes
-// in closed form at every size: the count form of the renewal recursion for
-// partially-exchangeable rates (countMoments, often a few hundred cells) and
-// the cube recursion cubeMoments otherwise (two length-2^n vectors, under a
-// second at n = 24). The transient questions run on the enumerated or
-// orbit-lumped chain or on the matrix-free Kronecker engine — the transient
-// generator applied as per-process 2×2 factors in O(n·2^n) flops with
-// O(2^n) vectors (markov.MatrixFree), stepped by an operator-driven
-// uniformization. The bound is set by the memory and time of length-2^n
-// vectors: n = 24 means 128 MiB per vector and about a second per operator
-// application. Beyond it, use SymmetricModel (O(n) states) or the
-// discrete-event simulator.
+// MaxExactProcesses bounds the exact solvers overall. The moment pair, the
+// deadline miss and the quantiles come from the renewal recursion at every
+// size: its count form for partially-exchangeable rates (often a few
+// hundred cells) and its cube form otherwise, O(n·2^n) per pass. The moment
+// pair takes one real pass over two length-2^n vectors (under a second at
+// n = 24); a deadline miss takes 44 complex passes of the Laplace transform
+// (transform.go) over two such vectors and a third of denominators. The
+// grids (DensityX, CDFX) step the enumerated or orbit-lumped chain or the
+// matrix-free Kronecker engine — the transient generator applied as
+// per-process 2×2 factors in O(n·2^n) flops with O(2^n) vectors
+// (markov.MatrixFree) — by uniformization. The bound is set by the memory
+// and time of length-2^n vectors: n = 24 means 128 MiB per vector and about
+// half a second per pass. Beyond it, use SymmetricModel (O(n) states) or
+// the discrete-event simulator.
 const MaxExactProcesses = 24
 
 // AsyncModel is the paper's full continuous-time Markov model of
@@ -43,38 +44,44 @@ const MaxExactProcesses = 24
 // x_i = 1 means the previous action of P_i was establishing a recovery point;
 // x_i = 0 means it was an interaction.
 //
-// Every model holds the Kronecker engine over the cube, whose moment ladder
-// answers E[X] and E[X²]. The transient questions run on one of three
-// operators, picked at construction by n and the rate structure (see
-// Route): the enumerated chain (n ≤ MaxEnumeratedProcesses), the
-// orbit-lumped chain (partially-exchangeable rates), or the engine's own
-// operator (everything else up to MaxExactProcesses).
+// The moment pair and the point transients (deadline miss, quantile, decay
+// rate) come from the renewal recursion in closed form: over class counts
+// when the rates lump, over all 2^n subsets otherwise. Grid transients and
+// every alternate run on an operator, each built on its first use: the
+// Kronecker engine over the cube for the moment ladder's alternates, and
+// for the grids one of three operators picked by n and the rate structure
+// (see Route).
 type AsyncModel struct {
-	P     Params
-	kron  *kronEngine
+	P Params
+	// cls is the class partition when the rates lump, else nil: it picks the
+	// count form of the recursions over the cube form.
+	cls   *classes
 	route string
-	// chain builds the enumerated or orbit chain on the first transient
-	// question; it is nil on the kron route. entry and states are that
-	// chain's entry state and state count.
-	chain         func() *markov.CTMC
-	entry, states int
-	ones          int
+	// entry and states index the enumerated or orbit chain of the grid
+	// route; ones is the all-ones cube vertex.
+	entry, states, ones int
+
+	engineOnce sync.Once
+	eng        *kronEngine
+	chainOnce  sync.Once
+	ch         *markov.CTMC
+	lapOnce    sync.Once
+	lap        *transform
 }
 
-// The transient operators Route names.
+// The grid operators Route names.
 const (
 	routeEnumerated = "enumerated"
 	routeOrbit      = "orbit"
 	routeKron       = "kron"
 )
 
-// NewAsync validates p and builds the model. The moment pair's closed form
-// is picked by lumpability alone: the count form when the rates lump onto
-// class counts, the cube recursion otherwise, as the primary rung of the
-// Kronecker engine's moment ladder. The transient operator is the
-// enumerated chain up to MaxEnumeratedProcesses, then the orbit chain when
-// the rates lump onto fewer than markov.KronCutoff cells, otherwise the
-// engine's operator on the full cube.
+// NewAsync validates p and builds the model. The closed forms are picked by
+// lumpability alone: the count form when the rates lump onto class counts,
+// the cube form otherwise. The grid operator is the enumerated chain up to
+// MaxEnumeratedProcesses, then the orbit chain when the rates lump onto
+// fewer than markov.KronCutoff cells, otherwise the engine's operator on
+// the full cube. NewAsync builds neither operator nor recursion vector.
 func NewAsync(p Params) (*AsyncModel, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -94,21 +101,44 @@ func NewAsync(p Params) (*AsyncModel, error) {
 	return build(p, cls, route), nil
 }
 
-// build assembles a model of validated p on the given transient route, its
-// moment ladder led by cls's count form, or by the cube recursion when cls
-// is nil.
+// build assembles a model of validated p on the given grid route, its
+// closed forms over cls's cells, or over the cube when cls is nil.
 func build(p Params, cls *classes, route string) *AsyncModel {
 	n := p.N()
-	m := &AsyncModel{P: p, kron: newKronEngine(p, cls), route: route, ones: 1<<n - 1}
+	m := &AsyncModel{P: p, cls: cls, route: route, ones: 1<<n - 1}
 	switch route {
 	case routeEnumerated:
-		m.chain = sync.OnceValue(func() *markov.CTMC { return enumerate(p) })
 		m.entry, m.states = 0, 1<<n+1
 	case routeOrbit:
-		m.chain = sync.OnceValue(cls.chain)
 		m.entry, m.states = cls.cells-1, cls.cells+1
 	}
 	return m
+}
+
+// engine returns the Kronecker engine over the cube, built on first use.
+func (m *AsyncModel) engine() *kronEngine {
+	m.engineOnce.Do(func() { m.eng = newKronEngine(m.P) })
+	return m.eng
+}
+
+// chain returns the enumerated or orbit chain of the grid route, built on
+// first use.
+func (m *AsyncModel) chain() *markov.CTMC {
+	m.chainOnce.Do(func() {
+		if m.route == routeOrbit {
+			m.ch = m.cls.chain()
+		} else {
+			m.ch = enumerate(m.P)
+		}
+	})
+	return m.ch
+}
+
+// transform returns the Laplace transform of X, its denominator vector
+// built on the first transient question.
+func (m *AsyncModel) transform() *transform {
+	m.lapOnce.Do(func() { m.lap = newTransform(m.P, m.cls) })
+	return m.lap
 }
 
 // maxEnumerateProcesses bounds EnumerateAsync: the chain holds every
@@ -206,9 +236,10 @@ func cubeRows(p Params, u int, yield func(to int, rate float64)) {
 	}
 }
 
-// Route names the operator the transient questions (DensityX, CDFX,
-// DeadlineMissProb, QuantileX) run on: "enumerated", "orbit", or "kron".
-// The moment pair takes no operator on any route.
+// Route names the grid operator: the one DensityX and CDFX step, and the
+// transient questions' uniformization alternate: "enumerated", "orbit", or
+// "kron". The moment pair, the deadline miss and the quantile take no
+// operator unless a closed form fails.
 func (m *AsyncModel) Route() string { return m.route }
 
 // Entry returns the entry state index (paper's state 0 = S_r).

@@ -51,7 +51,7 @@ func BenchmarkKron(b *testing.B) {
 		p := benchKronParams(n)
 
 		b.Run(fmt.Sprintf("matvec/n=%d", n), func(b *testing.B) {
-			e := newKronEngine(p, nil)
+			e := newKronEngine(p)
 			x := make([]float64, e.op.Dim())
 			y := make([]float64, e.op.Dim())
 			for i := range x {
@@ -65,7 +65,7 @@ func BenchmarkKron(b *testing.B) {
 		})
 
 		b.Run(fmt.Sprintf("gmres/n=%d", n), func(b *testing.B) {
-			e := newKronEngine(p, nil)
+			e := newKronEngine(p)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -140,14 +140,16 @@ func routeParams(n int, rho float64, spread bool) Params {
 	return p
 }
 
-// BenchmarkAsyncRoutes prices the two transient operators of the full model
+// BenchmarkAsyncRoutes prices the two grid operators of the full model
 // where both exist: the enumerated chain (EnumerateAsync's rows and a CSR
 // absorption sequence) against the matrix-free engine NewAsync picks past
-// MaxEnumeratedProcesses. Each op builds the model and answers the deadline
-// miss at d = 2 plus the 0.99 quantile at ρ = 0.25; the moment rows, on the
-// kron route alone since the moment pair takes no chain on either, answer
-// the pair at ρ = 1. Not part of any committed baseline; the table in
-// EXPERIMENTS.md comes from
+// MaxEnumeratedProcesses. Each uniformization op builds the model and
+// answers the deadline miss at d = 2 plus the 0.99 quantile at ρ = 0.25 on
+// the transient block's uniformization rung; the transform rows answer the
+// same questions on its primary rung, which takes neither operator. The
+// moment rows, on the kron route alone since the moment pair takes no chain
+// on either, answer the pair at ρ = 1. Not part of any committed baseline;
+// the table in EXPERIMENTS.md comes from
 //
 //	go test -bench BenchmarkAsyncRoutes -benchtime 3x -run '^$' ./internal/rbmodel
 func BenchmarkAsyncRoutes(b *testing.B) {
@@ -180,19 +182,35 @@ func BenchmarkAsyncRoutes(b *testing.B) {
 					}
 				})
 			}
-			b.Run(fmt.Sprintf("transient/%s/n=%d/%s", route, c.n, lam), func(b *testing.B) {
+			b.Run(fmt.Sprintf("uniformization/%s/n=%d/%s", route, c.n, lam), func(b *testing.B) {
 				p := routeParams(c.n, 0.25, c.spread)
+				ctx := context.Background()
 				for i := 0; i < b.N; i++ {
 					m := build(p)
-					if _, err := m.DeadlineMissProb(2); err != nil {
+					if _, err := m.missUniformized(ctx, 2); err != nil {
 						b.Fatal(err)
 					}
-					if _, err := m.QuantileX(0.99); err != nil {
+					if _, err := m.quantileUniformized(ctx, 0.99); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 		}
+		b.Run(fmt.Sprintf("transform/n=%d/%s", c.n, lam), func(b *testing.B) {
+			p := routeParams(c.n, 0.25, c.spread)
+			for i := 0; i < b.N; i++ {
+				m, err := NewAsync(p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := m.DeadlineMissProb(2); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := m.QuantileX(0.99); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -223,7 +241,7 @@ func BenchmarkMomentRungs(b *testing.B) {
 					// The engine resolves its counters at construction.
 					reg := obs.Enable()
 					defer obs.Disable()
-					e := newKronEngine(wallRamp(n, rho), nil)
+					e := newKronEngine(wallRamp(n, rho))
 					ctx := guard.WithFaults(context.Background(), guard.FaultSpec{Depth: rung.depth})
 					b.ReportAllocs()
 					b.ResetTimer()

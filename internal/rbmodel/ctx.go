@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"recoveryblocks/internal/guard"
+	"recoveryblocks/internal/markov"
 )
 
 // Context-aware variants of the moment entry points. The context carries
@@ -22,12 +23,19 @@ func (m *AsyncModel) MeanXCtx(ctx context.Context) (float64, error) {
 	return m1, err
 }
 
-// MomentsXCtx is MomentsX under an explicit context: the Kronecker
-// engine's moment ladder, kron-renewal (the count form or the cube
-// recursion, see NewAsync) and then its kron-krylov/kron-uniformization/
-// kron-mc alternates, on every route.
+// MomentsXCtx is MomentsX under an explicit context: the moment ladder,
+// kron-renewal (the count form or the cube recursion, see NewAsync) and
+// then the Kronecker engine's kron-krylov/kron-uniformization/kron-mc
+// alternates, on every route. The engine is built only if an alternate
+// runs.
 func (m *AsyncModel) MomentsXCtx(ctx context.Context) (m1, m2 float64, err error) {
-	return m.kron.mf.AbsorptionMomentsCtx(ctx)
+	closed := func() (float64, float64) {
+		if m.cls != nil {
+			return m.cls.countMoments()
+		}
+		return cubeMoments(m.P)
+	}
+	return markov.AbsorptionMomentsLadder(ctx, closed, func() *markov.MatrixFree { return m.engine().mf })
 }
 
 // MeanXCtx is MeanX under an explicit context.

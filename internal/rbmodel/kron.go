@@ -18,8 +18,9 @@ import (
 // generator is a Kronecker sum of 2×2 per-process recovery-point factors plus
 // the pairwise interaction family and n+1 boundary fixups — a linalg.KronOp
 // applied in O(n·2^n) flops with O(2^n) memory, never materialized. The
-// markov.MatrixFree engine runs the moment pair's alternates behind its
-// closed form against it, and on the kron route the transient questions.
+// markov.MatrixFree engine runs the moment pair's alternates against it,
+// and on the kron route the grid transients and the transient questions'
+// uniformization alternate. An AsyncModel builds it on first use.
 type kronEngine struct {
 	op *linalg.KronOp
 	mf *markov.MatrixFree
@@ -28,9 +29,8 @@ type kronEngine struct {
 // newKronEngine assembles the Kronecker factors directly from validated
 // Params. State s ∈ [0, 2^n) is the paper's vector (x_1..x_n) with bit i−1
 // carrying x_i; the entry state is the all-ones vertex and the absorbing
-// state is implicit (row deficits). The moment ladder's closed form is
-// cls's count form, or the cube recursion when cls is nil.
-func newKronEngine(p Params, cls *classes) *kronEngine {
+// state is implicit (row deficits).
+func newKronEngine(p Params) *kronEngine {
 	n := p.N()
 	ones, sumMu := 1<<n-1, p.SumMu()
 	op := linalg.NewKronOp(n)
@@ -88,17 +88,12 @@ func newKronEngine(p Params, cls *classes) *kronEngine {
 	// The preconditioner holds a 2^n diagonal and serves only the Krylov
 	// alternate, so it is built on its first application.
 	pre := sync.OnceValue(func() *kronPrecond { return newKronPrecond(op, p) })
-	closed := func() (float64, float64) { return cubeMoments(p) }
-	if cls != nil {
-		closed = cls.countMoments
-	}
 	return &kronEngine{op: op, mf: markov.NewMatrixFree(markov.MatrixFreeSpec{
 		Op:         op,
 		Gamma:      p.TotalEventRate(),
 		Start:      ones,
 		AbsorbIdx:  absIdx,
 		AbsorbRate: absRate,
-		ClosedForm: closed,
 		Precond:    func(dst, src []float64) { pre().forward(dst, src) },
 		Rows:       func(u int, yield func(int, float64)) { cubeRows(p, u, yield) },
 	})}

@@ -237,7 +237,7 @@ func TestOrbitMatchesEnumerated(t *testing.T) {
 	}
 }
 
-// TestAsyncRouting pins the transient operator's selection rule:
+// TestAsyncRouting pins the grid operator's selection rule:
 // enumeration up to MaxEnumeratedProcesses, then orbit lumping when the
 // rates collapse onto fewer than markov.KronCutoff cells, matrix-free
 // otherwise.
@@ -418,7 +418,7 @@ func FuzzKronFactorBuilder(f *testing.F) {
 			}
 		}
 		ref := forceEnumerated(t, p)
-		eng := newKronEngine(p, nil)
+		eng := newKronEngine(p)
 		dim := 1 << n
 		ones := dim - 1
 		// Reference rows from the enumerated chain, entry mapped onto the

@@ -122,7 +122,7 @@ func TestKronMomentMatvecsPinned(t *testing.T) {
 //	‖ĥ2 − h2‖∞ ≤ e₂ = (‖ĥ‖∞ + e₁)·(2e₁ + ‖r₂‖∞), r₂ = Q_T·ĥ2 + 2ĥ.
 func krylovMoments(t *testing.T, p Params) (h, h2 []float64, e1, e2 float64) {
 	t.Helper()
-	e := newKronEngine(p, nil)
+	e := newKronEngine(p)
 	opts := linalg.KrylovOpts{
 		MaxIters: 4000,
 		Tol:      markov.KronMomentTol,

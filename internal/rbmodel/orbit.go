@@ -13,7 +13,9 @@ import "recoveryblocks/internal/markov"
 // rule R4 plus the R2 interactions), and raising into the all-full cell
 // absorbs. The cell count Π(C_k+1) is often dozens where 2^n is millions.
 // The moment pair comes from the count form of the renewal recursion
-// (countMoments); the lumped chain serves the transient questions.
+// (countMoments), and the count form of the Laplace transform answers the
+// deadline miss and the quantiles; the lumped chain serves the transient
+// grids and their uniformization alternate.
 
 // classes is the class partition of a lumpable rate structure, its cells
 // indexed in mixed radix: cell s has digit c_k = (s / stride[k]) mod
@@ -90,6 +92,19 @@ func oneClass(n int, mu, lambda float64) *classes {
 	c := &classes{size: []int{n}, mu: []float64{mu}, lam: [][]float64{{lambda}}}
 	c.setStrides()
 	return c
+}
+
+// advance steps the mixed-radix odometer digit to the next cell and returns
+// the digit it raised: the lowest nonzero one, every digit below it having
+// wrapped to 0.
+func (c *classes) advance(digit []int) int {
+	j := 0
+	for digit[j] == c.size[j] {
+		digit[j] = 0
+		j++
+	}
+	digit[j]++
+	return j
 }
 
 func (c *classes) setStrides() {

@@ -43,7 +43,7 @@ func checkGaussSeidelExact(t testing.TB, p Params, rng *rand.Rand) {
 	t.Helper()
 	m := gaussSeidelFactor(t, p)
 	dim := len(m)
-	kp := newKronPrecond(newKronEngine(p, nil).op, p)
+	kp := newKronPrecond(newKronEngine(p).op, p)
 	x := make([]float64, dim)
 	for i := range x {
 		x[i] = rng.Float64() - 0.5
@@ -126,7 +126,7 @@ func fuzzParams(raw []byte, n int) Params {
 // of a generator row is at most |D[s]|).
 func checkCoarseResidual(t testing.TB, p Params, rng *rand.Rand) {
 	t.Helper()
-	e := newKronEngine(p, nil)
+	e := newKronEngine(p)
 	kp := newKronPrecond(e.op, p)
 	n, dim := p.N(), e.op.Dim()
 	c := make([]float64, n+1)
@@ -193,7 +193,7 @@ func hotPairRamp(n int, rho float64) Params {
 // them).
 func momentIterations(t *testing.T, p Params) (it1, it2 int) {
 	t.Helper()
-	e := newKronEngine(p, nil)
+	e := newKronEngine(p)
 	opts := linalg.KrylovOpts{
 		MaxIters: 4000,
 		Tol:      markov.KronMomentTol,
@@ -290,7 +290,7 @@ func TestKronApplicationsDoNotAllocate(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	rng := rand.New(rand.NewSource(7))
 	for _, p := range []Params{wallRamp(9, 1), randomParams(rng, 9), wallRamp(16, 1), wallRamp(17, 1), hotPairRamp(17, 1)} {
-		e := newKronEngine(p, nil)
+		e := newKronEngine(p)
 		kp := newKronPrecond(e.op, p)
 		x, y := make([]float64, e.op.Dim()), make([]float64, e.op.Dim())
 		for i := range x {
@@ -334,7 +334,7 @@ func TestKronIsCoreCountInvariant(t *testing.T) {
 		name string
 		p    Params
 	}{{"uniform", wallRamp(16, 1)}, {"hot pair", hotPairRamp(16, 4)}, {"uniform n=17", wallRamp(17, 2)}} {
-		e := newKronEngine(c.p, nil)
+		e := newKronEngine(c.p)
 		x := make([]float64, e.op.Dim())
 		for i := range x {
 			x[i] = rng.NormFloat64()
@@ -407,7 +407,7 @@ func TestKronIsCoreCountInvariant(t *testing.T) {
 // goroutine.
 func TestKronSweepPanicReleasesTheLowerHalf(t *testing.T) {
 	p := wallRamp(16, 1)
-	kp := newKronPrecond(newKronEngine(p, nil).op, p)
+	kp := newKronPrecond(newKronEngine(p).op, p)
 	dim := 1 << 16
 	r := make([]float64, dim)
 	for i := range r {

@@ -135,14 +135,7 @@ func (c *classes) countMoments() (m1, m2 float64) {
 	digit := make([]int, k)
 	P[0] = 1
 	for s := 1; s < c.cells; s++ {
-		// Advance the mixed-radix odometer; the digit it raises is the lowest
-		// nonzero one, every digit below it having wrapped to 0.
-		j := 0
-		for digit[j] == c.size[j] {
-			digit[j] = 0
-			j++
-		}
-		digit[j]++
+		j := c.advance(digit)
 		L := lam[s-c.stride[j]]
 		var muC, sp, sa float64
 		for b, cb := range digit {

@@ -13,7 +13,8 @@ import (
 // rules R1'–R4'). It has n + 2 states and therefore scales to large n, which
 // is what makes the Figure 5 sweep cheap. Its moment pair is the one-class
 // count form of the renewal recursion, read with no solve and no ladder;
-// the chain serves the transient questions and the DOT rendering.
+// the chain serves the transient grids, the deadline miss's uniformization
+// alternate and the DOT rendering.
 //
 // State indexing: 0 = entry (S_r), 1+u = S_u for u = 0..n-1,
 // n+1 = absorbing (S_{r+1}).

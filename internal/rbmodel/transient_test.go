@@ -75,21 +75,35 @@ func TestTransientGridMatchesTransientDistribution(t *testing.T) {
 // matvecsOf returns the uniformization matvecs fn performs.
 func matvecsOf(t *testing.T, fn func() error) int64 {
 	t.Helper()
+	return countOf(t, "markov_uniformization_matvecs_total", fn)
+}
+
+// passesOf returns the transform passes fn performs.
+func passesOf(t *testing.T, fn func() error) int64 {
+	t.Helper()
+	return countOf(t, "rbmodel_transform_passes_total", fn)
+}
+
+// countOf returns the deterministic counter name's increments over fn.
+func countOf(t *testing.T, name string, fn func() error) int64 {
+	t.Helper()
 	reg := obs.Enable()
 	defer obs.Disable()
 	if err := fn(); err != nil {
 		t.Fatal(err)
 	}
-	return reg.Counter("markov_uniformization_matvecs_total").Value()
+	return reg.Counter(name).Value()
 }
 
-// TestQuantileCostsAboutOneCDF: every bisection probe reads one absorption
-// sequence, and the bracket's upper end is at most 1.25 times the quantile,
-// so a 0.99 quantile costs at most 1.3 times the uniformization matvecs of
-// one deadline-miss evaluation at its own answer, on the enumerated, orbit
-// and kron routes. A bracket doubled from E[X] took 1.49 times on the
-// benchmark's n = 12 kron chain and 1.77 on its paper-table chains.
+// TestQuantileCostsAboutOneCDF: the uniformization rung of QuantileXCtx
+// reads one absorption sequence for every Newton probe and grows its
+// horizon by at most a quarter per probe, so a 0.99 quantile costs at most
+// 1.3 times the uniformization matvecs of one deadline-miss evaluation at
+// its own answer, on the enumerated, orbit and kron routes. A bracket
+// doubled from E[X] took 1.49 times on the benchmark's n = 12 kron chain
+// and 1.77 on its paper-table chains.
 func TestQuantileCostsAboutOneCDF(t *testing.T) {
+	ctx := context.Background()
 	models := []*AsyncModel{
 		mustAsync(t, Uniform(4, 1, 0.5)),
 		mustAsync(t, Uniform(3, 1, 1)),
@@ -99,39 +113,59 @@ func TestQuantileCostsAboutOneCDF(t *testing.T) {
 	}
 	for _, m := range models {
 		var x float64
-		quantile := matvecsOf(t, func() (err error) { x, err = m.QuantileX(0.99); return })
-		miss := matvecsOf(t, func() error { _, err := m.DeadlineMissProb(x); return err })
+		quantile := matvecsOf(t, func() (err error) { x, err = m.quantileUniformized(ctx, 0.99); return })
+		miss := matvecsOf(t, func() error { _, err := m.missUniformized(ctx, x); return err })
 		if miss == 0 || float64(quantile) > 1.3*float64(miss) {
-			t.Errorf("%s n=%d: QuantileX(0.99) took %d matvecs, one CDF at its answer %d", m.Route(), m.P.N(), quantile, miss)
+			t.Errorf("%s n=%d: uniformized 0.99 quantile took %d matvecs, one CDF at its answer %d", m.Route(), m.P.N(), quantile, miss)
+		}
+		if m.P.N() < 10 {
+			if cdf := m.CDFX([]float64{x})[0]; math.Abs(cdf-0.99) > 1e-8 {
+				t.Errorf("%s n=%d: CDF %v at the uniformized 0.99 quantile %v", m.Route(), m.P.N(), cdf, x)
+			}
 		}
 	}
 }
 
-// TestDeadlineMissMatvecsPinned pins the matvec count and answer of one
-// deadline-miss evaluation: the Poisson truncation point, and so the work,
-// of a single-horizon evaluation equals the full-vector sweep's it replaced.
+// TestDeadlineMissMatvecsPinned pins the work and answer of one deadline-miss
+// evaluation on each rung. The uniformization rung's Poisson truncation
+// point, and so its matvec count, equals the full-vector sweep's it
+// replaced. The transform rung takes talbotNodes + talbotCheck passes and
+// no matvec, and matches the uniformization rung within its 1e-10
+// truncation.
 func TestDeadlineMissMatvecsPinned(t *testing.T) {
+	ctx := context.Background()
 	for _, c := range []struct {
-		p       Params
-		route   string
-		matvecs int64
-		miss    float64
+		p           Params
+		route       string
+		matvecs     int64
+		unif, trans float64
 	}{
-		{Uniform(4, 1, 0.5), "enumerated", 44, 0.31344146097935432},
-		{Uniform(3, 1, 1), "enumerated", 40, 0.34005799247839796},
-		{Uniform(17, 1, 0.005), "orbit", 79, 0.017697252279705533},
+		{Uniform(4, 1, 0.5), "enumerated", 44, 0.31344146097935432, 0.31344146094788755},
+		{Uniform(3, 1, 1), "enumerated", 40, 0.34005799247839796, 0.34005799243867396},
+		{Uniform(17, 1, 0.005), "orbit", 79, 0.017697252279705533, 0.017697252197935102},
 		// The enumerated route's count and answer before n = 12 moved to
 		// the operator-stepped sequence.
-		{wallRamp(12, 0.25), "kron", 69, 0.068640211196998258},
+		{wallRamp(12, 0.25), "kron", 69, 0.068640211196998258, 0.068640211114076727},
 	} {
 		m := mustAsync(t, c.p)
-		var p float64
-		got := matvecsOf(t, func() (err error) { p, err = m.DeadlineMissProb(2); return })
+		var unif, trans float64
+		got := matvecsOf(t, func() (err error) { unif, err = m.missUniformized(ctx, 2); return })
 		if m.Route() != c.route || got != c.matvecs {
-			t.Errorf("%s n=%d: DeadlineMissProb(2) took %d matvecs, want %d on %s", m.Route(), c.p.N(), got, c.matvecs, c.route)
+			t.Errorf("%s n=%d: uniformized P(X > 2) took %d matvecs, want %d on %s", m.Route(), c.p.N(), got, c.matvecs, c.route)
 		}
-		if math.Abs(p-c.miss) > 1e-13 {
-			t.Errorf("%s n=%d: DeadlineMissProb(2) = %.17g, want %.17g", m.Route(), c.p.N(), p, c.miss)
+		if math.Abs(unif-c.unif) > 1e-13 {
+			t.Errorf("%s n=%d: uniformized P(X > 2) = %.17g, want %.17g", m.Route(), c.p.N(), unif, c.unif)
+		}
+		var passes, matvecs int64
+		matvecs = matvecsOf(t, func() error {
+			passes = passesOf(t, func() (err error) { trans, err = m.DeadlineMissProb(2); return })
+			return nil
+		})
+		if passes != talbotNodes+talbotCheck || matvecs != 0 {
+			t.Errorf("%s n=%d: DeadlineMissProb(2) took %d passes and %d matvecs, want %d and 0", m.Route(), c.p.N(), passes, matvecs, talbotNodes+talbotCheck)
+		}
+		if math.Abs(trans-c.trans) > 1e-13 || math.Abs(trans-unif) > 2*transientEps {
+			t.Errorf("%s n=%d: DeadlineMissProb(2) = %.17g, want %.17g and within %v of %.17g", m.Route(), c.p.N(), trans, c.trans, 2*transientEps, unif)
 		}
 	}
 }
@@ -152,9 +186,11 @@ func (c *countdownCtx) Err() error {
 }
 
 // TestTransientCtxHonoursCancellation: the context-aware quantile and
-// deadline-miss entry points stop on a dead context, and on the kron route,
-// where a step is a full operator application, a context that dies in the
-// middle of the sweep stops it within a step.
+// deadline-miss entry points stop on a dead context; the transform rung
+// polls the context before every pass, so a context that dies in the middle
+// of an inversion stops it within a pass; and the uniformization rung on
+// the kron route, where a step is a full operator application, stops within
+// a step.
 func TestTransientCtxHonoursCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -168,28 +204,39 @@ func TestTransientCtxHonoursCancellation(t *testing.T) {
 	}
 
 	m := mustAsync(t, wallRamp(12, 0.25))
-	const alive = 10 // context checks before it dies, two of them on entry
-	steps := matvecsOf(t, func() error {
+	const alive = 10 // context checks before it dies, one of them the block's
+	passes := passesOf(t, func() error {
 		_, err := m.DeadlineMissProbCtx(&countdownCtx{Context: context.Background(), left: alive}, 2)
 		if !errors.Is(err, context.Canceled) {
-			t.Errorf("kron DeadlineMissProbCtx on a dying context: err = %v", err)
+			t.Errorf("DeadlineMissProbCtx on a dying context: err = %v", err)
 		}
 		return nil
 	})
-	if steps != alive-2 {
-		t.Errorf("kron sweep ran %d steps on a context alive for %d checks, want %d", steps, alive, alive-2)
+	if passes != alive-1 {
+		t.Errorf("transform ran %d passes on a context alive for %d checks, want %d", passes, alive, alive-1)
 	}
-	full := matvecsOf(t, func() error { _, err := m.QuantileX(0.99); return err })
-	cut := matvecsOf(t, func() error {
-		// Enough checks for the moment solve and the first bisection probes,
-		// not for the sequence the whole search needs.
-		_, err := m.QuantileXCtx(&countdownCtx{Context: context.Background(), left: 100}, 0.99)
+	full := passesOf(t, func() error { _, err := m.QuantileX(0.99); return err })
+	cut := passesOf(t, func() error {
+		// Enough checks for the tail root and the first Talbot probe, not
+		// for the whole search.
+		_, err := m.QuantileXCtx(&countdownCtx{Context: context.Background(), left: 40}, 0.99)
 		if !errors.Is(err, context.Canceled) {
-			t.Errorf("kron QuantileXCtx on a dying context: err = %v", err)
+			t.Errorf("QuantileXCtx on a dying context: err = %v", err)
 		}
 		return nil
 	})
-	if cut >= full {
-		t.Errorf("kron QuantileXCtx ran %d steps on a dying context, the whole search %d", cut, full)
+	if cut != 39 || cut >= full {
+		t.Errorf("QuantileXCtx ran %d passes on a context alive for 40 checks, the whole search %d", cut, full)
+	}
+
+	steps := matvecsOf(t, func() error {
+		_, err := m.missUniformized(&countdownCtx{Context: context.Background(), left: alive}, 2)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("kron uniformization on a dying context: err = %v", err)
+		}
+		return nil
+	})
+	if steps != alive {
+		t.Errorf("kron sweep ran %d steps on a context alive for %d checks, want %d", steps, alive, alive)
 	}
 }

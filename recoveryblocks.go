@@ -665,20 +665,20 @@ func MetricsCatalog() []MetricDef { return append([]MetricDef(nil), obs.Catalog.
 // the numbers that decide which route a given workload takes.
 type Limits struct {
 	// MaxExactProcesses bounds the full model's exact solve: the moment
-	// pair in closed form and the matrix-free Kronecker engine carry the
-	// answer up to this n.
+	// pair, deadline miss and quantiles in closed form and the matrix-free
+	// Kronecker engine carry the answer up to this n.
 	MaxExactProcesses int `json:"max_exact_processes"`
-	// MaxEnumeratedProcesses is the largest n whose transient questions the
-	// async model answers on its enumerated 2^n+1-state chain. Above it they
-	// run on the orbit-lumped chain or the matrix-free engine. The moment
-	// pair takes no chain at any n.
+	// MaxEnumeratedProcesses is the largest n whose transient grids (CDF,
+	// density) the async model steps on its enumerated 2^n+1-state chain.
+	// Above it they run on the orbit-lumped chain or the matrix-free engine.
+	// The moment pair, deadline miss and quantiles take no chain at any n.
 	MaxEnumeratedProcesses int `json:"max_enumerated_processes"`
 	// MaxSplitProcesses bounds the split chain behind the per-process E[L_i]
 	// cross-check; it has no matrix-free counterpart.
 	MaxSplitProcesses int `json:"max_split_processes"`
 	// KronCutoff is the orbit-lumped state count at and above which the
-	// async model steps its transient questions on the matrix-free
-	// Kronecker operator instead.
+	// async model steps its transient grids on the matrix-free Kronecker
+	// operator instead.
 	KronCutoff int `json:"kron_cutoff"`
 	// DefaultBlockSize is the Monte Carlo replication-block granularity.
 	DefaultBlockSize int `json:"default_block_size"`
