@@ -302,7 +302,7 @@ func BenchmarkAdvise(b *testing.B) {
 // follow the Figure 5 convention (μ = 1, λ = ρ/(n−1) at ρ = 2) so the
 // problem difficulty is comparable across n. The chain is built by
 // rbmodel.EnumerateAsync and the dense route invoked explicitly: MeanX
-// answers past rbmodel.MaxEnumeratedProcesses without enumerating, and this
+// answers in closed form at every n without enumerating, and this
 // benchmark exists to keep the dense trajectory visible (see
 // BenchmarkHotPaths for the gated dense-vs-sparse pair).
 func BenchmarkAbsorptionSolveDirect(b *testing.B) {

@@ -84,9 +84,7 @@ func runInfo(stdout io.Writer, jsonOut bool) error {
 
 	fmt.Fprintln(stdout, "\nlimits:")
 	fmt.Fprintf(stdout, "  max exact processes   %d  (exact-solve bound: closed-form moments, matrix-free Kronecker transients; larger n simulates)\n", rep.Limits.MaxExactProcesses)
-	fmt.Fprintf(stdout, "  max enumerated        %d  (largest n whose transients step the enumerated async chain; above it: orbit lumping or matrix-free)\n", rep.Limits.MaxEnumeratedProcesses)
 	fmt.Fprintf(stdout, "  max split processes   %d  (split-chain E[L_i] cross-check bound; no matrix-free counterpart)\n", rep.Limits.MaxSplitProcesses)
-	fmt.Fprintf(stdout, "  kron cutoff           %d  (orbit-lumped state count at/above which the async transients run matrix-free)\n", rep.Limits.KronCutoff)
 	fmt.Fprintf(stdout, "  default block size    %d  (Monte Carlo replications per block)\n", rep.Limits.DefaultBlockSize)
 	fmt.Fprintf(stdout, "  max every-k           %d  (sync-every-k block period bound)\n", rep.Limits.MaxEveryK)
 	fmt.Fprintf(stdout, "  max alias categories  %d  (event categories per superposed Poisson sampler)\n", rep.Limits.MaxAliasCategories)

@@ -13,7 +13,7 @@ func TestInfoText(t *testing.T) {
 	out := runOK(t, "info")
 	for _, want := range []string{
 		"build:", "go version", "limits:", "strategies:", "perturbations",
-		"metrics", "max exact processes", "max enumerated", "max split processes", "kron cutoff",
+		"metrics", "max exact processes", "max split processes",
 		"sync-every-k", "mc_runs_total", "[runtime]",
 	} {
 		if !strings.Contains(out, want) {
@@ -22,9 +22,9 @@ func TestInfoText(t *testing.T) {
 	}
 }
 
-// TestInfoJSON pins the machine-readable shape: the structural limits the
-// engine routes on, and non-empty strategy and metric catalogs with the
-// runtime flag present on at least one metric.
+// TestInfoJSON pins the machine-readable shape: the structural limits of
+// the engine, and non-empty strategy and metric catalogs with the runtime
+// flag present on at least one metric.
 func TestInfoJSON(t *testing.T) {
 	t.Parallel()
 	out := runOK(t, "info", "-json")
@@ -33,9 +33,7 @@ func TestInfoJSON(t *testing.T) {
 		NumCPU    int    `json:"num_cpu"`
 		Limits    struct {
 			MaxExactProcesses int `json:"max_exact_processes"`
-			MaxEnumerated     int `json:"max_enumerated_processes"`
 			MaxSplit          int `json:"max_split_processes"`
-			KronCutoff        int `json:"kron_cutoff"`
 			DefaultBlockSize  int `json:"default_block_size"`
 			MaxEveryK         int `json:"max_every_k"`
 			MaxAliasCats      int `json:"max_alias_categories"`
@@ -55,8 +53,7 @@ func TestInfoJSON(t *testing.T) {
 	if rep.GoVersion == "" || rep.NumCPU <= 0 {
 		t.Errorf("build facts missing: go_version=%q num_cpu=%d", rep.GoVersion, rep.NumCPU)
 	}
-	if rep.Limits.MaxExactProcesses != 24 || rep.Limits.MaxEnumerated != 7 || rep.Limits.MaxSplit != 10 ||
-		rep.Limits.KronCutoff != 1<<17 ||
+	if rep.Limits.MaxExactProcesses != 24 || rep.Limits.MaxSplit != 10 ||
 		rep.Limits.DefaultBlockSize != 1024 {
 		t.Errorf("unexpected limits: %+v", rep.Limits)
 	}

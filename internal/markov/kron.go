@@ -7,7 +7,9 @@ package markov
 // Its moment pair runs as a recovery block: the caller's closed form first,
 // then BiCGSTAB, matrix-free uniformization and a jump-chain estimate as
 // fallback rungs. The transient grids step an operator-driven absorption
-// sequence.
+// sequence, on the cube's KronOp or on rbmodel's count operator over the
+// lumped cells, which the engine wraps the same way with no preconditioner
+// and no row enumerator.
 
 import (
 	"context"
@@ -19,13 +21,6 @@ import (
 	"recoveryblocks/internal/linalg"
 	"recoveryblocks/internal/obs"
 )
-
-// KronCutoff is the state count at and above which rbmodel steps the
-// transient grids of a lumpable model on the full cube's operator instead
-// of its orbit-lumped chain. Lumping a partially-exchangeable rate
-// vector may still leave a chain of this size, whose CSR rows no longer fit
-// a sane budget.
-const KronCutoff = 1 << 17
 
 const (
 	// kronRestart is the Krylov dimension of the transient sweep's

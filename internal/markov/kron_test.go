@@ -167,8 +167,8 @@ func TestMatrixFreeMatchesEnumerated(t *testing.T) {
 	times := []float64{0, 5, 20, 50, 100}
 	pi0 := make([]float64, c.n)
 	pi0[0] = 1
-	cdf := c.AbsorptionCDF(pi0, times, 1e-12)
-	den := c.AbsorptionDensity(pi0, times, 1e-12)
+	cdf := sequenceAt(c, pi0, times, 1e-12, false)
+	den := sequenceAt(c, pi0, times, 1e-12, true)
 	kcdf, err := mf.AbsorptionCDF(times, 1e-12)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -136,11 +137,27 @@ func TestTransientDistributionMatchesODE(t *testing.T) {
 	}
 }
 
+// sequenceAt evaluates the absorption-time density, or the CDF, of c from
+// pi0 at every time from one absorption sequence.
+func sequenceAt(c *CTMC, pi0, times []float64, eps float64, density bool) []float64 {
+	q := c.NewAbsorptionSequence(pi0)
+	out := make([]float64, len(times))
+	for i, t := range times {
+		cdf, f, _ := q.At(context.Background(), t, eps)
+		if density {
+			out[i] = f
+		} else {
+			out[i] = cdf
+		}
+	}
+	return out
+}
+
 func TestAbsorptionDensityExponential(t *testing.T) {
 	r := 2.0
 	c := twoStateChain(r)
 	times := []float64{0, 0.25, 0.5, 1, 2}
-	f := c.AbsorptionDensity([]float64{1, 0}, times, 1e-12)
+	f := sequenceAt(c, []float64{1, 0}, times, 1e-12, true)
 	for i, tt := range times {
 		want := r * math.Exp(-r*tt)
 		if math.Abs(f[i]-want) > 1e-9 {
@@ -162,7 +179,7 @@ func TestAbsorptionDensityIntegratesToOne(t *testing.T) {
 	for i := range times {
 		times[i] = float64(i) * dt
 	}
-	f := c.AbsorptionDensity([]float64{1, 0, 0, 0}, times, 1e-12)
+	f := sequenceAt(c, []float64{1, 0, 0, 0}, times, 1e-12, true)
 	integral := 0.0
 	for i := 1; i < len(times); i++ {
 		integral += (f[i] + f[i-1]) / 2 * dt
@@ -183,8 +200,8 @@ func TestAbsorptionCDFMatchesDensityIntegral(t *testing.T) {
 	for i := range times {
 		times[i] = float64(i) * dt
 	}
-	f := c.AbsorptionDensity(pi0, times, 1e-12)
-	cdf := c.AbsorptionCDF(pi0, times, 1e-12)
+	f := sequenceAt(c, pi0, times, 1e-12, true)
+	cdf := sequenceAt(c, pi0, times, 1e-12, false)
 	integral := 0.0
 	for i := 1; i < len(times); i++ {
 		integral += (f[i] + f[i-1]) / 2 * dt
@@ -211,7 +228,7 @@ func TestMeanFromDensityMatchesLinearSolve(t *testing.T) {
 	for i := range times {
 		times[i] = float64(i) * dt
 	}
-	f := c.AbsorptionDensity([]float64{1, 0, 0, 0}, times, 1e-12)
+	f := sequenceAt(c, []float64{1, 0, 0, 0}, times, 1e-12, true)
 	integral := 0.0
 	for i := 1; i < len(times); i++ {
 		integral += (times[i]*f[i] + times[i-1]*f[i-1]) / 2 * dt

@@ -62,10 +62,12 @@ func poissonWeights(w []float64, lambdaT, eps float64) []float64 {
 // Uniformization turns every transient question into a Poisson-weighted sum
 // over that one sequence:
 //
-//	F(t) = Σ_k Pois(γt; k)·a_k,   f(t) = Σ_k Pois(γt; k)·d_k,
+//	F(t) = Σ_k Pois(γt; k)·a_k,   S(t) = Σ_k Pois(γt; k)·s_k,
+//	f(t) = Σ_k Pois(γt; k)·d_k,
 //
 // so once the sequence reaches the truncation point of the largest horizon
-// asked, CDF and density values at any smaller t cost no further matvecs.
+// asked, CDF, survival and density values at any smaller t cost no further
+// matvecs.
 // Only the step differs by chain: a CTMC scatters π through its uniformized
 // CSR, while a MatrixFree engine applies π ← π + Q_Tᵀ·π/γ through its
 // operator and keeps the absorbed mass implicit, a_{k+1} = a_k + d_k/γ. The
@@ -216,18 +218,39 @@ func (q *AbsorptionSequence) extend(ctx context.Context, k int) error {
 // Poisson truncation error below eps. It extends the sequence as far as t
 // needs and fails only when ctx is done.
 func (q *AbsorptionSequence) At(ctx context.Context, t, eps float64) (cdf, density float64, err error) {
+	return q.sums(ctx, t, eps, false)
+}
+
+// Survival returns S(t) = Σ_k Pois(γt; k)·s_k, the survival function from
+// the transient masses, and f(t), as At does. Summing the transient masses
+// keeps S's relative accuracy far into the tail, where 1 − F carries F's
+// rounding and truncation error.
+func (q *AbsorptionSequence) Survival(ctx context.Context, t, eps float64) (survival, density float64, err error) {
+	return q.sums(ctx, t, eps, true)
+}
+
+// sums returns the Poisson-weighted sums of the absorbed masses, or of the
+// transient masses when transient is set, and of the flux at horizon t.
+func (q *AbsorptionSequence) sums(ctx context.Context, t, eps float64, transient bool) (mass, density float64, err error) {
 	if q.gamma == 0 || t == 0 {
+		if transient {
+			return q.s[0], q.d[0], nil
+		}
 		return q.a[0], q.d[0], nil
 	}
 	q.w = poissonWeights(q.w, q.gamma*t, eps)
 	if err := q.extend(ctx, len(q.w)-1); err != nil {
 		return 0, 0, err
 	}
+	masses := q.a
+	if transient {
+		masses = q.s
+	}
 	for k, wk := range q.w {
-		cdf += wk * q.a[k]
+		mass += wk * masses[k]
 		density += wk * q.d[k]
 	}
-	return cdf, density, nil
+	return mass, density, nil
 }
 
 // TransientDistribution computes π(t) = π(0)·e^{Qt} by uniformization:
@@ -250,33 +273,4 @@ func (c *CTMC) TransientDistribution(pi0 []float64, t, eps float64) []float64 {
 		}
 	}
 	return out
-}
-
-// transientSums evaluates AbsorptionSequence.At over times from pi0 and keeps
-// the CDF or the density.
-func (c *CTMC) transientSums(pi0, times []float64, eps float64, density bool) []float64 {
-	q := c.NewAbsorptionSequence(pi0)
-	out := make([]float64, len(times))
-	for i, t := range times {
-		// A background context never cancels, so At cannot fail here.
-		cdf, f, _ := q.At(context.Background(), t, eps)
-		if density {
-			out[i] = f
-		} else {
-			out[i] = cdf
-		}
-	}
-	return out
-}
-
-// AbsorptionDensity evaluates the density of the absorption time at the given
-// times: f(t) = Σ_u π_u(t)·(rate from u into absorbing states).
-func (c *CTMC) AbsorptionDensity(pi0 []float64, times []float64, eps float64) []float64 {
-	return c.transientSums(pi0, times, eps, true)
-}
-
-// AbsorptionCDF evaluates P(absorbed by t) at the given times as the total
-// probability mass sitting in absorbing states.
-func (c *CTMC) AbsorptionCDF(pi0 []float64, times []float64, eps float64) []float64 {
-	return c.transientSums(pi0, times, eps, false)
 }

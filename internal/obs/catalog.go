@@ -49,7 +49,7 @@ var Catalog = []Def{
 	{Name: "markov_uniformization_matvecs_total", Kind: KindCounter, Help: "uniformized transient-solve matrix–vector products"},
 	{Name: "markov_solve_mc_total", Kind: KindCounter, Help: "absorbing-chain solves that fell back to the last-resort jump-chain Monte Carlo estimate"},
 	{Name: "markov_solve_kron_total", Kind: KindCounter, Help: "passes through the matrix-free engine's moment ladder (one per asynchronous moment pair) and its Krylov transient sweeps"},
-	{Name: "markov_kron_matvecs_total", Kind: KindCounter, Help: "matrix-free Kronecker operator applications (forward and transposed)"},
+	{Name: "markov_kron_matvecs_total", Kind: KindCounter, Help: "matrix-free operator applications (forward and transposed): the cube's Kronecker operator and the class-count operator alike"},
 	{Name: "markov_krylov_iters_total", Kind: KindCounter, Help: "operator applications inside the matrix-free Krylov solves: one per Arnoldi step of a Krylov exponential, two per BiCGSTAB iteration; residual checks excluded"},
 	{Name: "rbmodel_transform_passes_total", Kind: KindCounter, Help: "passes of the renewal recursion's Laplace transform of X (one O(n·2^n) sweep each, or one over class-count cells): the transform rung of the rbmodel/transient block, Talbot nodes and tail-root steps alike"},
 	{Name: "linalg_csr_builds_total", Kind: KindCounter, Help: "CSR matrices assembled"},

@@ -8,13 +8,6 @@ import (
 	"recoveryblocks/internal/markov"
 )
 
-// MaxEnumeratedProcesses is the largest n whose grid operator (see Route)
-// is the enumerated chain: its 2^n+1 states as markov.CTMC rows, stepped by
-// CSR scatters. Above it the grids step the orbit-lumped chain when the
-// rates allow, or the matrix-free Kronecker operator. The moment pair and
-// the point transients take no chain on any route (see NewAsync).
-const MaxEnumeratedProcesses = 7
-
 // MaxExactProcesses bounds the exact solvers overall. The moment pair, the
 // deadline miss and the quantiles come from the renewal recursion at every
 // size: its count form for partially-exchangeable rates (often a few
@@ -22,13 +15,13 @@ const MaxEnumeratedProcesses = 7
 // pair takes one real pass over two length-2^n vectors (under a second at
 // n = 24); a deadline miss takes 44 complex passes of the Laplace transform
 // (transform.go) over two such vectors and a third of denominators. The
-// grids (DensityX, CDFX) step the enumerated or orbit-lumped chain or the
-// matrix-free Kronecker engine — the transient generator applied as
-// per-process 2×2 factors in O(n·2^n) flops with O(2^n) vectors
-// (markov.MatrixFree) — by uniformization. The bound is set by the memory
-// and time of length-2^n vectors: n = 24 means 128 MiB per vector and about
-// half a second per pass. Beyond it, use SymmetricModel (O(n) states) or
-// the discrete-event simulator.
+// grids (DensityX, CDFX) step by uniformization the same two forms as
+// operators: the count operator over the cells, or the matrix-free
+// Kronecker engine — the transient generator applied as per-process 2×2
+// factors in O(n·2^n) flops with O(2^n) vectors (markov.MatrixFree). The
+// bound is set by the memory and time of length-2^n vectors: n = 24 means
+// 128 MiB per vector and about half a second per pass. Beyond it, use
+// SymmetricModel (O(n) states) or the discrete-event simulator.
 const MaxExactProcesses = 24
 
 // AsyncModel is the paper's full continuous-time Markov model of
@@ -45,43 +38,32 @@ const MaxExactProcesses = 24
 // x_i = 0 means it was an interaction.
 //
 // The moment pair and the point transients (deadline miss, quantile, decay
-// rate) come from the renewal recursion in closed form: over class counts
-// when the rates lump, over all 2^n subsets otherwise. Grid transients and
-// every alternate run on an operator, each built on its first use: the
-// Kronecker engine over the cube for the moment ladder's alternates, and
-// for the grids one of three operators picked by n and the rate structure
-// (see Route).
+// rate) come from the renewal recursion in closed form, and the grid
+// transients and the uniformization alternate from an operator, each in one
+// form picked by lumpability alone (see Route): over class counts when the
+// rates lump, over all 2^n subsets otherwise. The moment ladder's
+// alternates run on the Kronecker engine over the cube whatever the form.
+// Each vector and operator is built on its first use.
 type AsyncModel struct {
 	P Params
 	// cls is the class partition when the rates lump, else nil: it picks the
-	// count form of the recursions over the cube form.
-	cls   *classes
-	route string
-	// entry and states index the enumerated or orbit chain of the grid
-	// route; ones is the all-ones cube vertex.
-	entry, states, ones int
+	// count form of the recursions and the grid operator over the cube form.
+	cls *classes
+	// ones is the all-ones cube vertex.
+	ones int
 
 	engineOnce sync.Once
 	eng        *kronEngine
-	chainOnce  sync.Once
-	ch         *markov.CTMC
+	gridOnce   sync.Once
+	grid       *markov.MatrixFree
 	lapOnce    sync.Once
 	lap        *transform
 }
 
-// The grid operators Route names.
-const (
-	routeEnumerated = "enumerated"
-	routeOrbit      = "orbit"
-	routeKron       = "kron"
-)
-
-// NewAsync validates p and builds the model. The closed forms are picked by
+// NewAsync validates p and builds the model. Its form is picked by
 // lumpability alone: the count form when the rates lump onto class counts,
-// the cube form otherwise. The grid operator is the enumerated chain up to
-// MaxEnumeratedProcesses, then the orbit chain when the rates lump onto
-// fewer than markov.KronCutoff cells, otherwise the engine's operator on
-// the full cube. NewAsync builds neither operator nor recursion vector.
+// the cube form otherwise. NewAsync builds neither operator nor recursion
+// vector.
 func NewAsync(p Params) (*AsyncModel, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -90,29 +72,13 @@ func NewAsync(p Params) (*AsyncModel, error) {
 	if n > MaxExactProcesses {
 		return nil, fmt.Errorf("rbmodel: n = %d exceeds MaxExactProcesses = %d (use SymmetricModel or the simulator)", n, MaxExactProcesses)
 	}
-	cls := lumpClasses(p)
-	route := routeKron
-	switch {
-	case n <= MaxEnumeratedProcesses:
-		route = routeEnumerated
-	case cls != nil && cls.cells+1 < markov.KronCutoff:
-		route = routeOrbit
-	}
-	return build(p, cls, route), nil
+	return build(p, lumpClasses(p)), nil
 }
 
-// build assembles a model of validated p on the given grid route, its
-// closed forms over cls's cells, or over the cube when cls is nil.
-func build(p Params, cls *classes, route string) *AsyncModel {
-	n := p.N()
-	m := &AsyncModel{P: p, cls: cls, route: route, ones: 1<<n - 1}
-	switch route {
-	case routeEnumerated:
-		m.entry, m.states = 0, 1<<n+1
-	case routeOrbit:
-		m.entry, m.states = cls.cells-1, cls.cells+1
-	}
-	return m
+// build assembles a model of validated p in the count form over cls's
+// cells, or in the cube form when cls is nil.
+func build(p Params, cls *classes) *AsyncModel {
+	return &AsyncModel{P: p, cls: cls, ones: 1<<p.N() - 1}
 }
 
 // engine returns the Kronecker engine over the cube, built on first use.
@@ -121,17 +87,18 @@ func (m *AsyncModel) engine() *kronEngine {
 	return m.eng
 }
 
-// chain returns the enumerated or orbit chain of the grid route, built on
-// first use.
-func (m *AsyncModel) chain() *markov.CTMC {
-	m.chainOnce.Do(func() {
-		if m.route == routeOrbit {
-			m.ch = m.cls.chain()
+// gridEngine returns the engine the grids and the uniformization rung
+// step, built on first use: the count operator when the rates lump, else
+// the Kronecker engine's. Both step at γ = entryRate, the entry's out-rate.
+func (m *AsyncModel) gridEngine() *markov.MatrixFree {
+	m.gridOnce.Do(func() {
+		if m.cls != nil {
+			m.grid = newCountEngine(m.cls, entryRate(m.P))
 		} else {
-			m.ch = enumerate(m.P)
+			m.grid = m.engine().mf
 		}
 	})
-	return m.ch
+	return m.grid
 }
 
 // transform returns the Laplace transform of X, its denominator vector
@@ -147,9 +114,9 @@ func (m *AsyncModel) transform() *transform {
 const maxEnumerateProcesses = 16
 
 // EnumerateAsync builds the full model's 2^n+1-state chain as markov.CTMC
-// rows, in AsyncModel's state indexing: the chain NewAsync steps for
-// n ≤ MaxEnumeratedProcesses, and the full-cube reference for the other
-// routes at any n up to maxEnumerateProcesses.
+// rows, in AsyncModel's state indexing, at any n up to
+// maxEnumerateProcesses: the reference the count and cube forms are tested
+// against. No answer path builds it; DOT enumerates the same rows.
 func EnumerateAsync(p Params) (*markov.CTMC, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -236,11 +203,16 @@ func cubeRows(p Params, u int, yield func(to int, rate float64)) {
 	}
 }
 
-// Route names the grid operator: the one DensityX and CDFX step, and the
-// transient questions' uniformization alternate: "enumerated", "orbit", or
-// "kron". The moment pair, the deadline miss and the quantile take no
-// operator unless a closed form fails.
-func (m *AsyncModel) Route() string { return m.route }
+// Route names the model's form: "count" when the rates lump onto class
+// counts, "cube" otherwise. It picks the closed forms of the moment pair,
+// the deadline miss and the quantiles, and the operator DensityX, CDFX and
+// the transient questions' uniformization alternate step.
+func (m *AsyncModel) Route() string {
+	if m.cls != nil {
+		return "count"
+	}
+	return "cube"
+}
 
 // Entry returns the entry state index (paper's state 0 = S_r).
 func (m *AsyncModel) Entry() int { return 0 }
@@ -258,17 +230,6 @@ func (m *AsyncModel) StateOf(mask int) int {
 		panic("rbmodel: all-ones mask is the entry/absorbing state, not intermediate")
 	}
 	return mask + 1
-}
-
-// Chain exposes the enumerated chain of the enumerated route, building it
-// on first use. It returns nil on the orbit and kron routes, whose state
-// spaces are the lumped cells and the implicit cube. EnumerateAsync builds
-// the chain at any size a caller can afford.
-func (m *AsyncModel) Chain() *markov.CTMC {
-	if m.route != routeEnumerated {
-		return nil
-	}
-	return m.chain()
 }
 
 // MeanX returns E[X], the expected interval between two successive recovery
@@ -311,7 +272,7 @@ func (m *AsyncModel) CDFX(times []float64) []float64 {
 // transientAt fills cdf and density, either of which may be nil, at every
 // time from one absorption sequence.
 func (m *AsyncModel) transientAt(times, cdf, density []float64) {
-	q := m.absorptionSequence()
+	q := m.gridEngine().NewAbsorptionSequence()
 	for i, t := range times {
 		// A background context never cancels, so At cannot fail here.
 		F, f, _ := q.At(context.Background(), t, transientEps)

@@ -131,7 +131,7 @@ func TestLumpabilityFullVsSymmetric(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f1, f2, err := full.Chain().AbsorptionMomentsDense(full.Entry())
+			f1, f2, err := mustEnumerate(t, full.P).AbsorptionMomentsDense(full.Entry())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -277,13 +277,14 @@ func TestGeneratorConservation(t *testing.T) {
 	// state-changing events in that state.
 	p := Table1Cases()[4].Params
 	m := mustAsync(t, p)
+	c := mustEnumerate(t, p)
 	// Entry: all RPs (Σμ) plus all pairs (Σλ) are state-changing.
 	wantEntry := p.SumMu() + p.SumLambdaPairs()
-	if got := m.Chain().OutRate(m.Entry()); math.Abs(got-wantEntry) > 1e-12 {
+	if got := c.OutRate(m.Entry()); math.Abs(got-wantEntry) > 1e-12 {
 		t.Fatalf("entry out-rate %v, want %v", got, wantEntry)
 	}
 	// State (0,0,0): only RPs change the state.
-	if got := m.Chain().OutRate(m.StateOf(0)); math.Abs(got-p.SumMu()) > 1e-12 {
+	if got := c.OutRate(m.StateOf(0)); math.Abs(got-p.SumMu()) > 1e-12 {
 		t.Fatalf("(0,0,0) out-rate %v, want Σμ = %v", got, p.SumMu())
 	}
 }
@@ -309,7 +310,7 @@ func TestMeanXIterativeAgreesWithDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iter, err := m.Chain().MeanAbsorptionTimeIterative(m.Entry(), 1e-12, 100000)
+	iter, err := mustEnumerate(t, m.P).MeanAbsorptionTimeIterative(m.Entry(), 1e-12, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,15 +374,15 @@ func TestDOTExportsNonEmpty(t *testing.T) {
 	}
 }
 
-// TestDOTRendersEveryRoute: the orbit and kron routes hold no chain, yet
-// render the same Figure 2 graph as the enumerated chain: 2^n+1 states and
-// one edge per merged transition.
+// TestDOTRendersEveryRoute: neither form holds a chain, yet both render
+// the same Figure 2 graph as the enumerated chain: 2^n+1 states and one
+// edge per merged transition.
 func TestDOTRendersEveryRoute(t *testing.T) {
 	for _, p := range []Params{Uniform(9, 1, 0.5), wallRamp(9, 1)} {
 		m := mustAsync(t, p)
 		dot := m.DOT()
-		if want := forceEnumerated(t, p).DOT(); dot != want {
-			t.Fatalf("%s n=9: DOT differs from the enumerated chain's", m.Route())
+		if want := build(p, nil).DOT(); dot != want {
+			t.Fatalf("%s n=9: DOT differs from the cube form's", m.Route())
 		}
 		c, err := EnumerateAsync(p)
 		if err != nil {

@@ -92,8 +92,8 @@ func BenchmarkKron(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if m.Route() != routeOrbit {
-					b.Fatalf("two-class n=%d routes to %s, want orbit", n, m.Route())
+				if m.Route() != "count" {
+					b.Fatalf("two-class n=%d takes the %s form, want count", n, m.Route())
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -121,50 +121,41 @@ func BenchmarkKron(b *testing.B) {
 	}
 }
 
-// routeParams is benchKronParams's μ ramp at intensity ρ. With spread set,
-// λ_ij varies over pairs by up to ±50 % around the uniform value, so the
-// Kronecker operator carries one factor per pair instead of the exchange
-// family.
-func routeParams(n int, rho float64, spread bool) Params {
+// routeParams is benchKronParams's λ at intensity ρ over two μ classes,
+// 1 and 2, uniform across pairs: lumpable onto ⌊n/2⌋+1 by ⌈n/2⌉+1 cells.
+func routeParams(n int, rho float64) Params {
 	p := benchKronParams(n)
-	sum := p.SumMu()
+	for i := range p.Mu {
+		p.Mu[i] = 1
+		if i >= n/2 {
+			p.Mu[i] = 2
+		}
+	}
+	v := rho * p.SumMu() / float64(n*(n-1))
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			v := rho * sum / float64(n*(n-1))
-			if spread {
-				v *= 0.5 + float64((3*i+5*j)%5)/4
-			}
 			p.Lambda[i][j], p.Lambda[j][i] = v, v
 		}
 	}
 	return p
 }
 
-// BenchmarkAsyncRoutes prices the two grid operators of the full model
-// where both exist: the enumerated chain (EnumerateAsync's rows and a CSR
-// absorption sequence) against the matrix-free engine NewAsync picks past
-// MaxEnumeratedProcesses. Each uniformization op builds the model and
+// BenchmarkAsyncRoutes prices the two forms of the full model side by side
+// on the same lumpable rates: the count form NewAsync picks, and the cube
+// form build(p, nil) forces. Each uniformization op builds the model and
 // answers the deadline miss at d = 2 plus the 0.99 quantile at ρ = 0.25 on
-// the transient block's uniformization rung; the transform rows answer the
-// same questions on its primary rung, which takes neither operator. The
-// moment rows, on the kron route alone since the moment pair takes no chain
-// on either, answer the pair at ρ = 1. Not part of any committed baseline;
-// the table in EXPERIMENTS.md comes from
+// the transient block's uniformization rung, stepping the count operator
+// or the cube's KronOp; the transform rows answer the same questions on its
+// primary rung, and the moment rows the pair at ρ = 1, in closed form. Not
+// part of any committed baseline; the table in EXPERIMENTS.md comes from
 //
 //	go test -bench BenchmarkAsyncRoutes -benchtime 3x -run '^$' ./internal/rbmodel
 func BenchmarkAsyncRoutes(b *testing.B) {
-	for _, c := range []struct {
-		n      int
-		spread bool
-	}{{8, false}, {12, false}, {12, true}, {16, false}, {16, true}} {
-		lam := "uniform"
-		if c.spread {
-			lam = "per-pair"
-		}
-		for _, route := range []string{"enumerated", "kron"} {
-			build := func(p Params) *AsyncModel {
-				if route == "enumerated" {
-					return forceEnumerated(b, p)
+	for _, n := range []int{8, 12, 16} {
+		for _, form := range []string{"count", "cube"} {
+			model := func(p Params) *AsyncModel {
+				if form == "cube" {
+					return build(p, nil)
 				}
 				m, err := NewAsync(p)
 				if err != nil {
@@ -172,21 +163,19 @@ func BenchmarkAsyncRoutes(b *testing.B) {
 				}
 				return m
 			}
-			if route == routeKron {
-				b.Run(fmt.Sprintf("moments/%s/n=%d/%s", route, c.n, lam), func(b *testing.B) {
-					p := routeParams(c.n, 1, c.spread)
-					for i := 0; i < b.N; i++ {
-						if _, _, err := build(p).MomentsX(); err != nil {
-							b.Fatal(err)
-						}
+			b.Run(fmt.Sprintf("moments/%s/n=%d", form, n), func(b *testing.B) {
+				p := routeParams(n, 1)
+				for i := 0; i < b.N; i++ {
+					if _, _, err := model(p).MomentsX(); err != nil {
+						b.Fatal(err)
 					}
-				})
-			}
-			b.Run(fmt.Sprintf("uniformization/%s/n=%d/%s", route, c.n, lam), func(b *testing.B) {
-				p := routeParams(c.n, 0.25, c.spread)
+				}
+			})
+			b.Run(fmt.Sprintf("uniformization/%s/n=%d", form, n), func(b *testing.B) {
+				p := routeParams(n, 0.25)
 				ctx := context.Background()
 				for i := 0; i < b.N; i++ {
-					m := build(p)
+					m := model(p)
 					if _, err := m.missUniformized(ctx, 2); err != nil {
 						b.Fatal(err)
 					}
@@ -195,22 +184,19 @@ func BenchmarkAsyncRoutes(b *testing.B) {
 					}
 				}
 			})
+			b.Run(fmt.Sprintf("transform/%s/n=%d", form, n), func(b *testing.B) {
+				p := routeParams(n, 0.25)
+				for i := 0; i < b.N; i++ {
+					m := model(p)
+					if _, err := m.DeadlineMissProb(2); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := m.QuantileX(0.99); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
-		b.Run(fmt.Sprintf("transform/n=%d/%s", c.n, lam), func(b *testing.B) {
-			p := routeParams(c.n, 0.25, c.spread)
-			for i := 0; i < b.N; i++ {
-				m, err := NewAsync(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := m.DeadlineMissProb(2); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := m.QuantileX(0.99); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

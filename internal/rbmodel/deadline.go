@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"recoveryblocks/internal/guard"
-	"recoveryblocks/internal/markov"
 )
 
 // Section 5 of the paper argues that "the asynchronous method or a longer
@@ -21,9 +20,10 @@ import (
 // primary rung, "transform", inverts the Laplace transform of X (see
 // transform.go): two Talbot orders certify each value, and the one-mode
 // tail answers where Talbot loses relative accuracy. Its alternate,
-// "uniformization", steps the absorption sequence of the grid operator
-// Route names. Grid questions (DensityX, CDFX) read that sequence directly:
-// it answers a whole grid for the cost of its largest time.
+// "uniformization", steps the absorption sequence of the operator in the
+// model's form (Route): the count operator or the cube's. Grid questions
+// (DensityX, CDFX) read that sequence directly: it answers a whole grid for
+// the cost of its largest time.
 
 // transientEps is the Poisson truncation error of every uniformization
 // evaluation.
@@ -48,10 +48,12 @@ func (m *AsyncModel) DeadlineMissProbCtx(ctx context.Context, d float64) (float6
 		func(ctx context.Context) (float64, error) { return m.missUniformized(ctx, d) })
 }
 
-// missUniformized is the uniformization rung of DeadlineMissProbCtx.
+// missUniformized is the uniformization rung of DeadlineMissProbCtx. It
+// reads S from the transient masses, not as 1 − F, so S keeps its relative
+// accuracy far into the tail.
 func (m *AsyncModel) missUniformized(ctx context.Context, d float64) (float64, error) {
-	cdf, _, err := m.absorptionSequence().At(ctx, d, transientEps)
-	return math.Max(0, 1-cdf), err // rounding can push F past 1
+	S, _, err := m.gridEngine().NewAbsorptionSequence().Survival(ctx, d, transientEps)
+	return S, err
 }
 
 // trivialMiss answers the deadlines no inversion is needed for, under the
@@ -89,20 +91,9 @@ func transient(ctx context.Context, transform, uniformization func(context.Conte
 	return res.Value, err
 }
 
-// absorptionSequence returns the uniformized absorption sequence from the
-// entry state. Every route steps at the same γ, the total event rate, so a
-// question takes the same number of steps on each: a CSR scatter on the
-// enumerated and orbit chains, an operator application of 2^n-long vectors
-// on the kron route.
-func (m *AsyncModel) absorptionSequence() *markov.AbsorptionSequence {
-	if m.route == routeKron {
-		return m.engine().mf.NewAbsorptionSequence()
-	}
-	return m.chain().NewAbsorptionSequence(pointMass(m.states, m.entry))
-}
-
 // DeadlineMissProb for the lumped chain (large n): the one-class count form
-// of the transform, with the chain's uniformization as the alternate.
+// of the transform, with the count operator's uniformization as the
+// alternate.
 func (m *SymmetricModel) DeadlineMissProb(d float64) (float64, error) {
 	if p, done, err := trivialMiss(d); done {
 		return p, err
@@ -111,16 +102,10 @@ func (m *SymmetricModel) DeadlineMissProb(d float64) (float64, error) {
 		func(ctx context.Context) (float64, error) {
 			return newTransform(Params{}, oneClass(m.N, m.Mu, m.Lambda)).question(ctx).survival(d)
 		},
-		func(context.Context) (float64, error) {
-			cdf := m.chain.AbsorptionCDF(pointMass(m.N+2, m.Entry()), []float64{d}, transientEps)[0]
-			return math.Max(0, 1-cdf), nil
+		func(ctx context.Context) (float64, error) {
+			S, _, err := m.gridEngine().NewAbsorptionSequence().Survival(ctx, d, transientEps)
+			return S, err
 		})
-}
-
-func pointMass(n, at int) []float64 {
-	pi := make([]float64, n)
-	pi[at] = 1
-	return pi
 }
 
 // QuantileX returns the q-th quantile of X (0 < q < 1) — e.g.
@@ -161,10 +146,9 @@ func (m *AsyncModel) quantileUniformized(ctx context.Context, q float64) (float6
 	if err != nil {
 		return 0, err
 	}
-	seq := m.absorptionSequence()
+	seq := m.gridEngine().NewAbsorptionSequence()
 	t, _, err := invertSurvival(mean, 1-q, func(t float64) (S, f float64, err error) {
-		cdf, f, err := seq.At(ctx, t, transientEps)
-		return 1 - cdf, f, err
+		return seq.Survival(ctx, t, transientEps)
 	})
 	return t, err
 }

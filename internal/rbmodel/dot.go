@@ -38,12 +38,9 @@ func (m *AsyncModel) DOT() string {
 	for mask := 0; mask < m.ones; mask++ {
 		fmt.Fprintf(&b, "  s%d [label=\"%s\"];\n", m.StateOf(mask), vectorLabel(mask, n))
 	}
-	// The orbit and kron routes hold no enumerated chain: enumerate the
-	// cube's rows for the rendering alone.
-	c := m.Chain()
-	if c == nil {
-		c = enumerate(m.P)
-	}
+	// No answer path holds the enumerated chain: enumerate the cube's rows
+	// for the rendering alone.
+	c := enumerate(m.P)
 	for u := 0; u < m.NumStates(); u++ {
 		for _, e := range c.Transitions(u) {
 			fmt.Fprintf(&b, "  s%d -> s%d [label=\"%.4g\"];\n", u, e.To, e.Rate)
@@ -64,8 +61,9 @@ func (m *SymmetricModel) DOT() string {
 	for u := 0; u <= m.N-1; u++ {
 		fmt.Fprintf(&b, "  s%d [label=\"S_%d\"];\n", m.StateOf(u), u)
 	}
+	c := m.Chain()
 	for u := 0; u < m.N+2; u++ {
-		for _, e := range m.chain.Transitions(u) {
+		for _, e := range c.Transitions(u) {
 			fmt.Fprintf(&b, "  s%d -> s%d [label=\"%.4g\"];\n", u, e.To, e.Rate)
 		}
 	}

@@ -19,8 +19,9 @@ import (
 // the pairwise interaction family and n+1 boundary fixups — a linalg.KronOp
 // applied in O(n·2^n) flops with O(2^n) memory, never materialized. The
 // markov.MatrixFree engine runs the moment pair's alternates against it,
-// and on the kron route the grid transients and the transient questions'
-// uniformization alternate. An AsyncModel builds it on first use.
+// and in the cube form (non-lumpable rates) the grid transients and the
+// transient questions' uniformization alternate. An AsyncModel builds it on
+// first use.
 type kronEngine struct {
 	op *linalg.KronOp
 	mf *markov.MatrixFree
@@ -90,13 +91,28 @@ func newKronEngine(p Params) *kronEngine {
 	pre := sync.OnceValue(func() *kronPrecond { return newKronPrecond(op, p) })
 	return &kronEngine{op: op, mf: markov.NewMatrixFree(markov.MatrixFreeSpec{
 		Op:         op,
-		Gamma:      p.TotalEventRate(),
+		Gamma:      entryRate(p),
 		Start:      ones,
 		AbsorbIdx:  absIdx,
 		AbsorbRate: absRate,
 		Precond:    func(dst, src []float64) { pre().forward(dst, src) },
 		Rows:       func(u int, yield func(int, float64)) { cubeRows(p, u, yield) },
 	})}
+}
+
+// entryRate returns the entry's out-rate Σμ + Σ_{i<j} λ_ij, the largest of
+// any state's: TotalEventRate in exact arithmetic, but summed as the
+// enumerated chain sums the entry's row (Σμ, then each pair in order).
+// Both grid operators uniformize at it, so they and EnumerateAsync's chain
+// share every Poisson truncation point bit for bit.
+func entryRate(p Params) float64 {
+	r := p.SumMu()
+	for i := range p.Lambda {
+		for j := i + 1; j < len(p.Lambda); j++ {
+			r += p.Lambda[i][j]
+		}
+	}
+	return r
 }
 
 // uniformPairRate reports whether every off-diagonal interaction rate is the

@@ -8,28 +8,42 @@ import (
 
 	"recoveryblocks/internal/core"
 	"recoveryblocks/internal/guard"
+	"recoveryblocks/internal/markov"
 )
 
-// forceKron builds an AsyncModel pinned to the matrix-free backend regardless
-// of n, so the Kronecker route can be judged against the enumerated chain at
-// sizes where both exist.
-func forceKron(p Params) *AsyncModel {
-	return build(p, nil, routeKron)
+// mustEnumerate builds p's 2^n+1-state chain with EnumerateAsync: the
+// full-cube reference both forms are judged against.
+func mustEnumerate(t testing.TB, p Params) *markov.CTMC {
+	t.Helper()
+	c, err := EnumerateAsync(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
-// forceEnumerated pins the enumerated backend the same way: the full-cube
-// reference past MaxEnumeratedProcesses.
-func forceEnumerated(t testing.TB, p Params) *AsyncModel {
+// refTransient returns the absorption CDF and density of p's enumerated
+// chain at times, from one CSR-stepped absorption sequence from the entry.
+func refTransient(t testing.TB, p Params, times []float64) (cdf, density []float64) {
 	t.Helper()
-	if n := p.N(); n > maxEnumerateProcesses {
-		t.Fatalf("n = %d exceeds the enumeration bound %d", n, maxEnumerateProcesses)
+	c := mustEnumerate(t, p)
+	q := c.NewAbsorptionSequence(pointMass(1<<p.N()+1, 0))
+	cdf, density = make([]float64, len(times)), make([]float64, len(times))
+	for i, tt := range times {
+		cdf[i], density[i], _ = q.At(context.Background(), tt, transientEps)
 	}
-	return build(p, nil, routeEnumerated)
+	return cdf, density
+}
+
+func pointMass(n, at int) []float64 {
+	pi := make([]float64, n)
+	pi[at] = 1
+	return pi
 }
 
 // wallRamp is a distinct-μ ramp, μ_i = 0.8 + 0.05·i, with the uniform λ that
-// puts interaction intensity at ρ: never lumpable, so past
-// MaxEnumeratedProcesses it always takes the kron route.
+// puts interaction intensity at ρ: never lumpable, so it always takes the
+// cube form.
 func wallRamp(n int, rho float64) Params {
 	mu := make([]float64, n)
 	sum := 0.0
@@ -42,15 +56,14 @@ func wallRamp(n int, rho float64) Params {
 	return p
 }
 
-// forceOrbit pins the orbit-lumped backend the same way, its moments on the
-// count form.
-func forceOrbit(t *testing.T, p Params) *AsyncModel {
+// countModel builds the count form of lumpable p.
+func countModel(t testing.TB, p Params) *AsyncModel {
 	t.Helper()
 	cls := lumpClasses(p)
 	if cls == nil {
 		t.Fatal("rates do not lump")
 	}
-	return build(p, cls, routeOrbit)
+	return build(p, cls)
 }
 
 // randomParams draws strictly positive distinct-ish μ and a general symmetric
@@ -104,24 +117,24 @@ func twoClassParams(n1, n2 int, mu1, mu2, l11, l22, l12 float64) Params {
 	return p
 }
 
-// TestKronBackendMatchesEnumerated judges every matrix-free answer — moments,
-// CDF/density grid, deadline and quantile — against the
-// enumerated chain on random general-rate models: forced onto the kron route
-// at n = 3..6, and routed there by NewAsync at n = 8..12 with EnumerateAsync
-// as the full-cube reference. The moments are judged against dense LU on
-// that chain up to n = 10, where it takes under a second.
+// TestKronBackendMatchesEnumerated judges every cube-form answer — moments,
+// CDF/density grid, deadline and quantile — against the enumerated chain
+// EnumerateAsync builds, on random general-rate models at n = 3..6 and
+// 8..12: dense LU for the moments up to n = 10 (under a second), the
+// CSR-stepped absorption sequence for the grid, the full-vector survival
+// function for the deadline, and the chain's CDF at the quantile.
 func TestKronBackendMatchesEnumerated(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	var sizes []int
 	for trial := 0; trial < 6; trial++ {
 		sizes = append(sizes, 3+rng.Intn(4))
 	}
-	for n := MaxEnumeratedProcesses + 1; n <= 12; n++ {
+	for n := 8; n <= 12; n++ {
 		sizes = append(sizes, n)
 	}
 	for trial, n := range sizes {
 		p := randomParams(rng, n)
-		if n > MaxEnumeratedProcesses {
+		if n >= 8 {
 			// Keep the interval short enough for the transient grid: scale
 			// λ to ρ ∈ [0.2, 0.7).
 			scale := (0.2 + 0.5*rng.Float64()) / p.Rho()
@@ -131,13 +144,9 @@ func TestKronBackendMatchesEnumerated(t *testing.T) {
 				}
 			}
 		}
-		ref := forceEnumerated(t, p)
-		mk := forceKron(p)
-		if n > MaxEnumeratedProcesses {
-			mk = mustAsync(t, p)
-			if mk.Route() != "kron" {
-				t.Fatalf("n = %d general rates route to %s, want kron", n, mk.Route())
-			}
+		mk := mustAsync(t, p)
+		if mk.Route() != "cube" {
+			t.Fatalf("n = %d general rates take the %s form, want cube", n, mk.Route())
 		}
 
 		km1, km2, err := mk.MomentsX()
@@ -145,7 +154,7 @@ func TestKronBackendMatchesEnumerated(t *testing.T) {
 			t.Fatalf("trial %d: kron moments: %v", trial, err)
 		}
 		if n <= 10 {
-			em1, em2, err := ref.Chain().AbsorptionMomentsDense(ref.Entry())
+			em1, em2, err := mustEnumerate(t, p).AbsorptionMomentsDense(0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,54 +167,42 @@ func TestKronBackendMatchesEnumerated(t *testing.T) {
 		for i := range times {
 			times[i] = 4 * km1 * float64(i) / float64(len(times)-1)
 		}
-		ecdf, kcdf := ref.CDFX(times), mk.CDFX(times)
-		eden, kden := ref.DensityX(times), mk.DensityX(times)
+		ecdf, eden := refTransient(t, p, times)
+		kcdf, kden := mk.CDFX(times), mk.DensityX(times)
 		for i := range times {
 			if math.Abs(kcdf[i]-ecdf[i]) > 1e-10 || math.Abs(kden[i]-eden[i]) > 1e-10 {
 				t.Fatalf("trial %d n=%d t=%g: CDF %g density %g, enumerated says %g %g", trial, n, times[i], kcdf[i], kden[i], ecdf[i], eden[i])
 			}
 		}
 
-		ep, err := ref.DeadlineMissProb(km1)
-		if err != nil {
-			t.Fatal(err)
-		}
 		kp, err := mk.DeadlineMissProb(km1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(kp-ep) > 1e-9*ep {
+		if ep := survivalReference(t, p, km1); math.Abs(kp-ep) > 1e-8*ep+1e-12 {
 			t.Fatalf("trial %d n=%d: deadline-miss %g, enumerated says %g", trial, n, kp, ep)
-		}
-		eq, err := ref.QuantileX(0.9)
-		if err != nil {
-			t.Fatal(err)
 		}
 		kq, err := mk.QuantileX(0.9)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(kq-eq) > 1e-7*eq {
-			t.Fatalf("trial %d n=%d: quantile %g, enumerated says %g", trial, n, kq, eq)
+		if cdf, _ := refTransient(t, p, []float64{kq}); math.Abs(cdf[0]-0.9) > 1e-8 {
+			t.Fatalf("trial %d n=%d: enumerated CDF %g at the 0.9 quantile %g", trial, n, cdf[0], kq)
 		}
 	}
 }
 
-// TestOrbitMatchesEnumerated checks the orbit route, its count-form moments
-// and its lumped chain's transients, against the full enumeration (dense LU
-// for the moments) on partially-exchangeable rates, and that non-lumpable
-// rate structures are refused.
+// TestOrbitMatchesEnumerated checks the count form, its moments and its
+// count operator's transients, against the full enumeration (dense LU for
+// the moments) on partially-exchangeable rates, and that non-lumpable rate
+// structures are refused.
 func TestOrbitMatchesEnumerated(t *testing.T) {
 	p := twoClassParams(4, 2, 1.0, 2.5, 0.3, 0.8, 0.5)
-	ref, err := NewAsync(p)
-	if err != nil {
-		t.Fatal(err)
+	mo := mustAsync(t, p)
+	if mo.Route() != "count" || mo.cls.cells != 5*3 {
+		t.Fatalf("%s form, want count over 15 cells", mo.Route())
 	}
-	mo := forceOrbit(t, p)
-	if got, want := mo.states, 5*3+1; got != want {
-		t.Fatalf("orbit states = %d, want %d", got, want)
-	}
-	em1, em2, err := ref.Chain().AbsorptionMomentsDense(ref.Entry())
+	em1, em2, err := mustEnumerate(t, p).AbsorptionMomentsDense(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +214,8 @@ func TestOrbitMatchesEnumerated(t *testing.T) {
 		t.Fatalf("orbit moments (%g, %g) deviate from enumerated (%g, %g)", om1, om2, em1, em2)
 	}
 	times := []float64{0.5 * em1, 2 * em1}
-	ecdf, ocdf := ref.CDFX(times), mo.CDFX(times)
+	ecdf, _ := refTransient(t, p, times)
+	ocdf := mo.CDFX(times)
 	for i := range times {
 		if math.Abs(ocdf[i]-ecdf[i]) > 1e-9 {
 			t.Fatalf("CDF(%g) = %g, enumerated says %g", times[i], ocdf[i], ecdf[i])
@@ -237,25 +235,45 @@ func TestOrbitMatchesEnumerated(t *testing.T) {
 	}
 }
 
-// TestAsyncRouting pins the grid operator's selection rule:
-// enumeration up to MaxEnumeratedProcesses, then orbit lumping when the
-// rates collapse onto fewer than markov.KronCutoff cells, matrix-free
-// otherwise.
+// pairClasses returns k classes of two processes each, μ_a = 0.8 + 0.1·a,
+// with block-constant λ at intensity ρ: lumpable onto 3^k cells.
+func pairClasses(k int, rho float64) Params {
+	of := make([]int, 2*k)
+	mu := make([]float64, k)
+	L := make([][]float64, k)
+	for i := range of {
+		of[i] = i / 2
+	}
+	for a := range mu {
+		mu[a] = 0.8 + 0.1*float64(a)
+		L[a] = make([]float64, k)
+		for b := range L[a] {
+			L[a][b] = 1 + 0.25*float64((a+b)%3)
+		}
+	}
+	return classParams(of, mu, L, rho)
+}
+
+// TestAsyncRouting pins the form selection rule: lumpability alone picks
+// the count form or the cube, whatever n or the cell count, and NewAsync
+// builds no operator for either.
 func TestAsyncRouting(t *testing.T) {
 	for _, c := range []struct {
 		p     Params
 		route string
 	}{
-		{Uniform(MaxEnumeratedProcesses, 1, 0.5), "enumerated"},
-		{wallRamp(MaxEnumeratedProcesses, 1), "enumerated"},
-		{Uniform(MaxEnumeratedProcesses+1, 1, 0.5), "orbit"},
-		{wallRamp(MaxEnumeratedProcesses+1, 1), "kron"},
-		{twoClassParams(9, 8, 1, 3, 0.2, 0.3, 0.25), "orbit"},
-		{randomParams(rand.New(rand.NewSource(77)), 17), "kron"},
+		{Uniform(3, 1, 0.5), "count"},
+		{wallRamp(3, 1), "cube"},
+		{wallRamp(7, 1), "cube"},
+		{Uniform(8, 1, 0.5), "count"},
+		{wallRamp(8, 1), "cube"},
+		{twoClassParams(9, 8, 1, 3, 0.2, 0.3, 0.25), "count"},
+		{randomParams(rand.New(rand.NewSource(77)), 17), "cube"},
+		{pairClasses(11, 1), "count"}, // 3^11 = 177 147 cells
 	} {
 		m := mustAsync(t, c.p)
-		if m.Route() != c.route || (m.Chain() != nil) != (c.route == "enumerated") {
-			t.Errorf("n=%d route = %s (chain nil: %v), want %s", c.p.N(), m.Route(), m.Chain() == nil, c.route)
+		if m.Route() != c.route || m.eng != nil || m.grid != nil {
+			t.Errorf("n=%d form = %s (engine built: %v, grid built: %v), want %s", c.p.N(), m.Route(), m.eng != nil, m.grid != nil, c.route)
 		}
 	}
 
@@ -271,10 +289,10 @@ func TestAsyncRouting(t *testing.T) {
 }
 
 // TestLargeNKronMatchesOrbit is the past-the-wall equivalence run inside
-// ordinary `go test`: at n = 17 a two-class workload solves both by orbit
-// lumping (36 lumped states, exact) and by the forced matrix-free engine on
-// the full 2^17 cube; at n = 18 the uniform workload judges the forced
-// engine against the symmetric model's one-class count form. This is the
+// ordinary `go test`: at n = 17 a two-class workload solves both in the
+// count form (90 cells, exact) and on the Kronecker engine of the cube
+// form over the full 2^17 cube; at n = 18 the uniform workload judges the
+// cube form's engine against the symmetric model's one-class count form. This is the
 // cheap end of the proof grid — the n ∈ {20, 24} cells live in the xval
 // grid and the benchmarks.
 func TestLargeNKronMatchesOrbit(t *testing.T) {
@@ -282,12 +300,12 @@ func TestLargeNKronMatchesOrbit(t *testing.T) {
 		t.Skip("2^17-state matrix-free solves")
 	}
 	p := twoClassParams(9, 8, 1.0, 2.0, 0.05, 0.08, 0.06)
-	orb := forceOrbit(t, p)
+	orb := countModel(t, p)
 	om1, om2, err := orb.MomentsX()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := forceKron(p)
+	mk := build(p, nil)
 	km1, km2, err := mk.MomentsX()
 	if err != nil {
 		t.Fatalf("n=17 kron moments: %v", err)
@@ -309,10 +327,10 @@ func TestLargeNKronMatchesOrbit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if auto.Route() != "orbit" {
-		t.Fatalf("uniform n=18 route = %s, want orbit", auto.Route())
+	if auto.Route() != "count" {
+		t.Fatalf("uniform n=18 form = %s, want count", auto.Route())
 	}
-	kk := forceKron(Uniform(n, 1, 0.04))
+	kk := build(Uniform(n, 1, 0.04), nil)
 	km1, km2, err = kk.MomentsX()
 	if err != nil {
 		t.Fatalf("n=18 kron moments: %v", err)
@@ -329,7 +347,7 @@ func TestLargeNKronMatchesOrbit(t *testing.T) {
 // answer is reproduced within each rung's tolerance.
 func TestKronLadderFaultInjection(t *testing.T) {
 	p := randomParams(rand.New(rand.NewSource(41)), 6)
-	m := forceKron(p)
+	m := build(p, nil)
 	h1, h2, err := m.MomentsX()
 	if err != nil {
 		t.Fatal(err)
@@ -417,14 +435,15 @@ func FuzzKronFactorBuilder(f *testing.F) {
 				k++
 			}
 		}
-		ref := forceEnumerated(t, p)
+		c := mustEnumerate(t, p)
 		eng := newKronEngine(p)
 		dim := 1 << n
 		ones := dim - 1
-		// Reference rows from the enumerated chain, entry mapped onto the
-		// all-ones vertex and absorption dropped (implicit in the operator).
+		// Reference rows from the enumerated chain, entry (state 0) mapped
+		// onto the all-ones vertex and absorption (state dim) dropped, as
+		// it is implicit in the operator.
 		cubeOf := func(state int) int {
-			if state == ref.Entry() {
+			if state == 0 {
 				return ones
 			}
 			return state - 1
@@ -433,12 +452,11 @@ func FuzzKronFactorBuilder(f *testing.F) {
 		for s := range want {
 			want[s] = make([]float64, dim)
 		}
-		c := ref.Chain()
-		for state := 0; state < ref.NumStates()-1; state++ {
+		for state := 0; state < dim; state++ {
 			s := cubeOf(state)
 			want[s][s] -= c.OutRate(state)
 			for _, e := range c.Transitions(state) {
-				if e.To != ref.Absorbing() {
+				if e.To != dim {
 					want[s][cubeOf(e.To)] += e.Rate
 				}
 			}

@@ -17,8 +17,7 @@ import (
 // jitteredRamp is the exact-wall benchmark's chain: μ_i = 0.8 + 0.05·(i + j_i)
 // with a seeded shape jitter j_i ∈ [−0.4, 0.4) drawn from PCG(seed,
 // "exactwal"), and the uniform λ that puts interaction intensity at ρ. The
-// rates stay pairwise distinct, so past MaxEnumeratedProcesses the chain
-// always takes the kron route.
+// rates stay pairwise distinct, so the model always takes the cube form.
 func jitteredRamp(n int, rho float64, seed uint64) Params {
 	rng := randv2.New(randv2.NewPCG(seed, 0x657861637477616c))
 	mu := make([]float64, n)
@@ -56,12 +55,12 @@ func krylovRungMoments(t testing.TB, m *AsyncModel) (m1, m2 float64) {
 // fail, each pair must be answered by the first alternate, kron-krylov
 // (BiCGSTAB), with no further fallback.
 func TestExactWallMomentsStayOnPrimary(t *testing.T) {
-	for n := MaxEnumeratedProcesses + 1; n <= 14; n++ {
+	for n := 8; n <= 14; n++ {
 		for _, rho := range []float64{0.25, 1, 4} {
 			for seed := uint64(1); seed <= 3; seed++ {
 				m := mustAsync(t, jitteredRamp(n, rho, seed))
-				if m.Route() != "kron" {
-					t.Fatalf("n=%d ρ=%g seed %d: route %s, want kron", n, rho, seed, m.Route())
+				if m.Route() != "cube" {
+					t.Fatalf("n=%d ρ=%g seed %d: form %s, want cube", n, rho, seed, m.Route())
 				}
 				rec := &guard.Recorder{}
 				if _, _, err := m.MomentsXCtx(guard.WithRecorder(context.Background(), rec)); err != nil {
@@ -97,8 +96,8 @@ func TestKronMomentMatvecsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := matvecs.Value(); m.Route() != "kron" || got != wantMatvecs {
-		t.Errorf("%s n=12: moment pair took %d operator applications, want %d on kron", m.Route(), got, wantMatvecs)
+	if got := matvecs.Value(); m.Route() != "cube" || got != wantMatvecs {
+		t.Errorf("%s n=12: moment pair took %d operator applications, want %d on cube", m.Route(), got, wantMatvecs)
 	}
 	if math.Abs(m1-wantM1) > 1e-12*wantM1 || math.Abs(m2-wantM2) > 1e-12*wantM2 {
 		t.Errorf("n=12 moments = (%.17g, %.17g), want (%.17g, %.17g)", m1, m2, wantM1, wantM2)
@@ -188,7 +187,7 @@ func TestKrylovRungsForwardErrorAgree(t *testing.T) {
 		name := fmt.Sprintf("n=%d ρ=%.3g", p.N(), p.Rho())
 		start := 1<<p.N() - 1
 		bh, bh2, be1, be2 := krylovMoments(t, p)
-		m := forceKron(p)
+		m := build(p, nil)
 		m1, m2, err := m.MomentsX()
 		if err != nil {
 			t.Fatal(err)

@@ -14,8 +14,9 @@ import "recoveryblocks/internal/markov"
 // absorbs. The cell count Π(C_k+1) is often dozens where 2^n is millions.
 // The moment pair comes from the count form of the renewal recursion
 // (countMoments), and the count form of the Laplace transform answers the
-// deadline miss and the quantiles; the lumped chain serves the transient
-// grids and their uniformization alternate.
+// deadline miss and the quantiles; the count operator (countOp), the lumped
+// generator applied on the fly, steps the transient grids and their
+// uniformization alternate.
 
 // classes is the class partition of a lumpable rate structure, its cells
 // indexed in mixed radix: cell s has digit c_k = (s / stride[k]) mod
@@ -116,78 +117,129 @@ func (c *classes) setStrides() {
 	}
 }
 
-// chain builds the lumped chain: the cells in mixed-radix order, the
-// all-full cell (cells−1) the entry, and state cells the absorbing one.
-func (c *classes) chain() *markov.CTMC {
-	k := len(c.size)
-	ch := markov.NewCTMC(c.cells + 1)
-	ch.ReserveDegree(k + k*(k+1)/2 + 1)
-	ch.SetAbsorbing(c.cells)
-	counts := make([]int, k)
-	for s := 0; s < c.cells; s++ {
-		c.buildCell(ch, s, counts)
-	}
-	return ch
+// countOp is the transient generator of the lumped chain, rules R1′–R4′
+// applied per class on the fly over the cells in mixed-radix order: it
+// stores no matrix. The all-full cell is the entry, and raising into it
+// absorbs (the absorbing state is implicit, as on the cube).
+type countOp struct {
+	c *classes
+	// sumMu is Σ C_a·μ_a, the entry's R4 rate.
+	sumMu float64
 }
 
-// buildCell installs the transitions out of one count cell. counts is scratch
-// for the decoded digits.
-func (c *classes) buildCell(ch *markov.CTMC, s int, counts []int) {
+// newCountEngine wraps the count operator of c in the absorption engine
+// the grids and the uniformization rung step, from the entry cell at γ =
+// gamma, which must dominate every cell's out-rate. Its absorption vector
+// is in closed form: the K cells one recovery point short of full in one
+// class, at that class's μ, and the entry, at Σ C_a·μ_a.
+func newCountEngine(c *classes, gamma float64) *markov.MatrixFree {
 	k := len(c.size)
-	absorbing, entry := c.cells, c.cells-1
-	rem := s
-	for a := 0; a < k; a++ {
-		counts[a] = rem % (c.size[a] + 1)
-		rem /= c.size[a] + 1
+	entry := c.cells - 1
+	op := newCountOp(c)
+	absIdx := make([]int, 0, k+1)
+	absRate := make([]float64, 0, k+1)
+	for a, mu := range c.mu {
+		absIdx = append(absIdx, entry-c.stride[a])
+		absRate = append(absRate, mu)
 	}
-	// R1: an unmarked process of class a establishes a recovery point.
-	// Raising into the all-full cell completes the recovery line.
-	for a := 0; a < k; a++ {
-		if counts[a] == c.size[a] {
-			continue
-		}
-		rate := float64(c.size[a]-counts[a]) * c.mu[a]
-		if next := s + c.stride[a]; next == entry {
-			ch.AddRate(s, absorbing, rate)
-		} else {
-			ch.AddRate(s, next, rate)
-		}
+	absIdx = append(absIdx, entry)
+	absRate = append(absRate, op.sumMu)
+	return markov.NewMatrixFree(markov.MatrixFreeSpec{
+		Op:         op,
+		Gamma:      gamma,
+		Start:      entry,
+		AbsorbIdx:  absIdx,
+		AbsorbRate: absRate,
+	})
+}
+
+func newCountOp(c *classes) *countOp {
+	o := &countOp{c: c}
+	for a, mu := range c.mu {
+		o.sumMu += float64(c.size[a]) * mu
 	}
-	// R4: out of the entry, any process's next RP forms the line.
-	if s == entry {
-		total := 0.0
-		for a := 0; a < k; a++ {
-			total += float64(c.size[a]) * c.mu[a]
-		}
-		ch.AddRate(s, absorbing, total)
+	return o
+}
+
+func (o *countOp) Dim() int { return o.c.cells }
+
+// MulVecInto computes dst = Q̂·x.
+func (o *countOp) MulVecInto(dst, x []float64) { o.apply(dst, x, false) }
+
+// MulVecTransInto computes dst = Q̂ᵀ·x, the distribution-evolution
+// direction.
+func (o *countOp) MulVecTransInto(dst, x []float64) { o.apply(dst, x, true) }
+
+// apply visits every cell's transitions once, decoding the counts with the
+// mixed-radix odometer: it gathers Σ_t Q̂[s,t]·x_t into dst_s, or, for the
+// transpose, scatters x_s·Q̂[s,t] into dst_t. The counts live on the stack
+// (K < n ≤ MaxExactProcesses, or K = 1), so an application allocates
+// nothing and the operator is safe for concurrent use.
+func (o *countOp) apply(dst, x []float64, trans bool) {
+	c := o.c
+	if len(dst) != c.cells || len(x) != c.cells {
+		panic("rbmodel: count operator dimension mismatch")
 	}
-	// R2: an interaction between two marked processes clears both marks.
-	for a := 0; a < k; a++ {
-		if counts[a] >= 2 {
-			if rate := float64(counts[a]*(counts[a]-1)/2) * c.lam[a][a]; rate > 0 {
-				ch.AddRate(s, s-2*c.stride[a], rate)
+	var buf [MaxExactProcesses]int
+	counts := buf[:len(c.size)]
+	entry := c.cells - 1
+	if trans {
+		clear(dst)
+	}
+	for s := range c.cells {
+		if s > 0 {
+			c.advance(counts)
+		}
+		xs := x[s]
+		var out, in float64
+		edge := func(t int, rate float64) {
+			out += rate
+			if trans {
+				dst[t] += rate * xs
+			} else {
+				in += rate * x[t]
 			}
 		}
-		for b := a + 1; b < k; b++ {
-			if counts[a] >= 1 && counts[b] >= 1 {
-				if rate := float64(counts[a]*counts[b]) * c.lam[a][b]; rate > 0 {
-					ch.AddRate(s, s-c.stride[a]-c.stride[b], rate)
+		for a, ca := range counts {
+			// R1: an unmarked process of class a establishes a recovery
+			// point; raising into the all-full cell completes the line.
+			if free := c.size[a] - ca; free > 0 {
+				rate := float64(free) * c.mu[a]
+				if t := s + c.stride[a]; t == entry {
+					out += rate
+				} else {
+					edge(t, rate)
 				}
 			}
+			if ca == 0 {
+				continue
+			}
+			lam := c.lam[a]
+			// R2: an interaction between two marked processes clears both
+			// marks, within class a and across to every class b > a.
+			if ca >= 2 && lam[a] > 0 {
+				edge(s-2*c.stride[a], float64(ca*(ca-1)/2)*lam[a])
+			}
+			// R3: a marked process of class a interacts with an unmarked
+			// one of any class, one aggregated transition per class.
+			r3 := 0.0
+			for b, cb := range counts {
+				r3 += float64(c.size[b]-cb) * lam[b]
+				if b > a && cb > 0 && lam[b] > 0 {
+					edge(s-c.stride[a]-c.stride[b], float64(ca*cb)*lam[b])
+				}
+			}
+			if r3 > 0 {
+				edge(s-c.stride[a], float64(ca)*r3)
+			}
 		}
-	}
-	// R3: a marked process of class a interacts with any unmarked process —
-	// one aggregated transition per class losing a mark.
-	for a := 0; a < k; a++ {
-		if counts[a] == 0 {
-			continue
+		if s == entry {
+			out += o.sumMu // R4: out of the entry, any recovery point forms the line
 		}
-		rate := 0.0
-		for b := 0; b < k; b++ {
-			rate += float64(c.size[b]-counts[b]) * c.lam[a][b]
-		}
-		if rate *= float64(counts[a]); rate > 0 {
-			ch.AddRate(s, s-c.stride[a], rate)
+		if trans {
+			dst[s] -= out * xs
+		} else {
+			dst[s] = in - out*xs
 		}
 	}
 }

@@ -254,7 +254,8 @@ func TestKronPrecondIterationsPinned(t *testing.T) {
 
 // TestKronMomentsMatchEnumeratedAcrossRho judges the kron moment pair, from
 // the kron-renewal primary and from the kron-krylov rung behind it, against
-// the enumerated chain at 1e-6 relative up to ρ = 8. On the Krylov rung the
+// the cube recursion, which the enumerated chain's dense LU confirms in
+// renewal_test.go, at 1e-6 relative up to ρ = 8. On the Krylov rung the
 // coarse level is what holds the forward error there: Gauss–Seidel alone
 // stops on the same residual 2.6e-6 away in E[X] and 4.1e-6 in E[X²] at
 // n = 12, ρ = 8.
@@ -262,11 +263,8 @@ func TestKronMomentsMatchEnumeratedAcrossRho(t *testing.T) {
 	for _, n := range []int{10, 12} {
 		for _, rho := range []float64{1, 4, 8} {
 			p := wallRamp(n, rho)
-			e1, e2, err := forceEnumerated(t, p).MomentsX()
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := forceKron(p)
+			e1, e2 := cubeMoments(p)
+			m := build(p, nil)
 			r1, r2, err := m.MomentsX()
 			if err != nil {
 				t.Fatalf("n=%d ρ=%g: %v", n, rho, err)
@@ -363,7 +361,7 @@ func TestKronIsCoreCountInvariant(t *testing.T) {
 	for i, e := range engines {
 		wantA[i], wantM[i] = apply(e)
 	}
-	m1, m2 := krylovRungMoments(t, forceKron(wallRamp(16, 1)))
+	m1, m2 := krylovRungMoments(t, build(wallRamp(16, 1), nil))
 
 	runtime.GOMAXPROCS(2)
 	for i, e := range engines {
@@ -375,7 +373,7 @@ func TestKronIsCoreCountInvariant(t *testing.T) {
 			t.Errorf("%s: preconditioner element %d = %v on two cores, %v on one", e.name, k, mv[k], wantM[i][k])
 		}
 	}
-	if g1, g2 := krylovRungMoments(t, forceKron(wallRamp(16, 1))); math.Float64bits(g1) != math.Float64bits(m1) || math.Float64bits(g2) != math.Float64bits(m2) {
+	if g1, g2 := krylovRungMoments(t, build(wallRamp(16, 1), nil)); math.Float64bits(g1) != math.Float64bits(m1) || math.Float64bits(g2) != math.Float64bits(m2) {
 		t.Errorf("n=16 moment pair (%.17g, %.17g) on two cores, (%.17g, %.17g) on one", g1, g2, m1, m2)
 	}
 

@@ -114,7 +114,7 @@ func TestRenewalMatchesDenseLU(t *testing.T) {
 	worst := map[float64]float64{}
 	rng := rand.New(rand.NewSource(83))
 	check := func(name string, p Params, rho float64) {
-		e1, e2, err := forceEnumerated(t, p).Chain().AbsorptionMomentsDense(0)
+		e1, e2, err := mustEnumerate(t, p).AbsorptionMomentsDense(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestRenewalMatchesEnumerated(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		n := 2 + trial%6
 		p := randomParams(rng, n)
-		e1, e2, err := forceEnumerated(t, p).Chain().AbsorptionMomentsDense(0)
+		e1, e2, err := mustEnumerate(t, p).AbsorptionMomentsDense(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -409,7 +409,7 @@ func TestCountFormMatchesCube(t *testing.T) {
 // TestLumpedMomentsAtHighRho is the regression for the float64 LU solves of
 // the lumped chains the lumped routes once took: at n = 20, ρ = 8 the orbit
 // chain's LU gave E[X] = 3.32e14 for 5.86e14, and it was off by about 1 at
-// ρ = 16 and by 3.3e-3 at n = 24, ρ = 4. The orbit route of NewAsync and
+// ρ = 16 and by 3.3e-3 at n = 24, ρ = 4. The count form of NewAsync and
 // SymmetricModel now agree with the 512-bit symmetric chain within 1e-14
 // there, and at n = 20 with the cube recursion within 2e-14 (worst measured
 // 1.6e-15 and 2.2e-15).
@@ -421,8 +421,8 @@ func TestLumpedMomentsAtHighRho(t *testing.T) {
 	}{{20, 8}, {20, 16}, {24, 4}} {
 		lambda := c.rho / float64(c.n-1)
 		m := mustAsync(t, Uniform(c.n, 1, lambda))
-		if m.Route() != routeOrbit {
-			t.Fatalf("n=%d: route %s, want orbit", c.n, m.Route())
+		if m.Route() != "count" {
+			t.Fatalf("n=%d: form %s, want count", c.n, m.Route())
 		}
 		o1, o2, err := m.MomentsX()
 		if err != nil {

@@ -3,6 +3,7 @@ package rbmodel
 import (
 	"context"
 	"errors"
+	"sync"
 
 	"recoveryblocks/internal/markov"
 )
@@ -13,8 +14,9 @@ import (
 // rules R1'–R4'). It has n + 2 states and therefore scales to large n, which
 // is what makes the Figure 5 sweep cheap. Its moment pair is the one-class
 // count form of the renewal recursion, read with no solve and no ladder;
-// the chain serves the transient grids, the deadline miss's uniformization
-// alternate and the DOT rendering.
+// its density and the deadline miss's uniformization alternate step the
+// one-class count operator. The chain itself is built only for Chain and
+// the DOT rendering.
 //
 // State indexing: 0 = entry (S_r), 1+u = S_u for u = 0..n-1,
 // n+1 = absorbing (S_{r+1}).
@@ -22,10 +24,15 @@ type SymmetricModel struct {
 	N      int
 	Mu     float64
 	Lambda float64
-	chain  *markov.CTMC
+
+	chainOnce sync.Once
+	chain     *markov.CTMC
+	gridOnce  sync.Once
+	grid      *markov.MatrixFree
 }
 
-// NewSymmetric builds the lumped chain.
+// NewSymmetric validates the rates and builds the model; its chain and its
+// operator are built on first use.
 func NewSymmetric(n int, mu, lambda float64) (*SymmetricModel, error) {
 	if n < 1 {
 		return nil, errors.New("rbmodel: need at least one process")
@@ -36,7 +43,18 @@ func NewSymmetric(n int, mu, lambda float64) (*SymmetricModel, error) {
 	if lambda < 0 {
 		return nil, errors.New("rbmodel: λ must be nonnegative")
 	}
-	m := &SymmetricModel{N: n, Mu: mu, Lambda: lambda}
+	return &SymmetricModel{N: n, Mu: mu, Lambda: lambda}, nil
+}
+
+// Chain returns the lumped chain of Figure 3, built on first use.
+func (m *SymmetricModel) Chain() *markov.CTMC {
+	m.chainOnce.Do(func() { m.chain = m.buildChain() })
+	return m.chain
+}
+
+// buildChain installs rules R1′–R4′ on an (n+2)-state CTMC.
+func (m *SymmetricModel) buildChain() *markov.CTMC {
+	n, mu, lambda := m.N, m.Mu, m.Lambda
 	c := markov.NewCTMC(n + 2)
 	c.SetAbsorbing(m.Absorbing())
 
@@ -68,8 +86,18 @@ func NewSymmetric(n int, mu, lambda float64) (*SymmetricModel, error) {
 			}
 		}
 	}
-	m.chain = c
-	return m, nil
+	return c
+}
+
+// gridEngine returns the one-class count operator's engine, built on first
+// use. It steps at the entry's out-rate nμ + C(n,2)·λ, the largest of the
+// chain's.
+func (m *SymmetricModel) gridEngine() *markov.MatrixFree {
+	m.gridOnce.Do(func() {
+		fn := float64(m.N)
+		m.grid = newCountEngine(oneClass(m.N, m.Mu, m.Lambda), fn*m.Mu+fn*(fn-1)/2*m.Lambda)
+	})
+	return m.grid
 }
 
 // Entry returns the entry state index.
@@ -86,9 +114,6 @@ func (m *SymmetricModel) StateOf(u int) int {
 	return u + 1
 }
 
-// Chain exposes the underlying CTMC.
-func (m *SymmetricModel) Chain() *markov.CTMC { return m.chain }
-
 // MeanX returns E[X]: MeanXCtx under a background context.
 func (m *SymmetricModel) MeanX() (float64, error) {
 	return m.MeanXCtx(context.Background())
@@ -99,11 +124,16 @@ func (m *SymmetricModel) MomentsX() (float64, float64, error) {
 	return m.MomentsXCtx(context.Background())
 }
 
-// DensityX evaluates f_X(t) at the given nondecreasing times.
+// DensityX evaluates f_X(t) at the given times from one absorption
+// sequence.
 func (m *SymmetricModel) DensityX(times []float64) []float64 {
-	pi := make([]float64, m.N+2)
-	pi[m.Entry()] = 1
-	return m.chain.AbsorptionDensity(pi, times, transientEps)
+	q := m.gridEngine().NewAbsorptionSequence()
+	f := make([]float64, len(times))
+	for i, t := range times {
+		// A background context never cancels, so At cannot fail here.
+		_, f[i], _ = q.At(context.Background(), t, transientEps)
+	}
+	return f
 }
 
 // MeanL returns E[L] per process (= μ·E[X]; identical across processes by

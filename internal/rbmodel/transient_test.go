@@ -3,10 +3,10 @@ package rbmodel
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
-	"recoveryblocks/internal/markov"
 	"recoveryblocks/internal/obs"
 )
 
@@ -15,26 +15,33 @@ import (
 
 // TestTransientGridMatchesTransientDistribution checks CDFX and DensityX,
 // answered from one absorption sequence, against the full-vector
-// uniformization reference evaluated point by point on the 16 385-point grid
-// the Figure 6 KS check uses, t = 0 included, on the enumerated and orbit
-// routes, with and without interactions, and against the n = 1 closed form.
+// uniformization reference on the full cube (EnumerateAsync's chain,
+// independent of either operator), evaluated point by point on the
+// 16 385-point grid the Figure 6 KS check uses, t = 0 included: in the
+// count form on one, two and three classes, with and without
+// interactions, in the cube form on a non-lumpable n = 5 model, and
+// against the n = 1 closed form.
 func TestTransientGridMatchesTransientDistribution(t *testing.T) {
-	type gridCase struct {
-		m             *AsyncModel
-		chain         *markov.CTMC
-		entry, states int
+	third := []int{0, 1, 2, 0, 1, 2}
+	cases := []*AsyncModel{
+		mustAsync(t, Uniform(3, 1, 1)),
+		mustAsync(t, Uniform(3, 1, 0)),
+		mustAsync(t, Uniform(1, 2, 0)),
+		mustAsync(t, twoClassParams(3, 2, 1.0, 2.5, 0.3, 0.8, 0.5)),
+		mustAsync(t, classParams(third, []float64{0.7, 1.3, 2}, [][]float64{{0.2, 0, 0.9}, {0, 1.1, 0.4}, {0.9, 0.4, 0.6}}, 1)),
+		mustAsync(t, wallRamp(5, 1)),
 	}
-	var cases []gridCase
-	for _, p := range []Params{Uniform(3, 1, 1), Uniform(3, 1, 0), Uniform(1, 2, 0)} {
-		m := mustAsync(t, p)
-		cases = append(cases, gridCase{m, m.Chain(), m.Entry(), m.NumStates()})
+	forms := map[string]int{}
+	for _, m := range cases {
+		forms[m.Route()]++
 	}
-	orb := forceOrbit(t, twoClassParams(3, 2, 1.0, 2.5, 0.3, 0.8, 0.5))
-	cases = append(cases, gridCase{orb, orb.chain(), orb.entry, orb.states})
+	if forms["count"] != 4 || forms["cube"] != 2 {
+		t.Fatalf("forms %v, want 4 count and 2 cube", forms)
+	}
 
 	const gridN = 16384
-	for _, c := range cases {
-		mean, err := c.m.MeanX()
+	for _, m := range cases {
+		mean, err := m.MeanX()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,28 +49,28 @@ func TestTransientGridMatchesTransientDistribution(t *testing.T) {
 		for i := range times {
 			times[i] = 4 * mean * float64(i) / gridN
 		}
-		cdf, dens := c.m.CDFX(times), c.m.DensityX(times)
-		pi0 := make([]float64, c.states)
-		pi0[c.entry] = 1
+		cdf, dens := m.CDFX(times), m.DensityX(times)
+		chain := mustEnumerate(t, m.P)
+		pi0 := pointMass(m.NumStates(), m.Entry())
 		for i, tt := range times {
-			pi := c.chain.TransientDistribution(pi0, tt, transientEps)
+			pi := chain.TransientDistribution(pi0, tt, transientEps)
 			var wantCDF, wantF float64
 			for u, v := range pi {
-				if c.chain.IsAbsorbing(u) {
+				if chain.IsAbsorbing(u) {
 					wantCDF += v
 					continue
 				}
-				for _, e := range c.chain.Transitions(u) {
-					if c.chain.IsAbsorbing(e.To) {
+				for _, e := range chain.Transitions(u) {
+					if chain.IsAbsorbing(e.To) {
 						wantF += v * e.Rate
 					}
 				}
 			}
 			if math.Abs(cdf[i]-wantCDF) > 1e-12 || math.Abs(dens[i]-wantF) > 1e-12*math.Max(1, wantF) {
-				t.Fatalf("%s n=%d t=%v: CDF %v density %v, reference %v %v", c.m.Route(), c.m.P.N(), tt, cdf[i], dens[i], wantCDF, wantF)
+				t.Fatalf("%s n=%d t=%v: CDF %v density %v, reference %v %v", m.Route(), m.P.N(), tt, cdf[i], dens[i], wantCDF, wantF)
 			}
-			if c.m.P.N() == 1 {
-				mu := c.m.P.Mu[0]
+			if m.P.N() == 1 {
+				mu := m.P.Mu[0]
 				if math.Abs(cdf[i]-(1-math.Exp(-mu*tt))) > 1e-9 || math.Abs(dens[i]-mu*math.Exp(-mu*tt)) > 1e-9 {
 					t.Fatalf("n=1 t=%v: CDF %v density %v, closed form %v %v", tt, cdf[i], dens[i], 1-math.Exp(-mu*tt), mu*math.Exp(-mu*tt))
 				}
@@ -99,7 +106,7 @@ func countOf(t *testing.T, name string, fn func() error) int64 {
 // reads one absorption sequence for every Newton probe and grows its
 // horizon by at most a quarter per probe, so a 0.99 quantile costs at most
 // 1.3 times the uniformization matvecs of one deadline-miss evaluation at
-// its own answer, on the enumerated, orbit and kron routes. A bracket
+// its own answer, on the count operator and the cube's. A bracket
 // doubled from E[X] took 1.49 times on the benchmark's n = 12 kron chain
 // and 1.77 on its paper-table chains.
 func TestQuantileCostsAboutOneCDF(t *testing.T) {
@@ -107,7 +114,7 @@ func TestQuantileCostsAboutOneCDF(t *testing.T) {
 	models := []*AsyncModel{
 		mustAsync(t, Uniform(4, 1, 0.5)),
 		mustAsync(t, Uniform(3, 1, 1)),
-		forceOrbit(t, twoClassParams(3, 2, 1.0, 2.5, 0.3, 0.8, 0.5)),
+		mustAsync(t, twoClassParams(3, 2, 1.0, 2.5, 0.3, 0.8, 0.5)),
 		mustAsync(t, Uniform(17, 1, 0.005)),
 		mustAsync(t, wallRamp(12, 0.25)),
 	}
@@ -129,7 +136,9 @@ func TestQuantileCostsAboutOneCDF(t *testing.T) {
 // TestDeadlineMissMatvecsPinned pins the work and answer of one deadline-miss
 // evaluation on each rung. The uniformization rung's Poisson truncation
 // point, and so its matvec count, equals the full-vector sweep's it
-// replaced. The transform rung takes talbotNodes + talbotCheck passes and
+// replaced, on the count operator as on the enumerated and orbit chains
+// before it. Its answer sums the transient masses; read as 1 − F it was
+// 3.7e-11 to 8.2e-11 higher on these cases. The transform rung takes talbotNodes + talbotCheck passes and
 // no matvec, and matches the uniformization rung within its 1e-10
 // truncation.
 func TestDeadlineMissMatvecsPinned(t *testing.T) {
@@ -140,12 +149,10 @@ func TestDeadlineMissMatvecsPinned(t *testing.T) {
 		matvecs     int64
 		unif, trans float64
 	}{
-		{Uniform(4, 1, 0.5), "enumerated", 44, 0.31344146097935432, 0.31344146094788755},
-		{Uniform(3, 1, 1), "enumerated", 40, 0.34005799247839796, 0.34005799243867396},
-		{Uniform(17, 1, 0.005), "orbit", 79, 0.017697252279705533, 0.017697252197935102},
-		// The enumerated route's count and answer before n = 12 moved to
-		// the operator-stepped sequence.
-		{wallRamp(12, 0.25), "kron", 69, 0.068640211196998258, 0.068640211114076727},
+		{Uniform(4, 1, 0.5), "count", 44, 0.31344146094188269, 0.31344146094788755},
+		{Uniform(3, 1, 1), "count", 40, 0.34005799243320711, 0.34005799243867396},
+		{Uniform(17, 1, 0.005), "count", 79, 0.017697252197347552, 0.017697252197935102},
+		{wallRamp(12, 0.25), "cube", 69, 0.068640211110731389, 0.068640211114076727},
 	} {
 		m := mustAsync(t, c.p)
 		var unif, trans float64
@@ -239,4 +246,32 @@ func TestTransientCtxHonoursCancellation(t *testing.T) {
 	if steps != alive {
 		t.Errorf("kron sweep ran %d steps on a context alive for %d checks, want %d", steps, alive, alive)
 	}
+}
+
+// TestUniformizedSurvivalDeepTail: on the rates the FuzzTransformAgreement
+// seed 84108ba5d47d9360 builds (μ = (1.55, 0.3625, 0.3625, 1.8, 1.55), λ up
+// to 3.5), at t = 4226, where γt ≈ 9e4, the uniformization rung matches the
+// full-vector survival function within 1e-9 relative (measured 2.2e-11).
+// It sums the transient masses; read as 1 − F, its answer is 4.3e-8 off
+// there.
+func TestUniformizedSurvivalDeepTail(t *testing.T) {
+	p := fuzzParams([]byte("0\n\n8"), 5)
+	if want := []float64{1.55, 0.3625, 0.3625, 1.8, 1.55}; fmt.Sprint(p.Mu) != fmt.Sprint(want) {
+		t.Fatalf("seed rates μ = %v, want %v", p.Mu, want)
+	}
+	const d = 4226
+	m := mustAsync(t, p)
+	got, err := m.missUniformized(context.Background(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := survivalReference(t, p, d)
+	if math.Abs(got-want) > 1e-9*want {
+		t.Errorf("%s: uniformized P(X > %v) = %.15g, full-vector reference %.15g (relative %.1e)", m.Route(), float64(d), got, want, math.Abs(got-want)/want)
+	}
+	F, _, err := m.gridEngine().NewAbsorptionSequence().At(context.Background(), d, transientEps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%s γt = %.3g: S = %.6g, relative error %.1e; 1 − F's %.1e", m.Route(), entryRate(p)*d, got, math.Abs(got-want)/want, math.Abs(1-F-want)/want)
 }

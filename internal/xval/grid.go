@@ -69,12 +69,10 @@ func EveryKGrid() []Scenario {
 	}
 }
 
-// KronGrid is the matrix-free proof grid: cells past n = 16, far past the
-// enumerated route's bound (rbmodel.MaxEnumeratedProcesses = 7) and past
-// even the test-only rbmodel.EnumerateAsync, so no materialized chain
-// reaches them. The per-process μ ramps
-// are pairwise distinct, so orbit lumping
-// refuses every cell and the async model takes the Kronecker route — the
+// KronGrid is the matrix-free proof grid: cells past n = 16, past the
+// test-only rbmodel.EnumerateAsync, so no materialized chain reaches them.
+// The per-process μ ramps are pairwise distinct, so orbit lumping refuses
+// every cell and the async model takes the cube form — the
 // grid is the end-to-end evidence that its O(n·2^n) answers (the moment
 // pair's closed form and the operator-stepped transients) agree with the
 // event-driven simulator where no materialized chain can be built. λ is sized for ρ = 2λ·C(n,2)/Σμ ≈ 1, the regime where interactions

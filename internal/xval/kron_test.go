@@ -55,14 +55,14 @@ func TestKronGridN18(t *testing.T) {
 	}
 	grid := KronGrid()[:1]
 
-	// The cell must actually exercise the kron route, not a lumped chain.
+	// The cell must actually exercise the cube form, not the count form.
 	w := grid[0].Workload(1)
 	model, err := rbmodel.NewAsync(w.Params())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := model.Route(); r != "kron" {
-		t.Fatalf("cell %s routes to %q, want kron", grid[0].Name, r)
+	if r := model.Route(); r != "cube" {
+		t.Fatalf("cell %s takes the %q form, want cube", grid[0].Name, r)
 	}
 
 	rep, err := Run(grid, Options{Strategies: []string{"async"}})

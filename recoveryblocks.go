@@ -66,7 +66,6 @@ import (
 	"recoveryblocks/internal/dist"
 	"recoveryblocks/internal/expt"
 	"recoveryblocks/internal/guard"
-	"recoveryblocks/internal/markov"
 	"recoveryblocks/internal/mc"
 	"recoveryblocks/internal/obs"
 	"recoveryblocks/internal/rare"
@@ -661,25 +660,18 @@ func StartMetricsSpan(path string) *MetricsSpan { return obs.StartSpan(path) }
 // behind the deterministic/runtime report split. `rbrepro info` prints it.
 func MetricsCatalog() []MetricDef { return append([]MetricDef(nil), obs.Catalog...) }
 
-// Limits reports the compiled-in structural bounds of the analysis stack —
-// the numbers that decide which route a given workload takes.
+// Limits reports the compiled-in structural bounds of the analysis stack.
+// No bound picks a route: the async model's form (class counts or the cube)
+// follows from lumpability alone.
 type Limits struct {
 	// MaxExactProcesses bounds the full model's exact solve: the moment
-	// pair, deadline miss and quantiles in closed form and the matrix-free
-	// Kronecker engine carry the answer up to this n.
+	// pair, deadline miss and quantiles in closed form, and the transient
+	// grids on the count operator or the matrix-free Kronecker engine, carry
+	// the answer up to this n.
 	MaxExactProcesses int `json:"max_exact_processes"`
-	// MaxEnumeratedProcesses is the largest n whose transient grids (CDF,
-	// density) the async model steps on its enumerated 2^n+1-state chain.
-	// Above it they run on the orbit-lumped chain or the matrix-free engine.
-	// The moment pair, deadline miss and quantiles take no chain at any n.
-	MaxEnumeratedProcesses int `json:"max_enumerated_processes"`
 	// MaxSplitProcesses bounds the split chain behind the per-process E[L_i]
 	// cross-check; it has no matrix-free counterpart.
 	MaxSplitProcesses int `json:"max_split_processes"`
-	// KronCutoff is the orbit-lumped state count at and above which the
-	// async model steps its transient grids on the matrix-free Kronecker
-	// operator instead.
-	KronCutoff int `json:"kron_cutoff"`
 	// DefaultBlockSize is the Monte Carlo replication-block granularity.
 	DefaultBlockSize int `json:"default_block_size"`
 	// MaxEveryK bounds the sync-every-k block period.
@@ -692,12 +684,10 @@ type Limits struct {
 // EngineLimits returns the structural bounds compiled into this build.
 func EngineLimits() Limits {
 	return Limits{
-		MaxExactProcesses:      rbmodel.MaxExactProcesses,
-		MaxEnumeratedProcesses: rbmodel.MaxEnumeratedProcesses,
-		MaxSplitProcesses:      rbmodel.MaxSplitProcesses,
-		KronCutoff:             markov.KronCutoff,
-		DefaultBlockSize:       mc.DefaultBlockSize,
-		MaxEveryK:              strategy.MaxEveryK,
-		MaxAliasCategories:     dist.MaxAliasCategories,
+		MaxExactProcesses:  rbmodel.MaxExactProcesses,
+		MaxSplitProcesses:  rbmodel.MaxSplitProcesses,
+		DefaultBlockSize:   mc.DefaultBlockSize,
+		MaxEveryK:          strategy.MaxEveryK,
+		MaxAliasCategories: dist.MaxAliasCategories,
 	}
 }

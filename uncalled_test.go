@@ -19,7 +19,8 @@ var uncalledAllowed = map[string]string{
 	"ChoiceTotal":                 "linear-scan reference the alias sampler tests and the hot-path benchmark compare against",
 	"MeanAbsorptionTimeIterative": "Gauss-Seidel reference the root benchmarks behind BENCH_*.json time",
 	"TransientDistribution":       "dense uniformization reference for the transient tests",
-	"EnumerateAsync":              "builds the enumerated chain past the lumping cutoff for cross-route tests and benchmarks",
+	"EnumerateAsync":              "builds the full model's enumerated chain, the reference the count and cube forms are tested against",
+	"AbsorptionDensity":           "Krylov-sweep reference the matrix-free absorption sequence is compared against in the markov tests",
 	"IsAbsorbing":                 "structural check the chain-builder tests assert",
 	"KSCritical95":                "Kolmogorov-Smirnov bound the distribution tests check against",
 	"RK4":                         "ODE reference the transient tests integrate the generator with",
