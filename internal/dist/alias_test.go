@@ -104,17 +104,27 @@ func TestAliasRejectsBadWeights(t *testing.T) {
 	}
 }
 
-// TestAliasSampleZeroAlloc is the satellite regression test: the hot-loop
-// draw must never allocate.
+// TestAliasSampleZeroAlloc pins the samplers' allocation contract: the
+// alias draw in the hot loop never allocates, nor does the linear-scan draw
+// it replaced.
 func TestAliasSampleZeroAlloc(t *testing.T) {
-	a := NewAlias([]float64{1, 2, 3, 4, 5})
+	weights := []float64{1, 2, 3, 4, 5}
+	a := NewAlias(weights)
 	rng := NewStream(3)
 	sink := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		sink += a.Sample(rng)
-	})
-	if allocs != 0 {
-		t.Fatalf("Alias.Sample allocates %v per draw, want 0", allocs)
+	for _, c := range []struct {
+		name string
+		draw func() int
+	}{
+		{"Alias.Sample", func() int { return a.Sample(rng) }},
+		{"Stream.ChoiceTotal", func() int { return rng.ChoiceTotal(weights, 15) }},
+	} {
+		allocs := testing.AllocsPerRun(1000, func() {
+			sink += c.draw()
+		})
+		if allocs != 0 {
+			t.Fatalf("%s allocates %v per draw, want 0", c.name, allocs)
+		}
 	}
 	_ = sink
 }

@@ -44,6 +44,22 @@ func TestHealthyPathUsesPrimary(t *testing.T) {
 	}
 }
 
+// TestHealthyPathDoesNotAllocate pins what the guard costs a healthy solve:
+// with metrics off and a primary and acceptance test that do not allocate,
+// Do allocates nothing.
+func TestHealthyPathDoesNotAllocate(t *testing.T) {
+	blk := chain(ok(1), ok(2), ok(3))
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(1000, func() {
+		if res, err := blk.Do(ctx); err != nil || res.Attempt != 0 {
+			t.Fatalf("Do = %+v, %v; want the primary", res, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("healthy Block.Do allocates %v per call, want 0", allocs)
+	}
+}
+
 func TestRejectionFallsThrough(t *testing.T) {
 	res, err := chain(ok(-1), ok(2), ok(3)).Do(context.Background())
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 )
 
 // TestCatalogComplete walks every Go source file in the repository and
-// checks that each literal metric name handed to obs.C/G/H resolves against
+// checks that each literal metric name handed to obs.C resolves against
 // the catalog. An uncataloged name silently lands in the runtime section —
 // losing its determinism guarantee and its help text — so adding a counter
 // without a catalog entry must fail here, not in a golden diff months later.
@@ -18,8 +18,8 @@ import (
 // by their '*'-family entries and by TestReportSectionSplit.)
 func TestCatalogComplete(t *testing.T) {
 	root := filepath.Join("..", "..")
-	call := regexp.MustCompile(`obs\.[CGH]\("([^"]+)"\)`)
-	selfCall := regexp.MustCompile(`(?m)^\t*[CGH]\("([^"]+)"\)`)
+	call := regexp.MustCompile(`obs\.C\("([^"]+)"\)`)
+	selfCall := regexp.MustCompile(`(?m)^\t*C\("([^"]+)"\)`)
 	seen := map[string][]string{}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -50,7 +50,7 @@ func TestCatalogComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(seen) == 0 {
-		t.Fatal("no obs.C/G/H call sites found — scanner broken?")
+		t.Fatal("no obs.C call sites found — scanner broken?")
 	}
 	for name, sites := range seen {
 		if _, ok := LookupDef(name); !ok {

@@ -10,7 +10,9 @@
 // check, and nothing else. Hot loops are never instrumented per event:
 // the Monte Carlo engine and the simulators count locally per block and fold
 // the totals into the registry once per block or once per run, which keeps
-// the zero-alloc simulator cores untouched (pinned by BenchmarkObsOverhead).
+// the zero-alloc simulator cores untouched (pinned by
+// TestCounterAddDoesNotAllocate here and TestAsyncMetricsAllocateNothingExtra
+// in internal/sim).
 //
 // Determinism: metrics declared deterministic in the Catalog must be
 // worker-invariant and rerun-invariant for a fixed seed — integer counts of

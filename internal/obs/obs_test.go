@@ -48,6 +48,27 @@ func TestDisabledPathIsNilSafe(t *testing.T) {
 	}
 }
 
+// TestCounterAddDoesNotAllocate pins the cost of one instrumentation site:
+// C(name).Add(1) allocates nothing with no registry installed (one atomic
+// load and a nil check) and nothing once the named counter exists in an
+// installed one (a locked map lookup and an atomic add).
+func TestCounterAddDoesNotAllocate(t *testing.T) {
+	defer Disable()
+	for _, on := range []bool{false, true} {
+		Disable()
+		if on {
+			Enable()
+			C("mc_runs_total").Add(1) // first use creates the counter
+		}
+		allocs := testing.AllocsPerRun(1000, func() {
+			C("mc_runs_total").Add(1)
+		})
+		if allocs != 0 {
+			t.Fatalf("C(name).Add(1) with metrics on=%v allocates %v per call, want 0", on, allocs)
+		}
+	}
+}
+
 // TestCountersAndGauges exercises the basic semantics plus handle identity
 // (the same name resolves to the same metric).
 func TestCountersAndGauges(t *testing.T) {

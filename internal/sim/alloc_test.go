@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"recoveryblocks/internal/dist"
+	"recoveryblocks/internal/obs"
 	"recoveryblocks/internal/rbmodel"
 )
 
@@ -100,5 +101,33 @@ func TestPRPBlockZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("PRP probe loop allocates %v per run, want 0", allocs)
+	}
+}
+
+// TestAsyncMetricsAllocateNothingExtra pins the observability layer's cost
+// on the hottest instrumented workload: the n = 8 asynchronous simulation
+// allocates exactly as much with a registry installed as without, since
+// every counter is folded once per run, never per event.
+func TestAsyncMetricsAllocateNothingExtra(t *testing.T) {
+	defer obs.Disable()
+	p := rbmodel.Uniform(8, 1, 2.0/7)
+	opt := AsyncOptions{Intervals: 200, Seed: 1983, Workers: 1}
+	var allocs [2]float64
+	for i, on := range []bool{false, true} {
+		obs.Disable()
+		if on {
+			obs.Enable()
+		}
+		if _, err := SimulateAsync(p, opt); err != nil { // first use creates pooled tables and counters
+			t.Fatal(err)
+		}
+		allocs[i] = testing.AllocsPerRun(20, func() {
+			if _, err := SimulateAsync(p, opt); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[1] != allocs[0] {
+		t.Fatalf("SimulateAsync allocates %v per run with metrics on, %v with them off; want equal", allocs[1], allocs[0])
 	}
 }

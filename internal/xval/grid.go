@@ -74,21 +74,23 @@ func EveryKGrid() []Scenario {
 // The per-process μ ramps are pairwise distinct, so orbit lumping refuses
 // every cell and the async model takes the cube form — the
 // grid is the end-to-end evidence that its O(n·2^n) answers (the moment
-// pair's closed form and the operator-stepped transients) agree with the
-// event-driven simulator where no materialized chain can be built. λ is sized for ρ = 2λ·C(n,2)/Σμ ≈ 1, the regime where interactions
-// matter but recovery lines still form at observable frequency. Only the
-// n = 18 cell carries a deadline (the transient sweep is the costliest
-// surface); replication budgets are modest because each cell also pays
-// exact 2^n-vector passes. Run by `go test ./internal/xval` (n = 18 only,
-// not -short) and `rbrepro xval -kron` (all cells).
+// pair and the deadline miss, both from the renewal recursion) agree with
+// the event-driven simulator where no materialized chain can be built.
+// λ is sized for ρ = 2λ·C(n,2)/Σμ ≈ 1, the regime where interactions
+// matter but recovery lines still form at observable frequency. Every cell
+// checks P(X > 8) against the simulator, the transform's exact transient
+// law (its inversion is the costliest surface, about 25 s at n = 24);
+// replication budgets are modest because each cell also pays exact
+// 2^n-vector passes. Run by `go test ./internal/xval` (n = 18 only, not
+// -short) and `rbrepro xval -kron` (all cells).
 func KronGrid() []Scenario {
 	return []Scenario{
 		{Name: "kron-n18-ramp", Mu: muRamp(18, 0.80, 0.05), Lambda: lambdaForRho(muRamp(18, 0.80, 0.05), 1),
 			SyncThreshold: 1, Deadline: 8, Reps: 4000, Seed: 4183},
 		{Name: "kron-n20-ramp", Mu: muRamp(20, 0.70, 0.04), Lambda: lambdaForRho(muRamp(20, 0.70, 0.04), 1),
-			SyncThreshold: 1, Reps: 3000, Seed: 4283},
+			SyncThreshold: 1, Deadline: 8, Reps: 3000, Seed: 4283},
 		{Name: "kron-n24-ramp", Mu: muRamp(24, 0.60, 0.03), Lambda: lambdaForRho(muRamp(24, 0.60, 0.03), 1),
-			SyncThreshold: 1, Reps: 3000, Seed: 4383},
+			SyncThreshold: 1, Deadline: 8, Reps: 3000, Seed: 4383},
 	}
 }
 

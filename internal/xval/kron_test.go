@@ -9,8 +9,9 @@ import (
 
 // TestKronGridCells pins the proof grid's construction invariants without
 // paying any solve: every cell sits past the split chain's bound, routes to the
-// matrix-free Kronecker backend (distinct-μ ramps defeat orbit lumping), and
-// lands at interaction intensity ρ ≈ 1 by the λ sizing rule.
+// matrix-free Kronecker backend (distinct-μ ramps defeat orbit lumping),
+// lands at interaction intensity ρ ≈ 1 by the λ sizing rule, and checks a
+// deadline miss.
 func TestKronGridCells(t *testing.T) {
 	grid := KronGrid()
 	if len(grid) != 3 {
@@ -25,6 +26,9 @@ func TestKronGridCells(t *testing.T) {
 		if n <= rbmodel.MaxSplitProcesses || n > rbmodel.MaxExactProcesses {
 			t.Errorf("cell %s: n = %d is not in the matrix-free-only band (%d, %d]",
 				sc.Name, n, rbmodel.MaxSplitProcesses, rbmodel.MaxExactProcesses)
+		}
+		if sc.Deadline <= 0 {
+			t.Errorf("cell %s: no deadline, so its transient law goes unchecked", sc.Name)
 		}
 		seen := map[float64]bool{}
 		for _, m := range sc.Mu {

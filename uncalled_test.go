@@ -15,9 +15,9 @@ import (
 // that no program code calls but that stay: each is an independent
 // reference a test compares against, or a hook a test or perfbench reaches.
 var uncalledAllowed = map[string]string{
-	"AbsorptionMomentsDense":      "dense LU oracle the closed-form moment tests judge against; the root benchmarks behind BENCH_*.json call it",
-	"ChoiceTotal":                 "linear-scan reference the alias sampler tests and the hot-path benchmark compare against",
-	"MeanAbsorptionTimeIterative": "Gauss-Seidel reference the root benchmarks behind BENCH_*.json time",
+	"AbsorptionMomentsDense":      "dense LU oracle the closed-form moment tests in rbmodel and the markov solver tests judge against",
+	"ChoiceTotal":                 "linear-scan reference the alias sampler tests compare against; its zero-alloc draw is pinned with the alias draw's",
+	"MeanAbsorptionTimeIterative": "Gauss-Seidel reference the markov and async-model tests check the dense E[X] against",
 	"TransientDistribution":       "dense uniformization reference for the transient tests",
 	"EnumerateAsync":              "builds the full model's enumerated chain, the reference the count and cube forms are tested against",
 	"AbsorptionDensity":           "Krylov-sweep reference the matrix-free absorption sequence is compared against in the markov tests",
