@@ -14,9 +14,10 @@ type Ranger interface {
 	RunRange(lo, hi int)
 }
 
-// shardDim is the smallest state space whose kernels Shard splits: two
-// blockBits cache blocks, so each goroutine streams at least one block of
-// its own. Below it a hand-off costs about as much as the half it moves.
+// shardDim is the least work, in elements, that Shard splits: two
+// blockBits cache blocks' worth, so each goroutine streams at least one
+// block of its own. Below it a hand-off costs about as much as the half it
+// moves.
 const shardDim = 2 << blockBits
 
 // helper is the one goroutine that runs the lower half of a sharded kernel.
@@ -60,27 +61,34 @@ type half struct {
 	lo, hi int
 }
 
-// Shard runs job over [0, n) and returns once the whole range is done. For
-// a state space of dim ≥ shardDim, with GOMAXPROCS ≥ 2 and the helper free,
-// it posts [0, n/2) to the helper and runs [n/2, n) itself; if the helper
-// has not started the posted half by then, the caller runs it too.
-// Otherwise the caller runs job.RunRange(0, n): when GOMAXPROCS is 1, or
-// when another goroutine holds the helper (two solves on the mc pool at
-// once), so there is never more than one extra goroutine. A post stores
-// the job and its range in the helper's slot and allocates nothing.
+// Shard runs job over [0, n) and returns once the whole range is done.
+// work is the job's size in elements: the vector length of a pass over a
+// state space, or nodes × cells for a batch of transform passes. For
+// work ≥ shardDim, with GOMAXPROCS ≥ 2 and the helper free, it posts
+// [0, n/2) to the helper and runs [n/2, n) itself; if the helper has not
+// started the posted half by then, the caller runs it too. Otherwise the
+// caller runs job.RunRange(0, n): when GOMAXPROCS is 1, or when another
+// goroutine holds the helper (two solves on the mc pool at once), so there
+// is never more than one extra goroutine. A post stores the job and its
+// range in the helper's slot and allocates nothing.
+//
+// Its callers: the KronOp passes (by vector range), and in rbmodel the
+// Krylov preconditioner's passes and top-bit sweep, the renewal
+// recursion's subset pass (cubeMoments and single cube transform passes,
+// pipelined across the top bit) and pairRates, and the Talbot contour
+// batches (by node).
 //
 // The upper half always runs on the calling goroutine, first or alongside
 // the lower one, so a lower half that waits on the upper half's progress
-// (the Gauss–Seidel sweep's top-bit pipeline) only ever waits on a
-// goroutine that is running; such a job must release that wait if its
-// upper half panics. Run inline, the kernel sees the whole range and
-// orders it itself.
+// (the top-bit pipelines) only ever waits on a goroutine that is running;
+// such a job must release that wait if its upper half panics. Run inline,
+// the kernel sees the whole range and orders it itself.
 //
 // A panic in either half is raised again on the calling goroutine once
 // both halves have stopped, so a guard block's recover sees it as it would
 // on one goroutine, and the helper is free for the next call.
-func Shard(job Ranger, dim, n int) {
-	if dim < shardDim || runtime.GOMAXPROCS(0) < 2 || !helper.busy.CompareAndSwap(false, true) {
+func Shard(job Ranger, work, n int) {
+	if work < shardDim || runtime.GOMAXPROCS(0) < 2 || !helper.busy.CompareAndSwap(false, true) {
 		job.RunRange(0, n)
 		return
 	}
@@ -104,7 +112,7 @@ func Shard(job Ranger, dim, n int) {
 			p = helper.panicked
 		}
 	}
-	// Hold no operator past its application.
+	// Hold no job past its run.
 	helper.half, helper.panicked = half{}, nil
 	helper.busy.Store(false)
 	if p != nil {

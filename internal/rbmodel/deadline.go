@@ -171,15 +171,17 @@ func (q *laplace) quantile(target float64) (float64, error) {
 		t0 = -m1 * math.Log(target)
 	}
 	t, S, err := invertSurvival(t0, target, func(t float64) (S, f float64, err error) {
-		return q.talbot(t, talbotNodes)
+		Ss, fs, err := q.talbot(t, talbotNodes)
+		return Ss[0], fs[0], err
 	})
 	if err != nil {
 		return 0, err
 	}
-	check, _, err := q.talbot(t, talbotCheck)
+	checks, _, err := q.talbot(t, talbotCheck)
 	if err != nil {
 		return 0, err
 	}
+	check := checks[0]
 	if !within(S, check, S) {
 		return 0, guard.Rejectedf("rbmodel: Talbot orders %d and %d disagree at the quantile %v: S = %v and %v", talbotNodes, talbotCheck, t, S, check)
 	}

@@ -373,8 +373,9 @@ func (kp *kronPrecond) sweepRange(y, r []float64, lo, hi int) {
 	}
 }
 
-// sweepChunk is the grain of the sweep's top-bit pipeline, and how far the
-// lower half runs behind the upper one: 1/16 of a half at n = 16.
+// sweepChunk is the grain of the top-bit pipelines, the preconditioner's
+// sweep and the renewal recursion's subset pass, and how far the waiting
+// half runs behind the other: 1/16 of a half at n = 16.
 const sweepChunk = 1 << 11
 
 // The passes of one preconditioner application that shard.

@@ -2,7 +2,12 @@ package rbmodel
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"runtime"
+	"sync/atomic"
+
+	"recoveryblocks/internal/linalg"
 )
 
 // CubeMoments returns E[X] and E[X²] of the full model by cubeMoments, the
@@ -54,7 +59,11 @@ func CubeMoments(p Params) (m1, m2 float64, err error) {
 //
 // Both recursions run over T in ascending order, since T∖i < T: one
 // O(n·2^n) pass holding two 2^n vectors, and for a general λ a first pass
-// that writes Λ into the A vector (see pairRates).
+// that writes Λ into the A vector (see pairRates). From 2^16 subsets on
+// two cores the pass splits across the top bit, the half with it a few
+// chunks behind the half without it (see pipeline), and pairRates splits
+// into two independent halves; every subset keeps its operations and their
+// order, so the moments do not depend on the core count.
 //
 // The rounding bound: every operation is a sum, product or quotient of
 // nonnegative numbers except 1 − P_T, so no cancellation amplifies the
@@ -66,33 +75,51 @@ func CubeMoments(p Params) (m1, m2 float64, err error) {
 func cubeMoments(p Params) (m1, m2 float64) {
 	n := p.N()
 	ones := 1<<n - 1
-	P := make([]float64, ones+1)
-	A := make([]float64, ones+1)
+	j := &momentPass{mu: p.Mu, P: make([]float64, ones+1), A: make([]float64, ones+1)}
 	lam, uniform := uniformPairRate(p)
-	var level []float64
 	if uniform {
 		// Λ(T) = λ·(C(n,2) − C(n−|T|,2)), the binomials in integers.
-		level = make([]float64, n+1)
-		for k := range level {
-			level[k] = lam * float64((n*(n-1)-(n-k)*(n-k-1))/2)
+		j.level = make([]float64, n+1)
+		for k := range j.level {
+			j.level[k] = lam * float64((n*(n-1)-(n-k)*(n-k-1))/2)
 		}
 	} else {
 		// A[t] holds Λ(T) until the pass below reads it and writes A_T;
 		// A[0] = Λ(∅) = 0 is already A_∅.
-		pairRates(A, p)
+		pairRates(j.A, p)
 	}
-	P[0] = 1
-	for t := 1; t <= ones; t++ {
+	j.P[0] = 1
+	var pipe pipeline
+	pipe.sweep(j, ones+1)
+	var rate, sa float64
+	for i, mu := range p.Mu {
+		rate += mu * j.P[ones&^(1<<i)]
+		sa += mu * j.A[ones&^(1<<i)]
+	}
+	m1 = 1 / rate
+	return m1, 2 * m1 * m1 * (1 + sa)
+}
+
+// momentPass is cubeMoments' pass over the subsets. level holds Λ by
+// popcount for a uniform λ; without it A holds Λ(T) until the pass
+// overwrites it.
+type momentPass struct {
+	mu, P, A, level []float64
+}
+
+func (j *momentPass) run(lo, hi int) {
+	P, A := j.P, j.A
+	for t := max(lo, 1); t < hi; t++ {
 		var lamT float64
-		if uniform {
-			lamT = level[bits.OnesCount(uint(t))]
+		if j.level != nil {
+			lamT = j.level[bits.OnesCount(uint(t))]
 		} else {
 			lamT = A[t]
 		}
 		var muT, sp, sa float64
 		for z := t; z != 0; z &= z - 1 {
 			i := bits.TrailingZeros(uint(z))
-			mu := p.Mu[i]
+			mu := j.mu[i]
 			muT += mu
 			sp += mu * P[t&^(1<<i)]
 			sa += mu * A[t&^(1<<i)]
@@ -101,13 +128,66 @@ func cubeMoments(p Params) (m1, m2 float64) {
 		P[t] = sp / d
 		A[t] = (sa + (1 - P[t])) / d
 	}
-	var rate, sa float64
-	for i, mu := range p.Mu {
-		rate += mu * P[ones&^(1<<i)]
-		sa += mu * A[ones&^(1<<i)]
+}
+
+// subsets is a pass over the subsets of the processes in ascending order,
+// each subset T read from subsets below it only: run computes [lo, hi).
+type subsets interface {
+	run(lo, hi int)
+}
+
+// pipeline is the linalg.Ranger of one ascending subset pass (cubeMoments,
+// a single cube transform pass): kronPrecond's sweep pipeline run upwards.
+// With top = 2^(n−1), a subset T without the top bit reads only subsets
+// without it, and a subset with it reads its own half's subsets below it
+// and T∖top, at the same offset in the other half. So the half without the
+// top bit never waits, and the half with it runs sweepChunk subsets behind
+// it: before each chunk it waits until the other half has finished the
+// chunk at the same offset. Shard always runs its upper index half on the
+// calling goroutine, so RunRange maps index i to subset i XOR top: the
+// caller runs the half that never waits. Every subset still reads final
+// values only, so the pass is bit for bit the one-goroutine loop, which
+// Shard runs inline below shardDim and on one core.
+type pipeline struct {
+	pass  subsets
+	dim   int
+	lower atomic.Int64 // the finished chunks of the half without the top bit
+}
+
+// sweep runs pass over all dim = 2^n subsets through linalg.Shard, then
+// drops it.
+func (p *pipeline) sweep(pass subsets, dim int) {
+	p.pass, p.dim = pass, dim
+	p.lower.Store(0)
+	linalg.Shard(p, dim, dim)
+	p.pass = nil
+}
+
+// RunRange runs the subsets of the indices [lo, hi): the whole pass in
+// ascending order, or one of Shard's halves.
+func (p *pipeline) RunRange(lo, hi int) {
+	top := p.dim / 2
+	switch {
+	case lo == 0 && hi == p.dim:
+		p.pass.run(0, p.dim)
+	case lo >= top:
+		// Whatever stops this half, a panic included, must not leave the
+		// other half waiting for it.
+		defer p.lower.Store(math.MaxInt64)
+		for c := lo - top; c < hi-top; c += sweepChunk {
+			p.pass.run(c, min(c+sweepChunk, hi-top))
+			p.lower.Add(1)
+		}
+	default:
+		for c := lo; c < hi; c += sweepChunk {
+			// The chunk at top+c reads T∖top from the chunk at c, number
+			// c/sweepChunk of the other half.
+			for p.lower.Load() <= int64(c/sweepChunk) {
+				runtime.Gosched()
+			}
+			p.pass.run(top+c, top+min(c+sweepChunk, hi))
+		}
 	}
-	m1 = 1 / rate
-	return m1, 2 * m1 * m1 * (1 + sa)
 }
 
 // countMoments is cubeMoments' recursion indexed by per-class counts
@@ -166,16 +246,28 @@ func (c *classes) countMoments() (m1, m2 float64) {
 // pairRates writes Λ(T), the summed rate of the pairs that meet T, into
 // lam[T] for every T, from nonnegative sums only: with j the lowest process
 // of T, Λ(T) = Λ(T∖j) + Σ_{i∉T} λ_ij, the pairs that meet j but not T∖j.
+// T∖j stays in T's half of the cube but for T = top, which reads Λ(∅) = 0,
+// so the two halves are independent and shard with no wait.
 func pairRates(lam []float64, p Params) {
-	ones := len(lam) - 1
 	lam[0] = 0
-	for t := 1; t <= ones; t++ {
-		j := bits.TrailingZeros(uint(t))
-		s := lam[t&(t-1)]
-		row := p.Lambda[j]
+	linalg.Shard(pairJob{lam, p.Lambda}, len(lam), len(lam))
+}
+
+// pairJob is pairRates' linalg.Ranger over the subsets.
+type pairJob struct {
+	lam    []float64
+	lambda [][]float64
+}
+
+func (j pairJob) RunRange(lo, hi int) {
+	ones := len(j.lam) - 1
+	for t := max(lo, 1); t < hi; t++ {
+		k := bits.TrailingZeros(uint(t))
+		s := j.lam[t&(t-1)]
+		row := j.lambda[k]
 		for z := ones &^ t; z != 0; z &= z - 1 {
 			s += row[bits.TrailingZeros(uint(z))]
 		}
-		lam[t] = s
+		j.lam[t] = s
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"recoveryblocks/internal/markov"
@@ -452,4 +453,27 @@ func TestLumpedMomentsAtHighRho(t *testing.T) {
 		}
 	}
 	t.Logf("worst relative difference: %.2e from the 512-bit chain, %.2e from the cube", worstBig, worstCube)
+}
+
+// TestRenewalIsCoreCountInvariant: from 2^16 subsets cubeMoments pipelines
+// its pass across the top bit, and pairRates splits its two halves, so the
+// n = 16 and 17 moment pairs, for uniform and hot-pair λ, must come out bit
+// for bit on two cores as on one.
+func TestRenewalIsCoreCountInvariant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct {
+		name string
+		p    Params
+	}{
+		{"uniform n=16", wallRamp(16, 1)}, {"uniform n=17", wallRamp(17, 1)},
+		{"hot pair n=16", hotPairRamp(16, 4)}, {"hot pair n=17", hotPairRamp(17, 4)},
+	} {
+		runtime.GOMAXPROCS(1)
+		w1, w2 := cubeMoments(c.p)
+		runtime.GOMAXPROCS(2)
+		g1, g2 := cubeMoments(c.p)
+		if math.Float64bits(g1) != math.Float64bits(w1) || math.Float64bits(g2) != math.Float64bits(w2) {
+			t.Errorf("%s: moment pair (%.17g, %.17g) on two cores, (%.17g, %.17g) on one", c.name, g1, g2, w1, w2)
+		}
+	}
 }

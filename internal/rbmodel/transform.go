@@ -52,6 +52,16 @@ import (
 // estimate. Past a few means the tail is one mode, S(t) ≈ C·e^{−ηt}, with
 // −η the rightmost real root of s + P(s) = 1/Ŝ(s), equivalently of
 // 1 + G, and C = 1/(1 + P′(−η)).
+//
+// On two cores both kinds of pass split through linalg.Shard. The nodes of
+// the contours at one t are one batch, both orders' 44 in survival: the
+// halves of a batch whose work (nodes × cells) reaches Shard's threshold
+// run their nodes on two goroutines with their own scratch, and the S and f
+// sums then run in node order. A single cube pass (meanX, rootFn) runs as
+// renewal.go's top-bit pipeline from 2^16 subsets. Every node and subset
+// keeps its operations and their order, so the answers and the pass count
+// do not depend on the core count; below the threshold, and on one core,
+// the passes run inline as one loop.
 
 const (
 	// talbotNodes and talbotCheck are the two Talbot orders. Ŝ is real on
@@ -132,15 +142,28 @@ func (c *classes) denominators() []float64 {
 	return d
 }
 
-// laplace is one transient question's use of a transform: the two scratch
-// vectors of a pass, the context it polls between passes and the pass
-// counter. It is not safe for concurrent use; the transform it reads is.
+// laplace is one transient question's use of a transform: the scratch of
+// its passes, the context it polls before each pass and the pass counter.
+// It is not safe for concurrent use; the transform it reads is. The first
+// half of a split batch runs on lanes[1], allocated when a batch first
+// splits; every other pass runs on lanes[0].
 type laplace struct {
 	*transform
 	ctx    context.Context
-	re, im []float64
-	digit  []int // count form: the odometer
+	lanes  [2]lane
 	passes *obs.Counter
+	batch  batch
+	single cubeAt
+	pipe   pipeline
+	// s, w and P hold one talbot batch's nodes, weights and values of P.
+	s, w, P [talbotNodes + talbotCheck]complex128
+}
+
+// lane is the scratch of one goroutine's passes: the real and imaginary
+// parts of p and, in the count form, the odometer.
+type lane struct {
+	re, im []float64
+	digit  []int
 }
 
 // question returns a laplace for one question under ctx.
@@ -148,37 +171,103 @@ func (x *transform) question(ctx context.Context) *laplace {
 	q := &laplace{
 		transform: x,
 		ctx:       ctx,
-		re:        make([]float64, len(x.d)),
-		im:        make([]float64, len(x.d)),
+		lanes:     [2]lane{x.lane()},
 		passes:    obs.C("rbmodel_transform_passes_total"),
 	}
-	if x.cls != nil {
-		q.digit = make([]int, len(x.cls.size))
-	}
+	q.batch.q, q.single.q = q, q
 	return q
 }
 
-// at returns P(a + ib), failing only when the context is done.
+// lane allocates the scratch of one lane.
+func (x *transform) lane() lane {
+	l := lane{re: make([]float64, len(x.d)), im: make([]float64, len(x.d))}
+	if x.cls != nil {
+		l.digit = make([]int, len(x.cls.size))
+	}
+	return l
+}
+
+// at returns P(a + ib) from one pass, failing only when the context is
+// done. A cube pass runs as one pipelined sweep.
 func (q *laplace) at(a, b float64) (complex128, error) {
 	if err := q.ctx.Err(); err != nil {
 		return 0, err
 	}
 	q.passes.Inc()
-	var pr, pi float64
+	l := &q.lanes[0]
 	if q.cls != nil {
-		pr, pi = q.countPass(a, b)
-	} else {
-		pr, pi = q.cubePass(a, b)
+		return q.countPass(l, a, b), nil
 	}
-	return complex(pr, pi), nil
+	l.re[0], l.im[0] = 1, 0
+	q.single.a, q.single.b = a, b
+	q.pipe.sweep(&q.single, len(q.d)+1)
+	return q.cubeSum(l), nil
 }
 
-// cubePass runs the cube recursion at s = a + ib: real μ products and one
-// reciprocal per subset.
-func (q *laplace) cubePass(a, b float64) (pr, pi float64) {
-	re, im, d, mu := q.re, q.im, q.d, q.p.Mu
-	re[0], im[0] = 1, 0
-	for t := 1; t < len(d); t++ {
+// pass returns P(a + ib) from one pass on lane l.
+func (q *laplace) pass(l *lane, a, b float64) complex128 {
+	if q.cls != nil {
+		return q.countPass(l, a, b)
+	}
+	l.re[0], l.im[0] = 1, 0
+	q.cubeRange(l, a, b, 0, len(q.d))
+	return q.cubeSum(l)
+}
+
+// eval writes P(s_k) into q.P[k] for the first n nodes s_k of q.s, as one
+// linalg.Shard job over node indices sized by its work, nodes × cells.
+func (q *laplace) eval(n int) error {
+	b := &q.batch
+	b.n, b.err = n, [2]error{}
+	linalg.Shard(b, n*len(q.d), n)
+	if b.err[1] != nil {
+		return b.err[1]
+	}
+	return b.err[0]
+}
+
+// batch is the linalg.Ranger of one eval, over node indices.
+type batch struct {
+	q   *laplace
+	n   int
+	err [2]error // each lane's first error
+}
+
+// RunRange evaluates the nodes [lo, hi) in order, each after its own poll
+// of the context. The first half of a split batch runs on lanes[1].
+func (b *batch) RunRange(lo, hi int) {
+	q, h := b.q, 0
+	if hi < b.n {
+		h = 1
+		if q.lanes[1].re == nil {
+			q.lanes[1] = q.lane()
+		}
+	}
+	for k := lo; k < hi; k++ {
+		if err := q.ctx.Err(); err != nil {
+			b.err[h] = err
+			return
+		}
+		q.passes.Inc()
+		q.P[k] = q.pass(&q.lanes[h], real(q.s[k]), imag(q.s[k]))
+	}
+}
+
+// cubeAt is the subset pass of a single cube evaluation at a + ib, on
+// lanes[0].
+type cubeAt struct {
+	q    *laplace
+	a, b float64
+}
+
+func (c *cubeAt) run(lo, hi int) { c.q.cubeRange(&c.q.lanes[0], c.a, c.b, lo, hi) }
+
+// cubeRange runs the cube recursion at s = a + ib over the subsets
+// [lo, hi) but ∅ and the full set: real μ products and one reciprocal per
+// subset.
+func (q *laplace) cubeRange(l *lane, a, b float64, lo, hi int) {
+	re, im, d, mu := l.re, l.im, q.d, q.p.Mu
+	for t := max(lo, 1); t < min(hi, len(d)); t++ {
 		nr, ni := a, b
 		for z := t; z != 0; z &= z - 1 {
 			i := bits.TrailingZeros(uint(z))
@@ -191,18 +280,23 @@ func (q *laplace) cubePass(a, b float64) (pr, pi float64) {
 		re[t] = (nr*dr + ni*b) * r
 		im[t] = (ni*dr - nr*b) * r
 	}
-	ones := len(d)
-	for i, m := range mu {
-		u := ones &^ (1 << i)
-		pr += m * re[u]
-		pi += m * im[u]
-	}
-	return pr, pi
 }
 
-// countPass runs the count recursion at s = a + ib.
-func (q *laplace) countPass(a, b float64) (pr, pi float64) {
-	c, re, im, d, digit := q.cls, q.re, q.im, q.d, q.digit
+// cubeSum returns P = Σ_i μ_i·p_{ones∖i} from a finished cube pass on l.
+func (q *laplace) cubeSum(l *lane) complex128 {
+	var pr, pi float64
+	ones := len(q.d)
+	for i, m := range q.p.Mu {
+		u := ones &^ (1 << i)
+		pr += m * l.re[u]
+		pi += m * l.im[u]
+	}
+	return complex(pr, pi)
+}
+
+// countPass runs the count recursion at s = a + ib on lane l.
+func (q *laplace) countPass(l *lane, a, b float64) complex128 {
+	c, re, im, d, digit := q.cls, l.re, l.im, q.d, l.digit
 	clear(digit)
 	re[0], im[0] = 1, 0
 	for s := 1; s < len(d); s++ {
@@ -220,13 +314,14 @@ func (q *laplace) countPass(a, b float64) (pr, pi float64) {
 		re[s] = (nr*dr + ni*b) * r
 		im[s] = (ni*dr - nr*b) * r
 	}
+	var pr, pi float64
 	full := c.cells - 1
 	for k, ck := range c.size {
 		w, u := float64(ck)*c.mu[k], full-c.stride[k]
 		pr += w * re[u]
 		pi += w * im[u]
 	}
-	return pr, pi
+	return complex(pr, pi)
 }
 
 // meanX returns E[X] = 1/P(0), one pass.
@@ -243,33 +338,47 @@ func (q *laplace) rootFn(s float64) (k, dk float64, err error) {
 	return s + real(p), 1 + imag(p)/step, err
 }
 
-// talbot returns S(t) and the density f(t) inverted from the m-node fixed
-// Talbot contour: with r = 2m/(5t), θ_k = kπ/m, s_k = r·θ_k·(cot θ_k + i)
-// and σ_k = θ_k + (θ_k·cot θ_k − 1)·cot θ_k,
+// talbot returns S(t) and the density f(t) inverted from the fixed Talbot
+// contour at each order m in ms, all their nodes evaluated as one batch:
+// with r = 2m/(5t), θ_k = kπ/m, s_k = r·θ_k·(cot θ_k + i) and
+// σ_k = θ_k + (θ_k·cot θ_k − 1)·cot θ_k,
 //
 //	S(t) ≈ (r/m)·[½·Ŝ(r)·e^{rt} + Σ_{k=1}^{m−1} Re(e^{t·s_k}·Ŝ(s_k)·(1 + iσ_k))],
 //
 // with Ŝ(s) = 1/(s + P(s)), and f(t) the same sum over
-// E[e^{−sX}] = P/(s + P).
-func (q *laplace) talbot(t float64, m int) (S, f float64, err error) {
-	r := 2 * float64(m) / (5 * t)
-	for k := 0; k < m; k++ {
-		s, w := complex(r, 0), complex(0.5*math.Exp(r*t), 0)
-		if k > 0 {
-			th := float64(k) * math.Pi / float64(m)
-			cot := 1 / math.Tan(th)
-			s = complex(r*th*cot, r*th)
-			sig := th + (th*cot-1)*cot
-			w = cmplx.Exp(complex(t, 0)*s) * complex(1, sig)
+// E[e^{−sX}] = P/(s + P). Each order's sums run in node order after the
+// batch; ms holds one or both of talbotNodes and talbotCheck.
+func (q *laplace) talbot(t float64, ms ...int) (S, f [2]float64, err error) {
+	off := 0
+	for _, m := range ms {
+		r := 2 * float64(m) / (5 * t)
+		s, w := q.s[off:off+m], q.w[off:off+m]
+		for k := range s {
+			s[k], w[k] = complex(r, 0), complex(0.5*math.Exp(r*t), 0)
+			if k > 0 {
+				th := float64(k) * math.Pi / float64(m)
+				cot := 1 / math.Tan(th)
+				s[k] = complex(r*th*cot, r*th)
+				sig := th + (th*cot-1)*cot
+				w[k] = cmplx.Exp(complex(t, 0)*s[k]) * complex(1, sig)
+			}
 		}
-		P, err := q.at(real(s), imag(s))
-		if err != nil {
-			return 0, 0, err
-		}
-		S += real(w / (s + P))
-		f += real(w * P / (s + P))
+		off += m
 	}
-	return r / float64(m) * S, r / float64(m) * f, nil
+	if err := q.eval(off); err != nil {
+		return S, f, err
+	}
+	off = 0
+	for j, m := range ms {
+		for k := off; k < off+m; k++ {
+			S[j] += real(q.w[k] / (q.s[k] + q.P[k]))
+			f[j] += real(q.w[k] * q.P[k] / (q.s[k] + q.P[k]))
+		}
+		r := 2 * float64(m) / (5 * t)
+		S[j], f[j] = r/float64(m)*S[j], r/float64(m)*f[j]
+		off += m
+	}
+	return S, f, nil
 }
 
 // within reports whether a and b agree within the transform rung's
@@ -283,14 +392,11 @@ func within(a, b, s float64) bool {
 // that Talbot has lost its relative accuracy, and the one-mode tail
 // answers when it agrees with Talbot there.
 func (q *laplace) survival(t float64) (float64, error) {
-	S, _, err := q.talbot(t, talbotNodes)
+	orders, _, err := q.talbot(t, talbotNodes, talbotCheck)
 	if err != nil {
 		return 0, err
 	}
-	check, _, err := q.talbot(t, talbotCheck)
-	if err != nil {
-		return 0, err
-	}
+	S, check := orders[0], orders[1]
 	if !within(S, check, S) {
 		return 0, guard.Rejectedf("rbmodel: Talbot orders %d and %d disagree at t = %v: S = %v and %v", talbotNodes, talbotCheck, t, S, check)
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"recoveryblocks/internal/guard"
@@ -265,7 +266,49 @@ func TestTransformDeepTail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("n=%d: S = %.6g at d = %.4g; Talbot alone %.6g (relative %.1e)", p.N(), got, d, talbot, math.Abs(talbot-got)/got)
+		t.Logf("n=%d: S = %.6g at d = %.4g; Talbot alone %.6g (relative %.1e)", p.N(), got, d, talbot[0], math.Abs(talbot[0]-got)/got)
+	}
+}
+
+// TestTransformIsCoreCountInvariant: a contour batch whose work (nodes ×
+// cells) reaches shardDim splits its nodes between two goroutines, and a
+// single cube pass over 2^16 subsets or more pipelines across the top bit.
+// The n = 12 deadline miss and 0.99 quantile, the n = 16 decay rate and
+// weight, and a count-form deadline miss over 3^7 cells must come out bit
+// for bit, after the same number of passes, on two cores as on one.
+func TestTransformIsCoreCountInvariant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	m12, m16 := mustAsync(t, wallRamp(12, 0.25)), mustAsync(t, wallRamp(16, 1))
+	count := countModel(t, pairClasses(7, 1))
+	for _, q := range []struct {
+		name string
+		ask  func() ([]float64, error)
+	}{
+		{"n=12 P(X > 2)", func() ([]float64, error) { v, err := m12.DeadlineMissProb(2); return []float64{v}, err }},
+		{"n=12 0.99 quantile", func() ([]float64, error) { v, err := m12.QuantileX(0.99); return []float64{v}, err }},
+		{"n=16 decay rate", func() ([]float64, error) {
+			eta, c, err := m16.DecayRateXCtx(context.Background())
+			return []float64{eta, c}, err
+		}},
+		{"3^7 cells P(X > 1)", func() ([]float64, error) { v, err := count.DeadlineMissProb(1); return []float64{v}, err }},
+	} {
+		var got [2][]float64
+		var passes [2]int64
+		for i, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			passes[i] = passesOf(t, func() (err error) {
+				got[i], err = q.ask()
+				return err
+			})
+		}
+		if passes[0] != passes[1] {
+			t.Errorf("%s: %d passes on one core, %d on two", q.name, passes[0], passes[1])
+		}
+		for k := range got[0] {
+			if math.Float64bits(got[0][k]) != math.Float64bits(got[1][k]) {
+				t.Errorf("%s: %.17g on two cores, %.17g on one", q.name, got[1][k], got[0][k])
+			}
+		}
 	}
 }
 

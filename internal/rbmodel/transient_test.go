@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"recoveryblocks/internal/obs"
@@ -178,17 +180,24 @@ func TestDeadlineMissMatvecsPinned(t *testing.T) {
 }
 
 // countdownCtx is a context whose Err reports cancellation once it has been
-// asked left times.
+// asked left times. Both halves of a split batch poll it, so the count is
+// atomic.
 type countdownCtx struct {
 	context.Context
-	left int
+	left atomic.Int64
+}
+
+// countdown returns a countdownCtx alive for left checks.
+func countdown(left int64) *countdownCtx {
+	c := &countdownCtx{Context: context.Background()}
+	c.left.Store(left)
+	return c
 }
 
 func (c *countdownCtx) Err() error {
-	if c.left <= 0 {
+	if c.left.Add(-1) < 0 {
 		return context.Canceled
 	}
-	c.left--
 	return nil
 }
 
@@ -213,7 +222,7 @@ func TestTransientCtxHonoursCancellation(t *testing.T) {
 	m := mustAsync(t, wallRamp(12, 0.25))
 	const alive = 10 // context checks before it dies, one of them the block's
 	passes := passesOf(t, func() error {
-		_, err := m.DeadlineMissProbCtx(&countdownCtx{Context: context.Background(), left: alive}, 2)
+		_, err := m.DeadlineMissProbCtx(countdown(alive), 2)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("DeadlineMissProbCtx on a dying context: err = %v", err)
 		}
@@ -226,7 +235,7 @@ func TestTransientCtxHonoursCancellation(t *testing.T) {
 	cut := passesOf(t, func() error {
 		// Enough checks for the tail root and the first Talbot probe, not
 		// for the whole search.
-		_, err := m.QuantileXCtx(&countdownCtx{Context: context.Background(), left: 40}, 0.99)
+		_, err := m.QuantileXCtx(countdown(40), 0.99)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("QuantileXCtx on a dying context: err = %v", err)
 		}
@@ -237,7 +246,7 @@ func TestTransientCtxHonoursCancellation(t *testing.T) {
 	}
 
 	steps := matvecsOf(t, func() error {
-		_, err := m.missUniformized(&countdownCtx{Context: context.Background(), left: alive}, 2)
+		_, err := m.missUniformized(countdown(alive), 2)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("kron uniformization on a dying context: err = %v", err)
 		}
@@ -245,6 +254,72 @@ func TestTransientCtxHonoursCancellation(t *testing.T) {
 	})
 	if steps != alive {
 		t.Errorf("kron sweep ran %d steps on a context alive for %d checks, want %d", steps, alive, alive)
+	}
+}
+
+// TestCancelIsCoreCountInvariant: a context that dies in the middle of a
+// split contour batch (the n = 12 deadline miss and quantile) or between
+// the pipelined passes of the n = 16 tail search stops the question with
+// context.Canceled after the same number of passes on two cores as on one,
+// and leaves no half waiting: the next question still answers, bit for bit
+// as on one core. A panic in either half of a pipelined pass reaches the
+// caller, and the half without it does not wait forever.
+func TestCancelIsCoreCountInvariant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	m12, m16 := mustAsync(t, wallRamp(12, 0.25)), mustAsync(t, wallRamp(16, 1))
+	for _, c := range []struct {
+		name  string
+		alive int64
+		ask   func(ctx context.Context) (float64, error)
+	}{
+		{"n=12 deadline", 30, func(ctx context.Context) (float64, error) { return m12.DeadlineMissProbCtx(ctx, 2) }},
+		{"n=12 quantile", 40, func(ctx context.Context) (float64, error) { return m12.QuantileXCtx(ctx, 0.99) }},
+		{"n=16 decay rate", 4, func(ctx context.Context) (float64, error) { eta, _, err := m16.DecayRateXCtx(ctx); return eta, err }},
+	} {
+		var passes [2]int64
+		var after [2]float64
+		for i, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			passes[i] = passesOf(t, func() error {
+				if _, err := c.ask(countdown(c.alive)); !errors.Is(err, context.Canceled) {
+					t.Errorf("%s on %d cores, a context dying after %d checks: err = %v", c.name, procs, c.alive, err)
+				}
+				return nil
+			})
+			var err error
+			if after[i], err = c.ask(context.Background()); err != nil {
+				t.Fatalf("%s on %d cores after a cancelled question: %v", c.name, procs, err)
+			}
+		}
+		if passes[0] != passes[1] || passes[0] > c.alive {
+			t.Errorf("%s: cancelled after %d passes on one core, %d on two, context alive for %d checks", c.name, passes[0], passes[1], c.alive)
+		}
+		if math.Float64bits(after[0]) != math.Float64bits(after[1]) {
+			t.Errorf("%s after a cancelled question: %v on two cores, %v on one", c.name, after[1], after[0])
+		}
+	}
+
+	runtime.GOMAXPROCS(2)
+	const dim = 1 << 16
+	for _, at := range []int{5, dim/2 + 5} { // the half without the top bit, the half with it
+		var pipe pipeline
+		p := func() (p any) {
+			defer func() { p = recover() }()
+			pipe.sweep(panicAt(at), dim)
+			return nil
+		}()
+		if p == nil {
+			t.Errorf("a panic at subset %d did not reach the caller", at)
+		}
+	}
+}
+
+// panicAt is a subset pass that panics when it reaches its subset.
+type panicAt int
+
+func (p panicAt) run(lo, hi int) {
+	if lo <= int(p) && int(p) < hi {
+		panic(fmt.Sprintf("subset %d reached", int(p)))
 	}
 }
 
